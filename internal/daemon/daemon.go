@@ -91,8 +91,16 @@ type job struct {
 	waiters []chan struct{} // closed (and cleared) on every event append
 }
 
+// emit appends e to the progress stream and wakes every waiter. A terminal
+// event (done, failed, stopped) also moves the job into the state of the
+// same name, in the same critical section: handleProgress ends a stream as
+// soon as it sees a terminal state, so that state's event must already be
+// in the log when it does.
 func (j *job) emit(e Event) {
 	j.mu.Lock()
+	if isTerminal(e.Type) {
+		j.state = e.Type
+	}
 	j.events = append(j.events, e)
 	ws := j.waiters
 	j.waiters = nil
@@ -109,8 +117,12 @@ func (j *job) setState(state string) {
 }
 
 // terminal reports whether the job has stopped making progress.
-func (j *job) terminal() bool {
-	switch j.state {
+func (j *job) terminal() bool { return isTerminal(j.state) }
+
+// isTerminal reports whether a job state (or the event announcing it) ends
+// the job's progress.
+func isTerminal(state string) bool {
+	switch state {
 	case "done", "failed", "stopped":
 		return true
 	}
@@ -242,7 +254,6 @@ func (s *Server) runJob(j *job) {
 		}
 		select {
 		case <-s.ctx.Done():
-			j.setState("stopped")
 			j.emit(Event{Type: "stopped", Job: j.id, ElapsedMS: time.Since(start).Milliseconds()})
 			s.cfg.Logf("daemon: %s stopped with experiments pending (checkpointable)", j.id)
 			return
@@ -261,7 +272,6 @@ func (s *Server) runJob(j *job) {
 		}
 		if err := experiments.Run(name, o); err != nil {
 			j.mu.Lock()
-			j.state = "failed"
 			j.failure = fmt.Sprintf("%s: %v", name, err)
 			j.mu.Unlock()
 			j.emit(Event{Type: "failed", Job: j.id, Experiment: name, Err: err.Error()})
@@ -279,7 +289,6 @@ func (s *Server) runJob(j *job) {
 			Obs:        json.RawMessage(o.Obs.Snapshot().JSON()),
 		})
 	}
-	j.setState("done")
 	j.emit(Event{Type: "done", Job: j.id, ElapsedMS: time.Since(start).Milliseconds()})
 }
 

@@ -253,6 +253,82 @@ func TestFailedJob(t *testing.T) {
 	}
 }
 
+// TestTerminalStateCarriesItsEvent is the regression test for the
+// terminal-event race: runJob used to publish a terminal state and append
+// that state's event under two separate acquisitions of the job lock, so a
+// /progress stream taking the lock in between saw a finished job with no
+// terminal event and ended without it. Three observers take the job lock in
+// turns and hold it longer than sync.Mutex's 1ms starvation threshold,
+// which puts the mutex into FIFO hand-off mode: each time runJob unlocks,
+// a queued observer gets the lock before runJob can take it again, so some
+// observer looks between every pair of runJob's critical sections. All
+// three terminal paths run: done, failed, and stopped by a shutdown.
+func TestTerminalStateCarriesItsEvent(t *testing.T) {
+	for _, tc := range []struct{ exp, want string }{
+		{"zz-daemon-quick", "done"},
+		{"zz-daemon-fail", "failed"},
+		{"zz-daemon-quick", "stopped"},
+	} {
+		s := newTestServer(t, Config{})
+		started, release := armGate()
+		j, err := s.Submit(submitRequest{Experiments: []string{"zz-daemon-gate", tc.exp}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-started
+		if tc.want == "stopped" {
+			s.cancel() // the job stops at its next experiment boundary
+		}
+		if bad := observeTerminal(j, release); len(bad) > 0 {
+			t.Errorf("%s: terminal state seen before its event: %v", tc.want, bad)
+		}
+		if st := j.status(); st.State != tc.want {
+			t.Errorf("job ended %q, want %q", st.State, tc.want)
+		}
+		s.Shutdown()
+	}
+}
+
+// observeTerminal runs the observers until each has seen j in a terminal
+// state; the observers release the gate once they have taken the lock nine
+// times, by which point the mutex is starving. It returns every "state/last
+// event" pair an observer saw where the last event does not announce the
+// terminal state.
+func observeTerminal(j *job, release chan struct{}) []string {
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var bad []string
+	rounds := 0 // guarded by j.mu
+	for o := 0; o < 3; o++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				j.mu.Lock()
+				state, terminal := j.state, j.terminal()
+				last := j.events[len(j.events)-1].Type
+				if rounds++; rounds == 9 {
+					close(release)
+				}
+				// Holding the lock past 1ms is what makes waiters starve.
+				time.Sleep(2 * time.Millisecond)
+				j.mu.Unlock()
+				if !terminal {
+					continue
+				}
+				if last != state {
+					mu.Lock()
+					bad = append(bad, state+"/"+last)
+					mu.Unlock()
+				}
+				return
+			}
+		}()
+	}
+	wg.Wait()
+	return bad
+}
+
 // TestShutdownCheckpointResume is the SIGTERM drill: a daemon is torn down
 // while a job is mid-grid, checkpoints, and a fresh daemon resuming from
 // the file finishes exactly the pending work — completed experiments keep

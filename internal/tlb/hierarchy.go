@@ -70,18 +70,6 @@ type Hierarchy struct {
 	walks     uint64
 }
 
-func sizeIndex(s mem.PageSize) int {
-	switch s {
-	case mem.Page4K:
-		return 0
-	case mem.Page2M:
-		return 1
-	case mem.Page1G:
-		return 2
-	}
-	panic(fmt.Sprintf("tlb: invalid page size %v", s))
-}
-
 // NewHierarchy builds the per-core hierarchy from cfg.
 func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	return &Hierarchy{
@@ -98,17 +86,22 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 // Access translates address a, which is currently mapped with page size
 // size. It returns where the translation was found. On a full miss the
 // caller is responsible for walking the page table and then calling Fill.
+//
+// An L1 miss leaves the L1 fill victim picked, and an L2 miss the L2 one,
+// so the refill on an L2 hit and the Fill after a walk write those ways
+// without probing their sets again.
 func (h *Hierarchy) Access(a mem.VirtAddr, size mem.PageSize) Result {
 	h.accesses++
-	vpn := mem.PageNumber(a, size)
-	l1 := h.l1[sizeIndex(size)]
-	if l1.Lookup(vpn, size) {
+	si := sizeIndex(size)
+	tag := pageTag(a, si)
+	l1 := h.l1[si]
+	if l1.lookup(tag) {
 		return HitL1
 	}
-	if size != mem.Page1G || h.l2Holds1G {
-		if h.l2.Lookup(vpn, size) {
+	if si != 2 || h.l2Holds1G {
+		if h.l2.lookup(tag) {
 			// Fill into L1 on an L2 hit.
-			l1.Insert(vpn, size)
+			l1.insert(tag)
 			return HitL2
 		}
 	}
@@ -116,19 +109,19 @@ func (h *Hierarchy) Access(a mem.VirtAddr, size mem.PageSize) Result {
 	return Miss
 }
 
-// CountL1Hits records n L1 hits for the given page size on behalf of an
-// external MRU filter (the vmm step-level L0 filter), without probing or
-// re-stamping any entry. The caller guarantees each counted access would
-// have hit the same already-MRU L1 entry, so skipping the scan and the
-// recency refresh is invisible to every replacement decision; only the
-// counters the experiments report move.
-func (h *Hierarchy) CountL1Hits(size mem.PageSize, n uint64) {
-	h.CountL1HitsIndexed(sizeIndex(size), n)
+// pageTag returns the way tag of the page holding a at size index si. Page
+// shifts are 12, 21 and 30: 12 plus 9 per size step.
+func pageTag(a mem.VirtAddr, si int) uint64 {
+	return uint64(a)>>(12+9*uint(si))<<classBits | uint64(si+1)
 }
 
-// CountL1HitsIndexed is CountL1Hits with the size class pre-resolved to its
-// sizeIndex (0 = 4KB, 1 = 2MB, 2 = 1GB), for callers that already carry the
-// index and want to skip the size switch on the per-access hot path.
+// CountL1HitsIndexed records n L1 hits in the L1 for size index si (0 =
+// 4KB, 1 = 2MB, 2 = 1GB) on behalf of an external MRU filter (the vmm
+// step-level L0 filter), without probing or re-stamping any entry. The
+// caller guarantees each counted access would have hit the same
+// already-MRU L1 entry, so skipping the scan and the recency refresh is
+// invisible to every replacement decision; only the counters the
+// experiments report move.
 func (h *Hierarchy) CountL1HitsIndexed(si int, n uint64) {
 	h.accesses += n
 	h.l1[si].CountHit(n)
@@ -137,11 +130,12 @@ func (h *Hierarchy) CountL1HitsIndexed(si int, n uint64) {
 // Fill installs the translation for a at the given page size after a page
 // table walk, into both levels.
 func (h *Hierarchy) Fill(a mem.VirtAddr, size mem.PageSize) {
-	vpn := mem.PageNumber(a, size)
-	if size != mem.Page1G || h.l2Holds1G {
-		h.l2.Insert(vpn, size)
+	si := sizeIndex(size)
+	tag := pageTag(a, si)
+	if si != 2 || h.l2Holds1G {
+		h.l2.insert(tag)
 	}
-	h.l1[sizeIndex(size)].Insert(vpn, size)
+	h.l1[si].insert(tag)
 }
 
 // Present reports whether the translation for a at the given page size is

@@ -42,32 +42,44 @@ func (s Stats) String() string {
 // TLB is a single set-associative translation lookaside buffer for one or
 // more page sizes. Sets are indexed by the low bits of the page number.
 //
-// Entry storage is structure-of-arrays: the ways-wide set scan in Lookup is
-// the innermost loop of the whole simulator, and splitting the fields into
-// parallel slices keeps the scanned tags densely packed (8 bytes per way
-// instead of a 32-byte struct), so a 4-way probe touches one cache line.
-// A size of 0 marks an invalid way; valid entries always carry one of the
-// three real page sizes, so tag comparison and validity collapse into the
-// same two loads.
+// Each way is one tag word: the page number above a 2-bit size class
+// (tagOf). Class 0 marks an invalid way, so validity, size and page number
+// compare in a single load, and a 4-way set is 32 bytes of tags.
+// Invalidation clears only the class bits and keeps the page number, which
+// the serialized State reports for invalid ways. Recency lives in a
+// parallel lrus slice (higher = more recently used).
+//
+// A set probe scans every way without an early exit (probe), which lets the
+// compiler turn the tag match, the first-invalid search and the LRU minimum
+// into conditional moves. A Lookup miss picks its fill victim in that same
+// pass and remembers it, so the Insert that follows a miss — the L1 refill
+// after an L2 hit, the L2 and L1 fills after a walk — writes that way
+// without scanning the set again.
 type TLB struct {
 	name    string
 	sets    int
 	ways    int
 	setMask uint64 // sets-1 when sets is a power of two, else 0
 
-	vpns  []mem.PageNum  // sets*ways, set-major
-	sizes []mem.PageSize // 0 = invalid way
-	lrus  []uint64       // higher = more recently used
+	tags []uint64 // sets*ways, set-major; see tagOf
+	lrus []uint64 // higher = more recently used
 
-	// mruVPN/mruSize remember the most recently stamped entry (last Lookup
-	// hit or Insert). That entry is by construction the most recently used
-	// way of its set, so a repeat Lookup can return a hit without the set
-	// scan and without re-stamping: refreshing an already-MRU entry never
-	// changes within-set LRU order, which keeps every replacement decision
-	// — and therefore every simulation result — bit-identical. mruSize 0
-	// means no hint.
-	mruVPN  mem.PageNum
-	mruSize mem.PageSize
+	// mruTag is the most recently stamped entry (last Lookup hit or
+	// Insert). That entry is by construction the most recently used way of
+	// its set, so a repeat Lookup can return a hit without the set scan and
+	// without re-stamping: refreshing an already-MRU entry never changes
+	// within-set LRU order, which keeps every replacement decision — and
+	// therefore every simulation result — bit-identical. Class 0 means no
+	// hint; the page number stays as State reports it.
+	mruTag uint64
+
+	// fillTag/fillWay remember the last Lookup miss and the absolute index
+	// of the way an Insert of that tag would fill. Any mutation that could
+	// move the choice (a stamped hit, an Insert, an invalidation, a flush,
+	// a restore) clears fillTag, so a matching Insert may trust fillWay
+	// without rescanning. Class 0 means nothing is remembered.
+	fillTag uint64
+	fillWay int
 
 	tick  uint64
 	stats Stats
@@ -76,6 +88,41 @@ type TLB struct {
 	// capacity replacement (not by invalidation). The victim-tracker
 	// candidate source (§5.4.1 design alternative) hangs off this hook.
 	OnEvict func(vpn mem.PageNum, size mem.PageSize)
+}
+
+// Tag layout: page number << classBits | size class. Page numbers derived
+// from 64-bit addresses are below 2^52, well inside the 62 bits available.
+const (
+	classBits = 2
+	classMask = 1<<classBits - 1
+	maxVPN    = 1<<(64-classBits) - 1
+)
+
+// classSizes maps a size class to its page size; class 0 is an invalid way.
+var classSizes = [4]mem.PageSize{0, mem.Page4K, mem.Page2M, mem.Page1G}
+
+// sizeIndex maps a page size to its L1 slot (0 = 4KB, 1 = 2MB, 2 = 1GB);
+// the size class of a tag is sizeIndex+1.
+func sizeIndex(s mem.PageSize) int {
+	switch s {
+	case mem.Page4K:
+		return 0
+	case mem.Page2M:
+		return 1
+	case mem.Page1G:
+		return 2
+	}
+	panic(fmt.Sprintf("tlb: invalid page size %v", s))
+}
+
+// tagOf packs (vpn, size) into a way tag.
+func tagOf(vpn mem.PageNum, size mem.PageSize) uint64 {
+	return uint64(vpn)<<classBits | uint64(sizeIndex(size)+1)
+}
+
+// untag splits a way tag back into (vpn, size); size is 0 for an invalid way.
+func untag(tag uint64) (mem.PageNum, mem.PageSize) {
+	return mem.PageNum(tag >> classBits), classSizes[tag&classMask]
 }
 
 // Config describes one TLB structure.
@@ -92,12 +139,11 @@ func New(cfg Config) *TLB {
 		panic(fmt.Sprintf("tlb: invalid geometry %d entries / %d ways", cfg.Entries, cfg.Ways))
 	}
 	t := &TLB{
-		name:  cfg.Name,
-		sets:  cfg.Entries / cfg.Ways,
-		ways:  cfg.Ways,
-		vpns:  make([]mem.PageNum, cfg.Entries),
-		sizes: make([]mem.PageSize, cfg.Entries),
-		lrus:  make([]uint64, cfg.Entries),
+		name: cfg.Name,
+		sets: cfg.Entries / cfg.Ways,
+		ways: cfg.Ways,
+		tags: make([]uint64, cfg.Entries),
+		lrus: make([]uint64, cfg.Entries),
 	}
 	if t.sets&(t.sets-1) == 0 {
 		t.setMask = uint64(t.sets - 1)
@@ -113,7 +159,7 @@ func (t *TLB) Entries() int { return t.sets * t.ways }
 
 // Sets returns the set count. External MRU filters (the vmm step-level L0
 // translation table) size one slot per set and must index it exactly like
-// setIndex does, so the geometry is part of the structure's contract.
+// setBase does, so the geometry is part of the structure's contract.
 func (t *TLB) Sets() int { return t.sets }
 
 // Stats returns a copy of the counters.
@@ -122,26 +168,56 @@ func (t *TLB) Stats() Stats { return t.stats }
 // ResetStats zeroes the counters but keeps contents.
 func (t *TLB) ResetStats() { t.stats = Stats{} }
 
-func (t *TLB) setIndex(vpn mem.PageNum) int {
+// setBase returns the index of the first way of tag's set.
+func (t *TLB) setBase(tag uint64) int {
+	vpn := tag >> classBits
 	// Every realistic geometry has a power-of-two set count, so the hot
 	// path is a mask; the modulo covers odd test geometries.
 	if t.setMask != 0 || t.sets == 1 {
-		return int(uint64(vpn) & t.setMask)
+		return int(vpn&t.setMask) * t.ways
 	}
-	return int(uint64(vpn) % uint64(t.sets))
+	return int(vpn%uint64(t.sets)) * t.ways
 }
 
-// stamp records (vpn, size) as the most recently used entry overall,
-// enabling the MRU fast path on the next Lookup.
-func (t *TLB) stamp(vpn mem.PageNum, size mem.PageSize) {
-	t.mruVPN, t.mruSize = vpn, size
+// probe scans the set starting at base for tag. It returns the matching way
+// (-1 if none) and the way a fill would take: the first invalid way, else
+// the least recently used one (the lowest index among equal stamps). The
+// scan has no early exit and walks downwards, so every comparison is an
+// unconditional overwrite the compiler can lower to a conditional move.
+func (t *TLB) probe(base int, tag uint64) (hit, victim int) {
+	tags := t.tags[base : base+t.ways]
+	lrus := t.lrus[base : base+t.ways][:len(tags)]
+	hit = -1
+	invalid := len(tags)
+	oldest, lruWay := ^uint64(0), 0
+	for i := len(tags) - 1; i >= 0; i-- {
+		g := tags[i]
+		if g == tag {
+			hit = i
+		}
+		if g&classMask == 0 {
+			invalid = i
+		}
+		if l := lrus[i]; l <= oldest {
+			oldest, lruWay = l, i
+		}
+	}
+	victim = lruWay
+	if invalid < len(tags) {
+		victim = invalid
+	}
+	return hit, victim
 }
 
 // Lookup probes the TLB for (vpn, size). On a hit the entry's recency is
 // refreshed. It does not insert on miss; use Insert for that, so that the
 // hierarchy controls fill policy.
 func (t *TLB) Lookup(vpn mem.PageNum, size mem.PageSize) bool {
-	if vpn == t.mruVPN && size == t.mruSize {
+	return t.lookup(tagOf(vpn, size))
+}
+
+func (t *TLB) lookup(tag uint64) bool {
+	if tag == t.mruTag {
 		// MRU fast path: the entry was the last one stamped, so it is
 		// still the most recently used way of its set and re-stamping it
 		// would not change LRU order. Count the hit and skip the scan.
@@ -149,67 +225,51 @@ func (t *TLB) Lookup(vpn mem.PageNum, size mem.PageSize) bool {
 		return true
 	}
 	t.tick++
-	base := t.setIndex(vpn) * t.ways
-	vpns := t.vpns[base : base+t.ways]
-	sizes := t.sizes[base : base+t.ways][:len(vpns)]
-	for i := range vpns {
-		if vpns[i] == vpn && sizes[i] == size {
-			t.lrus[base+i] = t.tick
-			t.stats.Hits++
-			t.stamp(vpn, size)
-			return true
-		}
+	base := t.setBase(tag)
+	hit, victim := t.probe(base, tag)
+	if hit >= 0 {
+		t.lrus[base+hit] = t.tick
+		t.stats.Hits++
+		t.mruTag = tag
+		t.fillTag = 0
+		return true
 	}
 	t.stats.Misses++
+	t.fillTag, t.fillWay = tag, base+victim
 	return false
 }
 
 // Insert fills (vpn, size), evicting the LRU way of the set if needed.
 // Re-inserting an existing entry refreshes it in place.
 func (t *TLB) Insert(vpn mem.PageNum, size mem.PageSize) {
-	t.tick++
-	base := t.setIndex(vpn) * t.ways
-	vpns := t.vpns[base : base+t.ways]
-	sizes := t.sizes[base : base+t.ways][:len(vpns)]
-	lrus := t.lrus[base : base+t.ways][:len(vpns)]
-	victim := 0
-	for i := range vpns {
-		if vpns[i] == vpn && sizes[i] == size {
-			lrus[i] = t.tick
-			t.stamp(vpn, size)
-			return
-		}
-		if sizes[i] == 0 {
-			// An invalid way is always the best victim; stop scanning
-			// for LRU but keep checking for a duplicate entry.
-			for j := i + 1; j < len(vpns); j++ {
-				if vpns[j] == vpn && sizes[j] == size {
-					lrus[j] = t.tick
-					t.stamp(vpn, size)
-					return
-				}
-			}
-			t.fill(base+i, vpn, size)
-			return
-		}
-		if lrus[i] < lrus[victim] {
-			victim = i
-		}
-	}
-	// Every way was valid: a genuine capacity eviction.
-	t.stats.Evictions++
-	if t.OnEvict != nil {
-		t.OnEvict(vpns[victim], sizes[victim])
-	}
-	t.fill(base+victim, vpn, size)
+	t.insert(tagOf(vpn, size))
 }
 
-// fill writes (vpn, size) into way i at the current tick and stamps it MRU.
-func (t *TLB) fill(i int, vpn mem.PageNum, size mem.PageSize) {
-	t.vpns[i] = vpn
-	t.sizes[i] = size
-	t.lrus[i] = t.tick
-	t.stamp(vpn, size)
+func (t *TLB) insert(tag uint64) {
+	t.tick++
+	way := t.fillWay
+	if tag != t.fillTag {
+		base := t.setBase(tag)
+		hit, victim := t.probe(base, tag)
+		if hit >= 0 {
+			t.lrus[base+hit] = t.tick
+			t.mruTag = tag
+			t.fillTag = 0
+			return
+		}
+		way = base + victim
+	}
+	t.fillTag = 0
+	if old := t.tags[way]; old&classMask != 0 {
+		// Every way was valid: a genuine capacity eviction.
+		t.stats.Evictions++
+		if t.OnEvict != nil {
+			t.OnEvict(untag(old))
+		}
+	}
+	t.tags[way] = tag
+	t.lrus[way] = t.tick
+	t.mruTag = tag
 }
 
 // CountHit records a hit for (vpn, size) established by an external MRU
@@ -222,31 +282,28 @@ func (t *TLB) CountHit(n uint64) { t.stats.Hits += n }
 // Contains reports whether (vpn, size) is cached, without touching LRU
 // state or statistics (a diagnostic probe, not a lookup).
 func (t *TLB) Contains(vpn mem.PageNum, size mem.PageSize) bool {
-	base := t.setIndex(vpn) * t.ways
-	for i := base; i < base+t.ways; i++ {
-		if t.vpns[i] == vpn && t.sizes[i] == size {
-			return true
-		}
-	}
-	return false
+	tag := tagOf(vpn, size)
+	hit, _ := t.probe(t.setBase(tag), tag)
+	return hit >= 0
 }
 
 // InvalidatePage removes the translation for (vpn, size) if present,
 // returning whether an entry was dropped. This models a single-page
 // shootdown (INVLPG).
 func (t *TLB) InvalidatePage(vpn mem.PageNum, size mem.PageSize) bool {
-	base := t.setIndex(vpn) * t.ways
-	for i := base; i < base+t.ways; i++ {
-		if t.vpns[i] == vpn && t.sizes[i] == size {
-			t.sizes[i] = 0
-			if vpn == t.mruVPN && size == t.mruSize {
-				t.mruSize = 0
-			}
-			t.stats.Invalidates++
-			return true
-		}
+	tag := tagOf(vpn, size)
+	base := t.setBase(tag)
+	hit, _ := t.probe(base, tag)
+	if hit < 0 {
+		return false
 	}
-	return false
+	t.tags[base+hit] &^= classMask
+	if tag == t.mruTag {
+		t.mruTag &^= classMask
+	}
+	t.fillTag = 0
+	t.stats.Invalidates++
+	return true
 }
 
 // InvalidateRange removes every entry whose page overlaps the virtual range,
@@ -255,21 +312,22 @@ func (t *TLB) InvalidatePage(vpn mem.PageNum, size mem.PageSize) bool {
 // within the promoted 2MB region must go.
 func (t *TLB) InvalidateRange(r mem.Range) int {
 	n := 0
-	for i := range t.sizes {
-		size := t.sizes[i]
+	for i, tag := range t.tags {
+		vpn, size := untag(tag)
 		if size == 0 {
 			continue
 		}
-		base := mem.VirtAddr(uint64(t.vpns[i]) << size.Shift())
+		base := mem.VirtAddr(uint64(vpn) << size.Shift())
 		pr := mem.Range{Start: base, End: base + mem.VirtAddr(uint64(size))}
 		if pr.Overlaps(r) {
-			t.sizes[i] = 0
+			t.tags[i] &^= classMask
 			n++
 		}
 	}
 	if n > 0 {
 		// Conservatively drop the MRU hint: the stamped entry may be gone.
-		t.mruSize = 0
+		t.mruTag &^= classMask
+		t.fillTag = 0
 	}
 	t.stats.Invalidates += uint64(n)
 	return n
@@ -277,17 +335,18 @@ func (t *TLB) InvalidateRange(r mem.Range) int {
 
 // Flush invalidates every entry.
 func (t *TLB) Flush() {
-	for i := range t.sizes {
-		t.sizes[i] = 0
+	for i := range t.tags {
+		t.tags[i] &^= classMask
 	}
-	t.mruSize = 0
+	t.mruTag &^= classMask
+	t.fillTag = 0
 }
 
 // Occupancy returns the number of valid entries (useful in tests).
 func (t *TLB) Occupancy() int {
 	n := 0
-	for i := range t.sizes {
-		if t.sizes[i] != 0 {
+	for _, tag := range t.tags {
+		if tag&classMask != 0 {
 			n++
 		}
 	}
@@ -298,9 +357,9 @@ func (t *TLB) Occupancy() int {
 // statistics. The invariant auditor and property tests use this to check
 // that no stale translation survives a shootdown.
 func (t *TLB) VisitValid(fn func(vpn mem.PageNum, size mem.PageSize)) {
-	for i := range t.sizes {
-		if t.sizes[i] != 0 {
-			fn(t.vpns[i], t.sizes[i])
+	for _, tag := range t.tags {
+		if tag&classMask != 0 {
+			fn(untag(tag))
 		}
 	}
 }

@@ -166,6 +166,21 @@ func (m *Machine) Audit() []string {
 				bad = append(bad, fmt.Sprintf("numa region counter references dead pid %d", pid))
 			}
 		}
+		// Every filled node memo must repeat the ledger's placement.
+		for _, p := range m.procs {
+			for _, v := range p.vmas {
+				for s, nd := range v.node2M {
+					if nd == 0 {
+						continue
+					}
+					base := v.base2M + mem.VirtAddr(uint64(s)<<21)
+					if node, ok := m.numa.placement[demotePlacementKey{pid: p.ID, base: base}]; !ok || int(nd-1) != node {
+						bad = append(bad, fmt.Sprintf("proc %s: numa memo for %#x says node %d, ledger %d (placed %v)",
+							p.Name, uint64(base), nd-1, node, ok))
+					}
+				}
+			}
+		}
 	}
 
 	if a, ok := m.policy.(PolicyAuditor); ok {

@@ -41,13 +41,18 @@ func stepPattern2M(r mem.Range) []trace.Access {
 	return acc
 }
 
+// stepConfig is the machine the Step benchmarks run on.
+func stepConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Phys = physmem.Config{TotalBytes: 512 << 21, MovableFillRatio: 0.5}
+	return cfg
+}
+
 // benchmarkStep measures steady-state per-access simulation cost through
 // Machine.Run (vmaOf, mapping-state lookup, TLB hierarchy, walker, PCC).
 // With promote set every 2MB region is huge-mapped first, exercising the
 // 2MB-path bookkeeping (huge last-use tracking) on every L2 hit and walk.
-func benchmarkStep(b *testing.B, promote bool) {
-	cfg := DefaultConfig()
-	cfg.Phys = physmem.Config{TotalBytes: 512 << 21, MovableFillRatio: 0.5}
+func benchmarkStep(b *testing.B, cfg Config, promote bool) {
 	m := NewMachine(cfg, nil)
 	p := m.AddProcess("bench", testVMA(64), 0)
 	r := p.Ranges()[0]
@@ -73,10 +78,20 @@ func benchmarkStep(b *testing.B, promote bool) {
 }
 
 // BenchmarkStep is the 4KB-mapped hot path: ns/op is ns per simulated access.
-func BenchmarkStep(b *testing.B) { benchmarkStep(b, false) }
+func BenchmarkStep(b *testing.B) { benchmarkStep(b, stepConfig(), false) }
 
 // BenchmarkStep2M is the same pattern with every region promoted to 2MB.
-func BenchmarkStep2M(b *testing.B) { benchmarkStep(b, true) }
+func BenchmarkStep2M(b *testing.B) { benchmarkStep(b, stepConfig(), true) }
+
+// BenchmarkStepNUMA is BenchmarkStep on a 2-node machine with interleaved
+// placement: the generic kernel, whose full steps look up each region's
+// node and charge the remote penalty on half of them.
+func BenchmarkStepNUMA(b *testing.B) {
+	cfg := stepConfig()
+	cfg.NUMA = DefaultNUMAConfig()
+	cfg.NUMA.Policy = NUMAInterleave
+	benchmarkStep(b, cfg, false)
+}
 
 // BenchmarkRunStream measures the end-to-end Run pipeline — batch draining,
 // tick segmentation, and the per-access step — fed by a live generator

@@ -134,8 +134,9 @@ func TestLRUOrderUnchangedByMRUFastPath(t *testing.T) {
 }
 
 // TestSteadyStateRunAllocs: once a machine is warm (pages faulted in, batch
-// buffer allocated), replaying a recorded stream through Run must not
-// allocate per access — the hot path is allocation-free. Per-Run setup (the
+// buffer allocated, NUMA regions placed), replaying a recorded stream through
+// Run must not allocate per access — the hot path is allocation-free, on the
+// fast kernel and on the NUMA machine's generic one. Per-Run setup (the
 // live-job bookkeeping and the replay cursor) is a small constant.
 func TestSteadyStateRunAllocs(t *testing.T) {
 	// The audit walks every structure each tick and allocates scratch;
@@ -144,25 +145,29 @@ func TestSteadyStateRunAllocs(t *testing.T) {
 	TestForceAudit = false
 	defer func() { TestForceAudit = oldAudit }()
 
-	cfg := testConfig()
-	m := NewMachine(cfg, nil)
-	p := m.AddProcess("t", testVMA(8), 0)
-	acc := mixedStream(p.Ranges()[0], 12)
-	rec := trace.Record(trace.Slice(acc), 0)
-	accesses := rec.Accesses()
-	if accesses == 0 {
-		t.Fatal("empty recording")
-	}
-	// Warm: fault every page in and let Run allocate its reusable buffers.
-	m.Run(&Job{Proc: p, Stream: rec.Replay()})
-
-	avg := testing.AllocsPerRun(5, func() {
+	for name, cfg := range map[string]Config{
+		"fast":            testConfig(),
+		"numa-interleave": numaConfig(NUMAInterleave),
+	} {
+		m := NewMachine(cfg, nil)
+		p := m.AddProcess("t", testVMA(8), 0)
+		acc := mixedStream(p.Ranges()[0], 12)
+		rec := trace.Record(trace.Slice(acc), 0)
+		accesses := rec.Accesses()
+		if accesses == 0 {
+			t.Fatal("empty recording")
+		}
+		// Warm: fault every page in and let Run allocate its reusable buffers.
 		m.Run(&Job{Proc: p, Stream: rec.Replay()})
-	})
-	perAccess := avg / float64(accesses)
-	if perAccess > 0.001 {
-		t.Errorf("steady-state Run allocates %.4f objects/access (%.0f per run over %d accesses), want 0",
-			perAccess, avg, accesses)
+
+		avg := testing.AllocsPerRun(5, func() {
+			m.Run(&Job{Proc: p, Stream: rec.Replay()})
+		})
+		perAccess := avg / float64(accesses)
+		if perAccess > 0.001 {
+			t.Errorf("%s: steady-state Run allocates %.4f objects/access (%.0f per run over %d accesses), want 0",
+				name, perAccess, avg, accesses)
+		}
 	}
 }
 

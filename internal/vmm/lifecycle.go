@@ -344,6 +344,7 @@ func (m *Machine) teardownAddressSpace(p *Process) {
 		}
 		for i := range v.lastUse2M {
 			v.lastUse2M[i] = 0
+			v.node2M[i] = 0
 		}
 	}
 	for _, v := range p.vmas {

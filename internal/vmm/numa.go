@@ -175,15 +175,17 @@ func (n *numaState) forget(pid int) {
 	delete(n.regionsPlaced, pid)
 }
 
-// penalty returns the extra access cost for p touching a.
-func (n *numaState) penalty(p *Process, a mem.VirtAddr) float64 {
-	if n == nil {
-		return 0
+// node returns the node of the 2MB region holding a, which lies in p's VMA
+// v: the region's memo when set, else the ledger's placement (made now on
+// first touch), memoized for the next full step.
+func (n *numaState) node(p *Process, v *vma, a mem.VirtAddr) int {
+	s := v.slot2M(a)
+	if nd := v.node2M[s]; nd != 0 {
+		return int(nd - 1)
 	}
-	if n.place(p, a) == p.HomeNode {
-		return 0
-	}
-	return n.cfg.RemotePenalty
+	nd := n.place(p, a)
+	v.node2M[s] = int32(nd + 1)
+	return nd
 }
 
 // RemoteShare returns the fraction of p's placed regions on remote nodes

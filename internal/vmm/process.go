@@ -37,6 +37,12 @@ type vma struct {
 	// base2M is r.Start rounded down to a 2MB boundary: the address slot 0
 	// of lastUse2M corresponds to.
 	base2M mem.VirtAddr
+	// node2M memoizes, per 2MB region (indexed like lastUse2M), the NUMA
+	// node the machine's first-touch ledger placed the region on, plus
+	// one; 0 means not looked up yet. The full-translation step reads it
+	// (numaState.node) instead of hashing the ledger's (pid, base) key.
+	// Teardown and snapshot restore zero it with the ledger entries.
+	node2M []int32
 	// memPolicy is the VMA's NUMA memory policy (mbind semantics); the zero
 	// value defers to the machine-wide placement policy. Consulted only at
 	// first-touch placement, never on the access hot path.
@@ -146,12 +152,14 @@ func (p *Process) setVMAs(ranges []mem.Range) {
 			panic(fmt.Sprintf("vmm: VMA %v not page aligned", r))
 		}
 		base2M := mem.PageBase(r.Start, mem.Page2M)
+		regions := (uint64(r.End-base2M) + uint64(mem.Page2M) - 1) >> 21
 		p.vmas = append(p.vmas, &vma{
 			r:         r,
 			state:     make([]pageState, r.Len()>>12),
 			touched:   make([]bool, r.Len()>>12),
-			lastUse2M: make([]uint64, (uint64(r.End-base2M)+uint64(mem.Page2M)-1)>>21),
+			lastUse2M: make([]uint64, regions),
 			base2M:    base2M,
+			node2M:    make([]int32, regions),
 		})
 		p.footprint += r.Len()
 	}

@@ -795,8 +795,8 @@ func (ex *executor) stepFull(c *Core, p *Process, addr mem.VirtAddr) {
 	}
 
 	cost := ex.effCPA
-	if m.numa != nil {
-		cost += m.numa.penalty(p, addr)
+	if m.numa != nil && m.numa.node(p, v, addr) != p.HomeNode {
+		cost += m.numa.cfg.RemotePenalty
 	}
 	baseCost := cost
 

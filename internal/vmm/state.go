@@ -570,6 +570,11 @@ func restoreProcess(m *Machine, p *Process, ps ProcessState) error {
 		}
 		copy(v.touched, vs.Touched)
 		copy(v.lastUse2M, vs.LastUse2M)
+		// The NUMA ledger is replaced wholesale after the processes, so
+		// drop any node memo this machine filled before the restore.
+		for i := range v.node2M {
+			v.node2M[i] = 0
+		}
 		if ps.VMAPolicies != nil {
 			v.memPolicy = ps.VMAPolicies[vi].clone()
 		}

@@ -80,7 +80,7 @@ func newTransTable(sets4K, sets2M int) transTable {
 	return t
 }
 
-// idx4K mirrors the L1-4K TLB's setIndex.
+// idx4K mirrors the L1-4K TLB's set indexing (tlb.TLB.setBase).
 func (t *transTable) idx4K(vpn mem.PageNum) uint64 {
 	if m := t.mask4K; m != 0 || t.sets4K == 1 {
 		return uint64(vpn) & m
@@ -88,7 +88,7 @@ func (t *transTable) idx4K(vpn mem.PageNum) uint64 {
 	return uint64(vpn) % t.sets4K
 }
 
-// idx2M mirrors the L1-2M TLB's setIndex.
+// idx2M mirrors the L1-2M TLB's set indexing (tlb.TLB.setBase).
 func (t *transTable) idx2M(hpn mem.PageNum) uint64 {
 	if m := t.mask2M; m != 0 || t.sets2M == 1 {
 		return uint64(hpn) & m

@@ -1,23 +1,30 @@
 #!/bin/sh
 # benchdiff.sh — compare named hot-path benchmarks between the working tree
-# (HEAD plus uncommitted changes) and a baseline git ref, checked out into a
-# throwaway worktree so the comparison never disturbs the working tree.
+# (HEAD plus uncommitted changes) and a baseline git ref. The baseline is
+# exported with `git archive` into a throwaway directory, so the comparison
+# never disturbs the working tree or the repository's worktree list.
 #
 # Usage:
 #   scripts/benchdiff.sh <ref> [bench-regex] [packages...]
 #
-# Defaults: bench-regex 'Step|RunStream|EmitChunk|Walk|TLBAccess|PCCRecord|ReplayDecode',
-# packages ./internal/vmm ./internal/workloads ./internal/tlb ./internal/ptw
-# ./internal/pcc ./internal/trace. Examples:
+# Defaults: bench-regex
+# 'Step|RunStream|EmitChunk|Walk|TLBAccess|HierarchyThrash|PCCRecord|ReplayDecode'
+# ('Step' also matches Step2M and StepNUMA), packages ./internal/vmm
+# ./internal/workloads ./internal/tlb ./internal/ptw ./internal/pcc
+# ./internal/trace. Examples:
 #
 #   scripts/benchdiff.sh HEAD~1
 #   scripts/benchdiff.sh 3efe74e 'RunStream' ./internal/vmm
 #   THRESHOLD=10 scripts/benchdiff.sh c43f4b5        # CI regression gate
 #
-# Each benchmark runs COUNT times (default 5, floor 5 — single samples on a
-# noisy host are meaningless) on both trees with -benchmem, and the table
-# compares per-benchmark MEDIANS of ns/op, B/op and allocs/op. Environment
-# knobs:
+# Runs are interleaved. Each package's test binary is built once per tree
+# (`go test -c`); then, for every repetition and package, the base and the
+# current binary run back to back, base first on odd repetitions and
+# current first on even ones, so host drift lands on both sides alike
+# instead of on whichever tree ran second. Each run is one -benchmem
+# sample per benchmark. The table compares per-benchmark MEDIANS of ns/op,
+# B/op and allocs/op over COUNT repetitions and counts the repetitions in
+# which the current tree was faster ("wins"). Environment knobs:
 #
 #   BENCHTIME  per-benchmark budget per repetition (default 2s)
 #   COUNT      repetitions per benchmark (default 5; values < 5 are raised)
@@ -29,7 +36,7 @@
 set -eu
 
 ref=${1:?usage: scripts/benchdiff.sh <ref> [bench-regex] [packages...]}
-regex=${2:-'Step|RunStream|EmitChunk|Walk|TLBAccess|PCCRecord|ReplayDecode'}
+regex=${2:-'Step|RunStream|EmitChunk|Walk|TLBAccess|HierarchyThrash|PCCRecord|ReplayDecode'}
 if [ $# -ge 2 ]; then shift 2; else shift $#; fi
 pkgs=${*:-"./internal/vmm ./internal/workloads ./internal/tlb ./internal/ptw ./internal/pcc ./internal/trace"}
 benchtime=${BENCHTIME:-2s}
@@ -40,17 +47,62 @@ threshold=${THRESHOLD:-}
 root=$(git rev-parse --show-toplevel)
 cd "$root"
 
-# run_bench prints "name ns_per_op bytes_per_op allocs_per_op" once per
-# repetition per benchmark ($3/$5/$7 of `go test -bench -benchmem` output).
-run_bench() (
-    cd "$1"
-    # -run ^$ skips tests; -count repeats so medians absorb host noise.
-    # shellcheck disable=SC2086 — word-splitting of $pkgs is intended.
-    go test -run '^$' -bench "$regex" -benchtime "$benchtime" -benchmem -count "$count" $pkgs 2>/dev/null |
-        awk '/^Benchmark/ { sub(/-[0-9]+$/, "", $1); print $1, $3, $5, $7 }'
-)
+wt=$(mktemp -d "${TMPDIR:-/tmp}/benchdiff.XXXXXX")
+trap 'rm -rf "$wt"' EXIT INT TERM
 
-# medians reduces "name v1 v2 v3" lines to one "name m1 m2 m3" line per
+echo "benchdiff: baseline $ref vs working tree ($(git rev-parse --short HEAD)+dirty?), $count interleaved reps x $benchtime" >&2
+mkdir -p "$wt/base" "$wt/bin"
+git archive "$ref" | tar -x -C "$wt/base"
+
+# tree_of base|cur prints the source tree of that side.
+tree_of() {
+    if [ "$1" = base ]; then echo "$wt/base"; else echo "$root"; fi
+}
+
+# binary side pkg prints the path of that side's test binary for pkg.
+binary() {
+    echo "$wt/bin/$1-$(echo "$2" | tr -c 'A-Za-z0-9\n' '_').test"
+}
+
+# Build every package's test binary once per side. A package without tests,
+# or one missing from the baseline, simply has no binary on that side.
+for side in base cur; do
+    for pkg in $pkgs; do
+        (cd "$(tree_of "$side")" && go test -c -o "$(binary "$side" "$pkg")" "$pkg" >/dev/null 2>&1) ||
+            echo "benchdiff: $side: $pkg does not build; skipped on that side" >&2
+    done
+done
+
+# run_bench side pkg rep appends "rep name ns_per_op bytes_per_op
+# allocs_per_op" for each benchmark of one run to $wt/side.txt. The binary
+# runs from its package directory, as `go test` would run it.
+run_bench() {
+    bin=$(binary "$1" "$2")
+    [ -x "$bin" ] || return 0
+    (cd "$(tree_of "$1")/$2" &&
+        "$bin" -test.run '^$' -test.bench "$regex" -test.benchtime "$benchtime" \
+            -test.benchmem -test.count 1 -test.timeout 60m 2>/dev/null) |
+        awk -v rep="$3" '/^Benchmark/ { sub(/-[0-9]+$/, "", $1); print rep, $1, $3, $5, $7 }' >>"$wt/$1.txt"
+}
+
+: >"$wt/base.txt"
+: >"$wt/cur.txt"
+rep=1
+while [ "$rep" -le "$count" ]; do
+    for pkg in $pkgs; do
+        if [ $((rep % 2)) -eq 1 ]; then
+            run_bench base "$pkg" "$rep"
+            run_bench cur "$pkg" "$rep"
+        else
+            run_bench cur "$pkg" "$rep"
+            run_bench base "$pkg" "$rep"
+        fi
+    done
+    echo "benchdiff: repetition $rep of $count done" >&2
+    rep=$((rep + 1))
+done
+
+# medians reduces "rep name v1 v2 v3" lines to one "name m1 m2 m3" line per
 # name (per-column medians), preserving first-seen order.
 medians() {
     awk '
@@ -65,29 +117,28 @@ medians() {
             return (a[cnt/2] + a[cnt/2+1]) / 2
         }
         {
-            ns[$1] = ns[$1] " " $2; by[$1] = by[$1] " " $3; al[$1] = al[$1] " " $4
-            if (!($1 in seen)) { seen[$1] = 1; order[++n] = $1 }
+            ns[$2] = ns[$2] " " $3; by[$2] = by[$2] " " $4; al[$2] = al[$2] " " $5
+            if (!($2 in seen)) { seen[$2] = 1; order[++n] = $2 }
         }
         END {
             for (i = 1; i <= n; i++) {
                 name = order[i]
                 print name, med(ns[name]), med(by[name]), med(al[name])
             }
-        }'
+        }' "$1"
 }
 
-wt=$(mktemp -d "${TMPDIR:-/tmp}/benchdiff.XXXXXX")
-cleanup() {
-    git worktree remove --force "$wt/base" 2>/dev/null || true
-    rm -rf "$wt"
+# wins name prints "k/n": of the n repetitions both sides ran, the k in
+# which the current tree's ns/op was lower.
+wins() {
+    awk -v n="$1" '
+        FNR == NR { if ($2 == n) base[$1] = $3; next }
+        $2 == n && ($1 in base) { pairs++; if ($3 + 0 < base[$1] + 0) won++ }
+        END { printf "%d/%d", won, pairs }' "$wt/base.txt" "$wt/cur.txt"
 }
-trap cleanup EXIT INT TERM
 
-echo "benchdiff: baseline $ref vs working tree ($(git rev-parse --short HEAD)+dirty?), $count reps x $benchtime" >&2
-git worktree add --detach --quiet "$wt/base" "$ref"
-
-before=$(run_bench "$wt/base" | medians)
-after=$(run_bench "$root" | medians)
+before=$(medians "$wt/base.txt")
+after=$(medians "$wt/cur.txt")
 
 # regressed b a t: 1 when a regresses past t percent over b (any growth from
 # a zero baseline is a regression).
@@ -99,9 +150,9 @@ regressed() {
 }
 
 echo
-echo "== medians over $count reps (ns/op, B/op, allocs/op) =="
-printf '%-30s %11s %11s %7s  %9s %9s  %7s %7s\n' \
-    benchmark "base(ns)" "cur(ns)" delta "base(B)" "cur(B)" "base(al)" "cur(al)"
+echo "== medians over $count interleaved reps (ns/op, B/op, allocs/op) =="
+printf '%-30s %11s %11s %7s %5s  %9s %9s  %7s %7s\n' \
+    benchmark "base(ns)" "cur(ns)" delta wins "base(B)" "cur(B)" "base(al)" "cur(al)"
 fail=0
 for name in $(printf '%s\n' "$before" | awk '{ print $1 }'); do
     set -- $(printf '%s\n' "$before" | awk -v n="$name" '$1 == n { print $2, $3, $4 }')
@@ -111,9 +162,9 @@ for name in $(printf '%s\n' "$before" | awk '{ print $1 }'); do
     [ $# -eq 3 ] || continue
     ans=$1 aby=$2 aal=$3
     line=$(awk -v n="$name" -v bns="$bns" -v ans="$ans" -v bby="$bby" -v aby="$aby" \
-        -v bal="$bal" -v aal="$aal" 'BEGIN {
-        printf "%-30s %11.2f %11.2f %+6.1f%%  %9d %9d  %7d %7d", \
-            n, bns, ans, (ans - bns) / (bns == 0 ? 1 : bns) * 100, bby, aby, bal, aal
+        -v bal="$bal" -v aal="$aal" -v w="$(wins "$name")" 'BEGIN {
+        printf "%-30s %11.2f %11.2f %+6.1f%% %5s  %9d %9d  %7d %7d", \
+            n, bns, ans, (ans - bns) / (bns == 0 ? 1 : bns) * 100, w, bby, aby, bal, aal
     }')
     bad=""
     if [ -n "$threshold" ]; then
