@@ -402,9 +402,10 @@ func (s *Server) loadCheckpoint(path string) error {
 		if j.state != "done" && j.state != "failed" {
 			j.state = "queued"
 			j.emit(Event{Type: "queued", Job: j.id})
+			// Log before runJob starts: it writes j.done.
+			s.cfg.Logf("daemon: resumed %s (%d of %d experiments done)", j.id, len(j.done), len(j.names))
 			s.wg.Add(1)
 			go s.runJob(j)
-			s.cfg.Logf("daemon: resumed %s (%d of %d experiments done)", j.id, len(j.done), len(j.names))
 		}
 	}
 	if ck.NextID > s.nextID {

@@ -52,6 +52,8 @@ func stepConfig() Config {
 // Machine.Run (vmaOf, mapping-state lookup, TLB hierarchy, walker, PCC).
 // With promote set every 2MB region is huge-mapped first, exercising the
 // 2MB-path bookkeeping (huge last-use tracking) on every L2 hit and walk.
+// On a multi-core config the job runs on every core, its thread switching
+// every 64 accesses.
 func benchmarkStep(b *testing.B, cfg Config, promote bool) {
 	m := NewMachine(cfg, nil)
 	p := m.AddProcess("bench", testVMA(64), 0)
@@ -60,9 +62,16 @@ func benchmarkStep(b *testing.B, cfg Config, promote bool) {
 	if promote {
 		acc = stepPattern2M(r)
 	}
+	cores := make([]int, m.Config().Cores)
+	for i := range cores {
+		cores[i] = i
+	}
+	for i := range acc {
+		acc[i].Thread = i / 64
+	}
 	// Warm once so the timed loop measures translation, not first-touch
 	// faults.
-	m.Run(&Job{Proc: p, Stream: trace.Slice(acc)})
+	m.Run(&Job{Proc: p, Stream: trace.Slice(acc), Cores: cores})
 	if promote {
 		for a := r.Start; a < r.End; a += mem.VirtAddr(mem.Page2M) {
 			if err := m.Promote2M(p, a); err != nil {
@@ -73,7 +82,7 @@ func benchmarkStep(b *testing.B, cfg Config, promote bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n += len(acc) {
-		m.Run(&Job{Proc: p, Stream: trace.Slice(acc)})
+		m.Run(&Job{Proc: p, Stream: trace.Slice(acc), Cores: cores})
 	}
 }
 
@@ -84,12 +93,21 @@ func BenchmarkStep(b *testing.B) { benchmarkStep(b, stepConfig(), false) }
 func BenchmarkStep2M(b *testing.B) { benchmarkStep(b, stepConfig(), true) }
 
 // BenchmarkStepNUMA is BenchmarkStep on a 2-node machine with interleaved
-// placement: the generic kernel, whose full steps look up each region's
-// node and charge the remote penalty on half of them.
+// placement: full steps look up each region's node and charge the remote
+// penalty on half of them.
 func BenchmarkStepNUMA(b *testing.B) {
 	cfg := stepConfig()
 	cfg.NUMA = DefaultNUMAConfig()
 	cfg.NUMA.Policy = NUMAInterleave
+	benchmarkStep(b, cfg, false)
+}
+
+// BenchmarkStepMultiCore is BenchmarkStep on a two-core job: every segment
+// splits into per-core runs of 64 accesses, each through the segment
+// kernel.
+func BenchmarkStepMultiCore(b *testing.B) {
+	cfg := stepConfig()
+	cfg.Cores = 2
 	benchmarkStep(b, cfg, false)
 }
 

@@ -145,6 +145,12 @@ type Core struct {
 	Cycles float64
 	// Accesses counts memory references simulated on this core.
 	Accesses uint64
+	// walkBurst counts consecutive page table walks with no intervening
+	// TLB hit, driving the opt-in PTW memory-level-parallelism model
+	// (Config.PTWMLPWidth). Always zero when the model is off. Every hit
+	// stores it, so it sits beside Cycles and Accesses, on the cache line
+	// the hit paths already write.
+	walkBurst int
 	// StallCycles is the subset of Cycles due to OS promotion machinery
 	// (fault-time huge allocation, shootdowns, visible async work).
 	StallCycles float64
@@ -184,11 +190,6 @@ type Core struct {
 	// full check in the walk path keeps append from ever growing them.
 	pend2M []mem.VirtAddr
 	pend1G []mem.VirtAddr
-
-	// walkBurst counts consecutive page table walks with no intervening
-	// TLB hit, driving the opt-in PTW memory-level-parallelism model
-	// (Config.PTWMLPWidth). Always zero when the model is off.
-	walkBurst int
 }
 
 // clearL0 drops the core's register line and entire persistent translation

@@ -45,11 +45,11 @@ func promoteTopPolicy() Policy {
 	}}
 }
 
-// TestSingleCoreDispatchEquivalence: a job with Cores=[0] runs through the
-// hoisted single-core segment loop (deferred counter flushing), while
-// Cores=[0,0] takes the per-access multi-core dispatch with every access
-// still landing on core 0. The two paths must produce bit-identical results —
-// the invariant that makes the hoisted loop a pure optimization.
+// TestSingleCoreDispatchEquivalence: a job with Cores=[0] hands each whole
+// segment to the kernel, while Cores=[0,0] takes the multi-core dispatch,
+// which splits segments into per-core runs by thread; every access still
+// lands on core 0, so each segment is one run. The two paths must produce
+// bit-identical results.
 func TestSingleCoreDispatchEquivalence(t *testing.T) {
 	run := func(cores []int) (RunResult, *Core, *Process) {
 		cfg := testConfig()

@@ -9,60 +9,48 @@ import (
 	"pccsim/internal/trace"
 )
 
-// This file holds the monomorphized tick-free segment kernels: the
-// specialized inner loops runSeg dispatches single-core segments to.
+// This file holds the per-access pipeline: one tick-free segment kernel
+// (executor.seg) and one full-translation step (executor.stepFull) serve
+// every configuration and every run path.
 //
-// Each machine classifies its per-access pipeline once, at build time, by
-// the dimensions that can change the per-access body — and by construction
-// that set is small:
+// The kernel serves repeat accesses without entering the pipeline: a
+// register-line hit is one compare and one float add, and a
+// translation-table hit is one direct-mapped probe. Everything else goes
+// through stepFull. The configuration dimensions that change the
+// per-access body stay out of the hit paths:
 //
-//   - PTW MLP on/off and NUMA on/off select the full-translation routine
-//     (stepFullFast drops both checks plus the config-pointer chases; the
-//     generic stepFull keeps them). MLP additionally decides whether
-//     filter-served hit runs must break a walk burst, which the flush of a
-//     hit run re-checks once per run, never per access.
-//   - Policy kind (via the BaseFaultOnly seam) selects the fault dispatch
-//     when a machine is built (machine.fault), and with it whether a
-//     mid-segment access can ever promote, shoot down, or invalidate the
-//     table — the kernels re-read the register line after every full step
-//     precisely because a non-base policy's fault may have cleared it.
-//   - Pressure on/off never appears in a kernel: the pressure model runs
-//     exclusively at policy-tick epoch barriers, which are segment
-//     boundaries, so the classification proves its absence from the body.
-//   - Live vs block-replay source selects the drain loop feeding segments
-//     (pool-buffered NextBatch vs zero-copy NextBlock; see runSerial and
-//     runSharded); both produce plain []trace.Access segments, so the
-//     kernels themselves are shared.
+//   - NUMA and PTW MLP live in stepFull only, read from executor fields:
+//     ex.numa is nil when NUMA is off, and walks overlap only when
+//     ex.mlpWidth is above 1. Table hits reuse the armed cost, which
+//     already folds the region's NUMA penalty in. Every hit breaks a walk
+//     burst by storing walkBurst = 0, which is a no-op with MLP off, since
+//     the burst then never grows.
+//   - The policy kind selects the fault dispatch when a machine is built
+//     (policyBase). The kernel re-reads the register line after every full
+//     step because a non-base policy's fault may have cleared it.
+//   - Pressure and lifecycle churn run only at policy-tick epoch barriers,
+//     which are segment boundaries, so they never appear in the body.
+//   - Multi-core jobs split each segment into runs of accesses that land on
+//     one core (runSeg), and each run goes through the same kernel. A run
+//     flushes its deferred hits and writes its register line back before
+//     the next core's run starts, so every access sees the clock and the
+//     counters the per-access order gives it.
 //
-// The resulting per-access body carries zero interface calls and no
-// re-checked configuration branches: a register-line hit is one compare and
-// one float add; a translation-table hit is one direct-mapped probe. All
-// integer bookkeeping for a hit run is deferred and flushed before the next
-// full step (or segment end), and the per-4KB touched bits of
-// table-served accesses are folded into deferred contiguous-range flushes
+// All integer bookkeeping for a hit run is deferred and flushed before the
+// next full step (or run end), and the per-4KB touched bits of table-served
+// accesses are folded into deferred contiguous-range flushes
 // (executor.touch) the same way the deferred allocation counters work —
 // while Cycles stays a per-access float add in original order so
 // accumulated runtimes are bit-identical.
-type segKernel func(ex *executor, c *Core, p *Process, seg []trace.Access)
 
 // noVPN is the register-line sentinel: no valid 4KB page number reaches it
 // (virtual addresses are < 2^48, so VPNs are < 2^36), which turns the
 // "filter armed?" check into the same compare that detects a page change.
 const noVPN = ^mem.PageNum(0)
 
-// pickKernel resolves the machine's segment kernel from the configuration
-// dimensions that change the per-access body.
-func pickKernel(cfg Config) segKernel {
-	if cfg.PTWMLPWidth > 1 || cfg.NUMA.Nodes > 1 {
-		return segGeneric
-	}
-	return segFast
-}
-
-// segFast is the kernel for the common configuration — no NUMA penalties,
-// no PTW MLP model: full steps go through stepFullFast, which reads only
-// executor-cached cost-model fields.
-func segFast(ex *executor, c *Core, p *Process, seg []trace.Access) {
+// seg runs accesses of process p on core c, none of which may cross a
+// policy tick.
+func (ex *executor) seg(c *Core, p *Process, seg []trace.Access) {
 	proc := int32(p.ID)
 	var hits uint64
 	var hitSI int
@@ -111,7 +99,7 @@ func segFast(ex *executor, c *Core, p *Process, seg []trace.Access) {
 			continue
 		}
 		c.Cycles = cyc
-		ex.stepFullFast(c, p, addr)
+		ex.stepFull(c, p, addr)
 		cyc = c.Cycles
 		// The full step re-arms the register line for its own access (and
 		// a fault may have cleared it), so re-read it.
@@ -127,75 +115,24 @@ func segFast(ex *executor, c *Core, p *Process, seg []trace.Access) {
 	}
 	if runVPN != noVPN {
 		// Keep the register line pointing at the run we ended on, so the
-		// next segment (or a multi-core step) resumes from it.
+		// next segment resumes from it.
 		c.l0Has, c.l0SI, c.l0Proc, c.l0Page4K, c.l0Cost = true, int8(hitSI), proc, runVPN, runCost
 	}
 }
 
-// segGeneric is the kernel for machines with NUMA penalties or the PTW MLP
-// model: the hit paths are identical to segFast (table hits reuse the armed
-// cost, which already folds the per-region NUMA penalty in), and full steps
-// go through the generic stepFull.
-func segGeneric(ex *executor, c *Core, p *Process, seg []trace.Access) {
-	proc := int32(p.ID)
-	var hits uint64
-	var hitSI int
-	runVPN := noVPN
-	var runCost float64
-	if c.l0Has && c.l0Proc == proc {
-		runVPN, runCost, hitSI = c.l0Page4K, c.l0Cost, int(c.l0SI)
-	}
-	cyc := c.Cycles
-	for i := range seg {
-		addr := seg[i].Addr
-		vpn := mem.PageNum(addr >> 12)
-		if vpn == runVPN {
-			cyc += runCost
-			hits++
-			continue
-		}
-		if hits > 0 {
-			ex.flushL0Hits(c, hitSI, hits)
-			hits = 0
-		}
-		if s := &c.tt.slots4K[c.tt.idx4K(vpn)]; s.gen == c.tt.gen && s.page == vpn && s.proc == proc {
-			cyc += s.cost
-			hits = 1
-			hitSI, runVPN, runCost = 0, vpn, s.cost
-			continue
-		}
-		hpn := mem.PageNum(addr >> 21)
-		if s := &c.tt.slots2M[c.tt.idx2M(hpn)]; s.gen == c.tt.gen && s.page == hpn && s.proc == proc {
-			v := p.vmaOf(addr)
-			ex.touch(v, uint64(addr-v.r.Start)>>12)
-			cyc += s.cost
-			hits = 1
-			hitSI, runVPN, runCost = 1, vpn, s.cost
-			continue
-		}
-		c.Cycles = cyc
-		ex.stepFull(c, p, addr)
-		cyc = c.Cycles
-		if c.l0Has && c.l0Proc == proc {
-			hitSI, runVPN, runCost = int(c.l0SI), c.l0Page4K, c.l0Cost
-		} else {
-			runVPN = noVPN
-		}
-	}
-	c.Cycles = cyc
-	if hits > 0 {
-		ex.flushL0Hits(c, hitSI, hits)
-	}
-	if runVPN != noVPN {
-		c.l0Has, c.l0SI, c.l0Proc, c.l0Page4K, c.l0Cost = true, int8(hitSI), proc, runVPN, runCost
-	}
+// flushL0Hits folds a run of n deferred filter hits into the counters the
+// per-access path would have bumped one at a time.
+func (ex *executor) flushL0Hits(c *Core, si int, n uint64) {
+	ex.now += n
+	c.Accesses += n
+	c.TLB.CountL1HitsIndexed(si, n)
+	c.walkBurst = 0 // filter-served L1 hits break a walk burst
 }
 
-// stepFullFast is the monomorphized full-translation routine for segFast
-// machines: no NUMA penalty, no PTW MLP bookkeeping, and every cost-model
-// constant read from the executor's flattened copy instead of the config.
-// It must mirror stepFull exactly under those eliminations.
-func (ex *executor) stepFullFast(c *Core, p *Process, addr mem.VirtAddr) {
+// stepFull is the full translation pipeline for one access: VMA lookup,
+// fault handling, NUMA placement charge, TLB hierarchy, page table walk and
+// PCC record buffering.
+func (ex *executor) stepFull(c *Core, p *Process, addr mem.VirtAddr) {
 	ex.now++
 	c.Accesses++
 
@@ -224,18 +161,36 @@ func (ex *executor) stepFullFast(c *Core, p *Process, addr mem.VirtAddr) {
 	}
 
 	cost := ex.effCPA
+	if ex.numa != nil && ex.numa.node(p, v, addr) != p.HomeNode {
+		cost += ex.numa.cfg.RemotePenalty
+	}
 	baseCost := cost
 
 	switch c.TLB.Access(addr, size) {
 	case tlb.HitL1:
+		c.walkBurst = 0
 	case tlb.HitL2:
 		cost += ex.cL2Hit
 		if size == mem.Page2M {
 			v.noteUse2M(addr, ex.now)
 		}
+		c.walkBurst = 0
 	default: // tlb.Miss → page table walk
 		info := c.Walker.Walk(p.Table, addr)
-		cost += ex.cWalkBase + float64(info.Levels)*ex.cWalkRef
+		walk := ex.cWalkBase + float64(info.Levels)*ex.cWalkRef
+		if w := ex.mlpWidth; w > 1 {
+			// PTW MLP model: consecutive walks with no intervening TLB
+			// hit are independent (no dependent loads between them in
+			// this access model), so the walker overlaps walks 2..w of a
+			// burst with the first, charging only the overlap fraction.
+			c.walkBurst++
+			if c.walkBurst > w {
+				c.walkBurst = 1
+			} else if c.walkBurst > 1 {
+				walk *= ex.mlpOverlap
+			}
+		}
+		cost += walk
 		c.TLB.Fill(addr, size)
 		if size == mem.Page2M {
 			v.noteUse2M(addr, ex.now)
@@ -247,11 +202,11 @@ func (ex *executor) stepFullFast(c *Core, p *Process, addr mem.VirtAddr) {
 	armL0(c, p, addr, si, baseCost)
 }
 
-// faultPath is the cold unmapped-page branch shared by the full-translation
-// routines: it flushes the deferred touch run and marks the page touched
-// immediately (policy fault hooks may inspect touched state, so the bit must
-// land before the fault exactly as it always has), faults, and re-reads
-// the mapping the fault established.
+// faultPath is the full step's cold unmapped-page branch: it flushes the
+// deferred touch run and marks the page touched immediately (policy fault
+// hooks may inspect touched state, so the bit must land before the fault
+// exactly as it always has), faults, and re-reads the mapping the fault
+// established.
 func (ex *executor) faultPath(c *Core, p *Process, v *vma, idx uint64, addr mem.VirtAddr) (mem.PageSize, int) {
 	ex.flushTouch()
 	v.touched[idx] = true

@@ -373,15 +373,10 @@ func sortedBases(h map[mem.VirtAddr]uint64) []mem.VirtAddr {
 	return out
 }
 
-// jobActive reports whether p has an unfinished job in an active Run or
-// StartRun — its stream executor holds the process pointer, so teardown
-// must wait.
+// jobActive reports whether p has an unfinished job in the run in
+// progress — its executor holds the process pointer, so teardown must
+// wait.
 func (m *Machine) jobActive(p *Process) bool {
-	for _, lj := range m.running {
-		if lj.Proc == p && !lj.done {
-			return true
-		}
-	}
 	if m.sched != nil {
 		for _, lj := range m.sched.live {
 			if lj.Proc == p && !lj.done {

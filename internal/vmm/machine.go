@@ -45,11 +45,6 @@ type Machine struct {
 	// Run may shard independent job groups across goroutines.
 	policyBase bool
 
-	// kern is the monomorphized segment kernel resolved once at
-	// construction from the configuration dimensions that change the
-	// per-access body (see kernels.go).
-	kern segKernel
-
 	// numa is nil unless Config.NUMA enables multi-node modeling.
 	numa *numaState
 
@@ -86,10 +81,6 @@ type Machine struct {
 	lifecycle LifecycleStats
 	reaped    ReapedTallies
 
-	// running is the active Run's job list (nil outside Run); lifecycle
-	// teardown refuses processes with unfinished jobs here.
-	running []*liveJob
-
 	// promotionLog records every successful 2MB promotion with its
 	// simulated timestamp — the candidate trace of the paper's two-step
 	// methodology (offline simulation writes it; replay consumes it).
@@ -99,13 +90,14 @@ type Machine struct {
 	// every record through a nil log is a no-op).
 	events *obs.EventLog
 
-	// batchBuf is Run's batch-drain buffer, allocated on first use and
-	// reused across Run calls (benchmarks re-Run one machine many times).
+	// batchBuf is RunUntil's batch-drain buffer, allocated on first use and
+	// reused across runs (benchmarks re-Run one machine many times).
 	batchBuf []trace.Access
 
-	// sched is the interruptible runner's position (see RunUntil); nil when
-	// no StartRun-initiated run is in progress. pendingSched is a scheduler
-	// position staged by RestoreState for the next StartRun to resume from.
+	// sched is the run in progress and its scheduler cursor (see
+	// rununtil.go); nil between runs. Lifecycle teardown refuses processes
+	// with unfinished jobs in it. pendingSched is a scheduler position
+	// staged by RestoreState for the next StartRun to resume from.
 	sched        *sched
 	pendingSched *SchedState
 }
@@ -153,7 +145,6 @@ func NewMachine(cfg Config, policy Policy) *Machine {
 		nextTick:   cfg.PromotionInterval,
 		numa:       newNUMAState(cfg.NUMA),
 	}
-	m.kern = pickKernel(cfg)
 	if cfg.EventLogSize != 0 {
 		m.events = obs.NewEventLog(cfg.EventLogSize)
 	}

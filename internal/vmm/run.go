@@ -2,15 +2,12 @@ package vmm
 
 import (
 	"context"
-	"fmt"
 	"runtime/pprof"
 	"strconv"
 	"sync"
 
-	"pccsim/internal/mem"
 	"pccsim/internal/metrics"
 	"pccsim/internal/obs"
-	"pccsim/internal/tlb"
 	"pccsim/internal/trace"
 )
 
@@ -78,7 +75,7 @@ type ProcResult struct {
 	Footprint     uint64
 }
 
-// liveJob is a Job being drained by Run.
+// liveJob is a Job being drained by a run.
 type liveJob struct {
 	*Job
 	stream trace.BatchStream
@@ -93,11 +90,12 @@ type liveJob struct {
 // executor owns the per-access mutable state of one execution lane: the
 // global access clock position, the deferred base-page allocation counter,
 // the deferred touched-bit run, and a flattened copy of the cost model so
-// the kernels never chase the config pointer. The serial Run uses a single
-// executor; the sharded Run gives each worker goroutine its own, setting
-// now per dispatched segment so every access observes exactly the clock
-// value the serial interleaving would have given it. Deferred allocations
-// are pure commutative counters and are flushed into physmem at every
+// the kernel never chases the config pointer. A run owns one executor
+// (sched.ex); the sharded coordinator hands it to its first worker and
+// gives every other worker goroutine its own, setting now per dispatched
+// segment so every access observes exactly the clock value the serial
+// interleaving would have given it. Deferred allocations are pure
+// commutative counters and are flushed into physmem at every
 // synchronization point; deferred touches flush at every segment end and
 // before any fault.
 type executor struct {
@@ -106,12 +104,14 @@ type executor struct {
 	baseAllocs uint64 // base-page allocations not yet applied to physmem
 
 	// Flattened per-machine constants (set once per executor).
-	cBase     float64 // Config.Cost.BaseCPA
-	cL2Hit    float64 // Config.Cost.L2TLBHit
-	cWalkBase float64 // Config.Cost.WalkBase
-	cWalkRef  float64 // Config.Cost.WalkRef
-	mlpOn     bool    // Config.PTWMLPWidth > 1
-	coldOff   bool    // Config.DisableColdFilter
+	cBase      float64    // Config.Cost.BaseCPA
+	cL2Hit     float64    // Config.Cost.L2TLBHit
+	cWalkBase  float64    // Config.Cost.WalkBase
+	cWalkRef   float64    // Config.Cost.WalkRef
+	mlpWidth   int        // Config.PTWMLPWidth; walks overlap only above 1
+	mlpOverlap float64    // Config.PTWMLPOverlap
+	coldOff    bool       // Config.DisableColdFilter
+	numa       *numaState // Machine.numa: nil when NUMA is off
 
 	// effCPA is the running segment's base cycles-per-access (the process's
 	// BaseCPA or the config default), resolved once per segment in runSeg.
@@ -127,13 +127,15 @@ type executor struct {
 // flattened in.
 func (m *Machine) newExecutor() *executor {
 	return &executor{
-		m:         m,
-		cBase:     m.cfg.Cost.BaseCPA,
-		cL2Hit:    m.cfg.Cost.L2TLBHit,
-		cWalkBase: m.cfg.Cost.WalkBase,
-		cWalkRef:  m.cfg.Cost.WalkRef,
-		mlpOn:     m.cfg.PTWMLPWidth > 1,
-		coldOff:   m.cfg.DisableColdFilter,
+		m:          m,
+		cBase:      m.cfg.Cost.BaseCPA,
+		cL2Hit:     m.cfg.Cost.L2TLBHit,
+		cWalkBase:  m.cfg.Cost.WalkBase,
+		cWalkRef:   m.cfg.Cost.WalkRef,
+		mlpWidth:   m.cfg.PTWMLPWidth,
+		mlpOverlap: m.cfg.PTWMLPOverlap,
+		coldOff:    m.cfg.DisableColdFilter,
+		numa:       m.numa,
 	}
 }
 
@@ -145,14 +147,16 @@ func (ex *executor) flushAllocs() {
 	}
 }
 
-// Run drives the machine until every job's stream is exhausted. It may be
-// called once per machine (state accumulates; build a fresh machine per
-// experiment run).
+// Run drives the machine until every job's stream is exhausted: StartRun,
+// then the sharded coordinator when the jobs split into independent groups,
+// then FinishRun. On a machine restored from a mid-run state it resumes the
+// checkpointed run (see StartRun). It panics where StartRun would return an
+// error, including when a run is already in progress. State accumulates
+// across runs; build a fresh machine per experiment run.
 //
 // Streams are drained in batches (see trace.BatchStream): the per-access
 // body is a plain loop over a buffer, with the promotion-tick check hoisted
-// to batch-segment boundaries and the thread-to-core dispatch hoisted
-// entirely for single-core jobs. Access order — and therefore every result —
+// to batch-segment boundaries. Access order — and therefore every result —
 // is identical to the historical one-Next-per-access loop.
 //
 // When Config.Shards > 1 and the job set splits into independent groups
@@ -161,39 +165,16 @@ func (ex *executor) flushAllocs() {
 // all cross-group machinery runs at deterministic epoch barriers, so the
 // output stays byte-identical at every shard count.
 func (m *Machine) Run(jobs ...*Job) RunResult {
-	live := make([]*liveJob, len(jobs))
-	for i, j := range jobs {
-		if len(j.Cores) == 0 {
-			j.Cores = []int{0}
-		}
-		for _, c := range j.Cores {
-			if c < 0 || c >= len(m.cores) {
-				panic(fmt.Sprintf("vmm: job core %d out of range", c))
-			}
-		}
-		live[i] = &liveJob{Job: j, stream: trace.Batched(j.Stream)}
-		if bs, ok := j.Stream.(trace.BlockSource); ok {
-			live[i].block = bs
-		}
+	if err := m.StartRun(jobs...); err != nil {
+		panic(err)
 	}
-
-	m.running = live
-	if groupOf, groups := m.shardGroups(live); groups > 1 {
-		m.runSharded(live, groupOf, groups)
-	} else {
-		m.runSerial(live)
+	if groupOf, groups := m.shardGroups(m.sched.live); groups > 1 {
+		m.runSharded(groupOf, groups)
 	}
-	m.running = nil
-
-	if m.cfg.AuditEveryTick {
-		m.auditNow("at end of run")
-	}
-
-	return m.collectResult(live)
+	return m.FinishRun()
 }
 
-// collectResult aggregates the completion summary over the run's jobs
-// (shared by Run and FinishRun).
+// collectResult aggregates the completion summary over the run's jobs.
 func (m *Machine) collectResult(live []*liveJob) RunResult {
 	res := RunResult{
 		Accesses:         m.accessCount,
@@ -234,83 +215,8 @@ func (m *Machine) collectResult(live []*liveJob) RunResult {
 // trip resident in L1 instead of streaming 64KB batches through L2.
 const serialChunk = 512
 
-// runSerial is the historical single-threaded drain loop. Jobs whose stream
-// is a trace.BlockSource take the zero-copy path: the simulation loop runs
-// directly over the stream's decoded block, skipping the copy through the
-// machine's batch buffer. Batch boundaries carry no semantics — runBatch
-// re-segments at tick boundaries and access order is unchanged — so the two
-// paths are bit-identical.
-func (m *Machine) runSerial(live []*liveJob) {
-	ex := m.newExecutor()
-	ex.now = m.accessCount
-	if len(live) == 1 {
-		j := live[0]
-		if j.block != nil {
-			for {
-				seg := j.block.NextBlock(jobSlice)
-				if len(seg) == 0 {
-					break
-				}
-				j.accesses += uint64(len(seg))
-				m.runBatch(ex, j.Job, seg)
-			}
-		} else {
-			small := m.batch()[:serialChunk]
-			for {
-				n := j.stream.NextBatch(small)
-				if n == 0 {
-					break
-				}
-				j.accesses += uint64(n)
-				m.runBatch(ex, j.Job, small[:n])
-			}
-		}
-		j.done = true
-		j.Proc.finished = true
-		j.Proc.RuntimeCycles = m.maxCycles(j.Cores)
-		m.accessCount = ex.now
-		ex.flushAllocs()
-		return
-	}
-	remaining := len(live)
-	for remaining > 0 {
-		for _, j := range live {
-			if j.done {
-				continue
-			}
-			// Advance this job by exactly jobSlice accesses (short batches
-			// from chunked producers are re-requested) before rotating to
-			// the next live job — the same interleaving the per-access loop
-			// produced.
-			slice := jobSlice
-			for slice > 0 {
-				var seg []trace.Access
-				if j.block != nil {
-					seg = j.block.NextBlock(slice)
-				} else {
-					buf := m.batch()
-					seg = buf[:j.stream.NextBatch(buf[:slice])]
-				}
-				n := len(seg)
-				if n == 0 {
-					j.done = true
-					remaining--
-					j.Proc.finished = true
-					j.Proc.RuntimeCycles = m.maxCycles(j.Cores)
-					break
-				}
-				slice -= n
-				j.accesses += uint64(n)
-				m.runBatch(ex, j.Job, seg)
-			}
-		}
-	}
-	m.accessCount = ex.now
-	ex.flushAllocs()
-}
-
 // batch returns the machine's reusable batch-drain buffer, allocating it on
-// first use (block-source jobs never need it).
+// first use (block-source jobs and sharded runs never need it).
 func (m *Machine) batch() []trace.Access {
 	if m.batchBuf == nil {
 		m.batchBuf = make([]trace.Access, jobSlice)
@@ -470,23 +376,22 @@ func (p *blockPrefetcher) take(max int) (seg, done []trace.Access) {
 	return seg, done
 }
 
-// runSharded executes independent job groups on up to Config.Shards worker
-// goroutines. The coordinator replicates the serial scheduler exactly — the
-// same round-robin, the same batch boundaries, the same tick segmentation —
-// but instead of executing each segment it dispatches it, tagged with its
-// global clock position, to the worker owning the job's group. Each group's
-// segments execute in dispatch order on a single worker, and distinct
-// groups share no mutable state between barriers, so every access observes
-// exactly the state and clock it would have observed serially. At each
-// policy tick the coordinator waits for all in-flight work (the epoch
-// barrier), syncs the clock, flushes deferred allocation counters, and runs
-// the tick machinery — promotions, demotions, pressure, shootdowns — alone,
-// in canonical order. Output is therefore byte-identical to runSerial.
-func (m *Machine) runSharded(live []*liveJob, groupOf []int, groups int) {
-	nw := m.cfg.Shards
-	if nw > groups {
-		nw = groups
-	}
+// runSharded executes the run's independent job groups on up to
+// Config.Shards worker goroutines. The coordinator steps the same sched
+// cursor RunUntil does — the same round-robin, the same batch boundaries,
+// the same tick segmentation — but instead of executing each segment it
+// dispatches it, tagged with its global clock position, to the worker
+// owning the job's group. Each group's segments execute in dispatch order on
+// a single worker, and distinct groups share no mutable state between
+// barriers, so every access observes exactly the state and clock it would
+// have observed serially. At each policy tick the coordinator waits for all
+// in-flight work (the epoch barrier), syncs the clock, flushes deferred
+// allocation counters, and runs the tick machinery — promotions, demotions,
+// pressure, shootdowns — alone, in canonical order. Output is therefore
+// byte-identical to the serial run.
+func (m *Machine) runSharded(groupOf []int, groups int) {
+	s := m.sched
+	nw := min(m.cfg.Shards, groups)
 
 	pool := make(chan []trace.Access, nw*2+2)
 	for i := 0; i < cap(pool); i++ {
@@ -497,7 +402,12 @@ func (m *Machine) runSharded(live []*liveJob, groupOf []int, groups int) {
 	execs := make([]*executor, nw)
 	queues := make([]chan shardTask, nw)
 	for w := 0; w < nw; w++ {
-		ex := m.newExecutor()
+		// The first worker runs on the run's own executor, which carries
+		// any deferred allocations a restored run resumed with.
+		ex := s.ex
+		if w > 0 {
+			ex = m.newExecutor()
+		}
 		execs[w] = ex
 		q := make(chan shardTask, 64)
 		queues[w] = q
@@ -506,8 +416,7 @@ func (m *Machine) runSharded(live []*liveJob, groupOf []int, groups int) {
 			defer workers.Done()
 			for t := range q {
 				if t.fin {
-					t.j.Proc.finished = true
-					t.j.Proc.RuntimeCycles = m.maxCycles(t.j.Cores)
+					m.complete(t.j.Job)
 				} else {
 					ex.now = t.start
 					ex.runSeg(t.j.Job, t.seg)
@@ -523,42 +432,21 @@ func (m *Machine) runSharded(live []*liveJob, groupOf []int, groups int) {
 		inflight.Add(1)
 		queues[w] <- t
 	}
-	barrier := func() {
-		inflight.Wait()
-		for _, ex := range execs {
-			ex.flushAllocs()
-		}
-	}
 
 	// Jobs over columnar block streams decode on their own prefetch
 	// goroutine, overlapping decode with simulation; the rest are decoded
 	// synchronously here into pool buffers.
-	prefetch := make([]*blockPrefetcher, len(live))
-	for ji, j := range live {
-		if j.block != nil {
+	prefetch := make([]*blockPrefetcher, len(s.live))
+	for ji, j := range s.live {
+		if j.block != nil && !j.done {
 			prefetch[ji] = newBlockPrefetcher(j.block)
 		}
 	}
 
 	globalNow := m.accessCount
-	tickIfDue := func() {
-		if globalNow >= m.nextTick {
-			m.nextTick += m.cfg.PromotionInterval
-			barrier()
-			m.accessCount = globalNow
-			m.pressureTick()
-			m.lifecycleTick()
-			if m.policy != nil {
-				m.policy.Tick(m)
-			}
-			if m.cfg.AuditEveryTick {
-				m.auditNow("after policy tick")
-			}
-		}
-	}
 	// dispatchSegs slices one decoded batch at tick boundaries and dispatches
-	// the segments to worker w, exactly as the serial scheduler would have
-	// executed them; buf/freeTo ride on the final segment.
+	// the segments to worker w, exactly as runBatch would have executed
+	// them; buf/freeTo ride on the final segment.
 	dispatchSegs := func(w int, j *liveJob, batch, buf []trace.Access, freeTo chan []trace.Access) {
 		for len(batch) > 0 {
 			seg := batch
@@ -572,49 +460,44 @@ func (m *Machine) runSharded(live []*liveJob, groupOf []int, groups int) {
 			}
 			dispatch(w, t)
 			globalNow += uint64(len(seg))
-			tickIfDue()
+			if globalNow >= m.nextTick {
+				inflight.Wait()
+				for _, ex := range execs {
+					ex.flushAllocs()
+				}
+				m.accessCount = globalNow
+				m.tick()
+			}
 		}
 	}
 
-	remaining := len(live)
-	for remaining > 0 {
-		for ji, j := range live {
-			if j.done {
-				continue
-			}
-			w := groupOf[ji] % nw
-			slice := jobSlice
-			for slice > 0 {
-				var n int
-				if pf := prefetch[ji]; pf != nil {
-					seg, done := pf.take(slice)
-					if n = len(seg); n > 0 {
-						slice -= n
-						j.accesses += uint64(n)
-						dispatchSegs(w, j, seg, done, pf.free)
-					}
-				} else {
-					buf := <-pool
-					if n = j.stream.NextBatch(buf[:slice]); n == 0 {
-						pool <- buf
-					} else {
-						slice -= n
-						j.accesses += uint64(n)
-						dispatchSegs(w, j, buf[:n], buf, pool)
-					}
-				}
-				if n == 0 {
-					j.done = true
-					remaining--
-					// The completion record (finished flag, runtime = max
-					// cycles over the job's cores) must observe all of the
-					// group's prior work, so it runs on the group's worker,
-					// behind its queue.
-					dispatch(w, shardTask{j: j, fin: true})
-					break
-				}
-			}
+	for {
+		ji, want := s.next(globalNow, runForever)
+		if ji < 0 {
+			break
 		}
+		j, w := s.live[ji], groupOf[ji]%nw
+		var seg, buf []trace.Access
+		var freeTo chan []trace.Access
+		if pf := prefetch[ji]; pf != nil {
+			seg, buf = pf.take(want)
+			freeTo = pf.free
+		} else {
+			buf, freeTo = <-pool, pool
+			seg = buf[:j.stream.NextBatch(buf[:want])]
+		}
+		s.took(ji, len(seg))
+		if len(seg) > 0 {
+			dispatchSegs(w, j, seg, buf, freeTo)
+			continue
+		}
+		if buf != nil {
+			freeTo <- buf
+		}
+		// The completion record (finished flag, runtime = max cycles over
+		// the job's cores) must observe all of the group's prior work, so
+		// it runs on the group's worker, behind its queue.
+		dispatch(w, shardTask{j: j, fin: true})
 	}
 	for _, q := range queues {
 		close(q)
@@ -631,13 +514,14 @@ func (m *Machine) runSharded(live []*liveJob, groupOf []int, groups int) {
 	for _, ex := range execs {
 		ex.flushAllocs()
 	}
+	s.ex.now = globalNow
 	m.accessCount = globalNow
 }
 
 // runBatch simulates one batch of accesses for j, firing policy ticks at
 // exactly the per-access points the unbatched loop did: the global access
-// clock only advances inside step, so the distance to the next tick bounds
-// a segment that needs no per-access tick check.
+// clock only advances inside the kernel, so the distance to the next tick
+// bounds a segment that needs no per-access tick check.
 func (m *Machine) runBatch(ex *executor, j *Job, batch []trace.Access) {
 	for len(batch) > 0 {
 		seg := batch
@@ -647,195 +531,65 @@ func (m *Machine) runBatch(ex *executor, j *Job, batch []trace.Access) {
 		ex.runSeg(j, seg)
 		batch = batch[len(seg):]
 		if ex.now >= m.nextTick {
-			m.nextTick += m.cfg.PromotionInterval
 			m.accessCount = ex.now
 			ex.flushAllocs()
-			m.pressureTick()
-			m.lifecycleTick()
-			if m.policy != nil {
-				m.policy.Tick(m)
-			}
-			if m.cfg.AuditEveryTick {
-				m.auditNow("after policy tick")
-			}
+			m.tick()
 		}
 	}
 }
 
-// runSeg advances one tick-free segment of j: single-core segments dispatch
-// to the machine's monomorphized kernel (resolved once at machine build —
-// see kernels.go), multi-core segments run the per-access step with the
-// thread-to-core dispatch inline. Deferred per-segment state — the
-// touched-bit run and the cores' buffered PCC records — flushes on exit,
-// so everything that runs between segments (ticks, audits, state capture)
-// observes fully-applied state.
+// tick runs the policy-tick machinery at an epoch barrier, in canonical
+// order: the pressure model, lifecycle churn, the OS policy, then the
+// audit. The caller has synced the clock and flushed deferred allocations.
+func (m *Machine) tick() {
+	m.nextTick += m.cfg.PromotionInterval
+	m.pressureTick()
+	m.lifecycleTick()
+	if m.policy != nil {
+		m.policy.Tick(m)
+	}
+	if m.cfg.AuditEveryTick {
+		m.auditNow("after policy tick")
+	}
+}
+
+// runSeg advances one tick-free segment of j through the segment kernel,
+// one call per run of accesses that land on the same core (a single-core
+// job's segment is one run). Deferred per-segment state — the touched-bit
+// run and the cores' buffered PCC records — flushes on exit, so everything
+// that runs between segments (ticks, audits, state capture) observes
+// fully-applied state.
 func (ex *executor) runSeg(j *Job, seg []trace.Access) {
 	if ex.effCPA = j.Proc.BaseCPA; ex.effCPA == 0 {
 		ex.effCPA = ex.cBase
 	}
-	if len(j.Cores) == 1 {
-		c := ex.m.cores[j.Cores[0]]
-		ex.m.kern(ex, c, j.Proc, seg)
-		ex.flushTouch()
-		c.flushPCC()
-		return
-	}
-	for i := range seg {
-		ex.step(ex.m.cores[j.Cores[seg[i].Thread%len(j.Cores)]], j.Proc, seg[i].Addr)
+	cores := j.Cores
+	for len(seg) > 0 {
+		n, ci := len(seg), cores[0]
+		if len(cores) > 1 {
+			ci, n = cores[seg[0].Thread%len(cores)], 1
+			for n < len(seg) && cores[seg[n].Thread%len(cores)] == ci {
+				n++
+			}
+		}
+		ex.seg(ex.m.cores[ci], j.Proc, seg[:n])
+		seg = seg[n:]
 	}
 	ex.flushTouch()
-	for _, ci := range j.Cores {
+	for _, ci := range cores {
 		ex.m.cores[ci].flushPCC()
 	}
 }
 
-// maxCycles returns the max cycle count across the given core IDs.
-func (m *Machine) maxCycles(cores []int) float64 {
+// complete records j's completion: its process is finished, and its
+// runtime is the max cycle count over the job's cores.
+func (m *Machine) complete(j *Job) {
 	mx := 0.0
-	for _, ci := range cores {
+	for _, ci := range j.Cores {
 		if c := m.cores[ci].Cycles; c > mx {
 			mx = c
 		}
 	}
-	return mx
-}
-
-// step simulates one memory access by process p on core c — the multi-core
-// per-access path, probing the register line and both persistent-table
-// classes before falling back to the full pipeline.
-func (ex *executor) step(c *Core, p *Process, addr mem.VirtAddr) {
-	vpn := mem.PageNum(addr >> 12)
-	proc := int32(p.ID)
-	if c.l0Has && c.l0Proc == proc && c.l0Page4K == vpn {
-		// Register-line hit: same core, process and 4KB page as this
-		// core's previous full translation, so the translation is the MRU
-		// way of its L1 set and the full pipeline below would change
-		// nothing but counters.
-		ex.now++
-		c.Accesses++
-		c.TLB.CountL1HitsIndexed(int(c.l0SI), 1)
-		c.Cycles += c.l0Cost
-		if ex.mlpOn {
-			c.walkBurst = 0 // an L1 hit, even filter-served, breaks a walk burst
-		}
-		return
-	}
-	if s := &c.tt.slots4K[c.tt.idx4K(vpn)]; s.gen == c.tt.gen && s.page == vpn && s.proc == proc {
-		// Table 4K hit: the page is still the MRU way of its L1-4K set.
-		ex.now++
-		c.Accesses++
-		c.TLB.CountL1HitsIndexed(0, 1)
-		c.Cycles += s.cost
-		c.l0Has, c.l0SI, c.l0Proc, c.l0Page4K, c.l0Cost = true, 0, proc, vpn, s.cost
-		if ex.mlpOn {
-			c.walkBurst = 0
-		}
-		return
-	}
-	hpn := mem.PageNum(addr >> 21)
-	if s := &c.tt.slots2M[c.tt.idx2M(hpn)]; s.gen == c.tt.gen && s.page == hpn && s.proc == proc {
-		// Table 2M hit: a guaranteed L1-2M hit; only the 4KB page's
-		// touched bit still needs recording.
-		ex.now++
-		c.Accesses++
-		c.TLB.CountL1HitsIndexed(1, 1)
-		c.Cycles += s.cost
-		v := p.vmaOf(addr)
-		ex.touch(v, uint64(addr-v.r.Start)>>12)
-		c.l0Has, c.l0SI, c.l0Proc, c.l0Page4K, c.l0Cost = true, 1, proc, vpn, s.cost
-		if ex.mlpOn {
-			c.walkBurst = 0
-		}
-		return
-	}
-	ex.stepFull(c, p, addr)
-}
-
-// flushL0Hits folds a run of n deferred filter hits into the counters the
-// per-access path would have bumped one at a time.
-func (ex *executor) flushL0Hits(c *Core, si int, n uint64) {
-	ex.now += n
-	c.Accesses += n
-	c.TLB.CountL1HitsIndexed(si, n)
-	if ex.mlpOn {
-		c.walkBurst = 0 // filter-served L1 hits break a walk burst
-	}
-}
-
-// stepFull is the generic full translation pipeline for one access: VMA
-// lookup, fault handling, TLB hierarchy, page table walk and PCC record
-// buffering. Machines without NUMA or PTW-MLP run stepFullFast
-// (kernels.go) instead, which is this routine with those branches
-// monomorphized away.
-func (ex *executor) stepFull(c *Core, p *Process, addr mem.VirtAddr) {
-	m := ex.m
-	ex.now++
-	c.Accesses++
-
-	v := p.vmaOf(addr)
-	if v == nil {
-		panicOutsideVMA(p, addr)
-	}
-	idx := uint64(addr-v.r.Start) >> 12
-	var size mem.PageSize
-	var si int
-	if st := v.state[idx]; st != stateUnmapped {
-		// Monotone bit: store directly (see stepFullFast).
-		v.touched[idx] = true
-		switch st {
-		case state2M:
-			size, si = mem.Page2M, 1
-		case state1G:
-			size, si = mem.Page1G, 2
-		default:
-			size = mem.Page4K
-		}
-	} else {
-		size, si = ex.faultPath(c, p, v, idx, addr)
-	}
-
-	cost := ex.effCPA
-	if m.numa != nil && m.numa.node(p, v, addr) != p.HomeNode {
-		cost += m.numa.cfg.RemotePenalty
-	}
-	baseCost := cost
-
-	switch c.TLB.Access(addr, size) {
-	case tlb.HitL1:
-		if ex.mlpOn {
-			c.walkBurst = 0
-		}
-	case tlb.HitL2:
-		cost += ex.cL2Hit
-		if size == mem.Page2M {
-			v.noteUse2M(addr, ex.now)
-		}
-		if ex.mlpOn {
-			c.walkBurst = 0
-		}
-	default: // tlb.Miss → page table walk
-		info := c.Walker.Walk(p.Table, addr)
-		walk := ex.cWalkBase + float64(info.Levels)*ex.cWalkRef
-		if w := m.cfg.PTWMLPWidth; w > 1 {
-			// PTW MLP model: consecutive walks with no intervening TLB
-			// hit are independent (no dependent loads between them in
-			// this access model), so the walker overlaps walks 2..w of a
-			// burst with the first, charging only the overlap fraction.
-			c.walkBurst++
-			if c.walkBurst > w {
-				c.walkBurst = 1
-			} else if c.walkBurst > 1 {
-				walk *= m.cfg.PTWMLPOverlap
-			}
-		}
-		cost += walk
-		c.TLB.Fill(addr, size)
-		if size == mem.Page2M {
-			v.noteUse2M(addr, ex.now)
-		}
-		ex.recordWalk(c, info, size, addr)
-	}
-	c.Cycles += cost
-
-	armL0(c, p, addr, si, baseCost)
+	j.Proc.finished = true
+	j.Proc.RuntimeCycles = mx
 }

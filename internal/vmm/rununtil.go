@@ -6,32 +6,71 @@ import (
 	"pccsim/internal/trace"
 )
 
-// Interruptible execution. StartRun/RunUntil/FinishRun split Run into
+// Interruptible execution. StartRun/RunUntil/FinishRun split a run into
 // resumable pieces: the caller advances the machine to chosen points on the
 // global access clock, may capture a full State() between any two calls, and
-// a restored machine picks the run back up mid-stream.
+// a restored machine picks the run back up mid-stream. Run itself is
+// StartRun, then (for independent job groups) the sharded coordinator, then
+// FinishRun.
 //
-// The runner is deliberately serial-only and replicates runSerial's
-// scheduling exactly — the same round-robin order, the same jobSlice
-// quantum, the same serialChunk batching for single-job runs, the same tick
-// firing points (all inside runBatch) — so its output is byte-identical to
-// Run at every Shards setting (sharded Run is itself pinned byte-identical
-// to serial). Stopping early only shortens NextBatch requests; BatchStream's
-// prefix guarantee means the access sequence is unchanged.
+// One cursor, sched, drives every run: RunUntil executes the turns it hands
+// out and the sharded coordinator dispatches them, so both follow the same
+// round-robin order, the same jobSlice quantum and the same tick firing
+// points, and their output is byte-identical. Stopping early only shortens
+// a turn; BatchStream's prefix guarantee means the access sequence is
+// unchanged.
 
 // runForever is a stopAt no clock reaches: RunUntil(runForever) drains.
 const runForever = ^uint64(0)
 
-// sched is an in-progress interruptible run.
+// sched is a run in progress: its jobs, its executor, and the round-robin
+// cursor. Single-job runs keep no turn accounting — with nothing to rotate
+// to, the job's turn never ends — so their jobIdx and sliceLeft stay at
+// their initial values.
 type sched struct {
 	live      []*liveJob
 	ex        *executor
-	jobIdx    int // round-robin position (multi-job only)
-	sliceLeft int // accesses left in the current job's quantum
+	jobIdx    int // job whose turn it is
+	sliceLeft int // accesses left in its turn
 	remaining int // jobs not yet completed
 }
 
-func (s *sched) advance() {
+// next returns the index of the job whose turn it is and how many accesses
+// it may take: the rest of its turn, cut short at stopAt. The index is -1
+// once every job is done or now has reached stopAt.
+func (s *sched) next(now, stopAt uint64) (int, int) {
+	if s.remaining == 0 || now >= stopAt {
+		return -1, 0
+	}
+	for s.live[s.jobIdx].done {
+		s.rotate()
+	}
+	want := s.sliceLeft
+	if left := stopAt - now; left < uint64(want) {
+		want = int(left)
+	}
+	return s.jobIdx, want
+}
+
+// took records n accesses consumed by job ji's turn; n == 0 means the job's
+// stream is exhausted and finishes the job.
+func (s *sched) took(ji, n int) {
+	if n == 0 {
+		s.live[ji].done = true
+		s.remaining--
+		s.rotate()
+		return
+	}
+	s.live[ji].accesses += uint64(n)
+	if len(s.live) > 1 {
+		if s.sliceLeft -= n; s.sliceLeft == 0 {
+			s.rotate()
+		}
+	}
+}
+
+// rotate hands the turn to the next job.
+func (s *sched) rotate() {
 	s.jobIdx = (s.jobIdx + 1) % len(s.live)
 	s.sliceLeft = jobSlice
 }
@@ -41,6 +80,7 @@ func (s *sched) advance() {
 // checkpointed one (same order, streams regenerating the same accesses);
 // each stream is fast-forwarded past the accesses the checkpointed run had
 // already consumed, and execution resumes at the exact scheduler position.
+// A refused call leaves that position staged for the next attempt.
 func (m *Machine) StartRun(jobs ...*Job) error {
 	if m.sched != nil {
 		return fmt.Errorf("vmm: StartRun: a run is already in progress")
@@ -56,6 +96,7 @@ func (m *Machine) StartRun(jobs ...*Job) error {
 			}
 		}
 		live[i] = &liveJob{Job: j, stream: trace.Batched(j.Stream)}
+		live[i].block, _ = j.Stream.(trace.BlockSource)
 	}
 	ex := m.newExecutor()
 	ex.now = m.accessCount
@@ -66,7 +107,6 @@ func (m *Machine) StartRun(jobs ...*Job) error {
 		remaining: len(live),
 	}
 	if ps := m.pendingSched; ps != nil {
-		m.pendingSched = nil
 		if len(ps.Consumed) != len(live) {
 			return fmt.Errorf("vmm: StartRun: restored state expects %d jobs, got %d", len(ps.Consumed), len(live))
 		}
@@ -84,6 +124,7 @@ func (m *Machine) StartRun(jobs ...*Job) error {
 		s.jobIdx = ps.JobIdx
 		s.sliceLeft = ps.SliceLeft
 		s.ex.baseAllocs = ps.PendingAllocs
+		m.pendingSched = nil
 	}
 	m.sched = s
 	return nil
@@ -108,73 +149,44 @@ func skipStream(s trace.BatchStream, n uint64, buf []trace.Access) error {
 }
 
 // RunUntil advances the run until the global access clock reaches stopAt or
-// every job completes, and reports whether all jobs are done. The clock may
-// pass stopAt only within the batch that crosses it is never requested:
-// requests are truncated so the run stops exactly at stopAt.
+// every job completes, and reports whether all jobs are done. Turns are cut
+// short at stopAt, so the run stops exactly there.
 func (m *Machine) RunUntil(stopAt uint64) bool {
 	s := m.sched
 	if s == nil {
 		panic("vmm: RunUntil without StartRun")
 	}
-	buf := m.batch()
 	ex := s.ex
+	chunk := jobSlice
 	if len(s.live) == 1 {
-		// Single job: no rotation; serialChunk batching exactly as runSerial.
-		j := s.live[0]
-		for !j.done && ex.now < stopAt {
-			want := uint64(serialChunk)
-			if lim := stopAt - ex.now; lim < want {
-				want = lim
-			}
-			n := j.stream.NextBatch(buf[:want])
-			if n == 0 {
-				s.finish(j)
-				break
-			}
-			j.accesses += uint64(n)
-			m.runBatch(ex, j.Job, buf[:n])
-		}
-		m.accessCount = ex.now
-		return s.remaining == 0
+		chunk = serialChunk
 	}
-	for s.remaining > 0 && ex.now < stopAt {
-		j := s.live[s.jobIdx]
-		if j.done {
-			s.advance()
+	for {
+		ji, want := s.next(ex.now, stopAt)
+		if ji < 0 {
+			break
+		}
+		j := s.live[ji]
+		var seg []trace.Access
+		if j.block != nil {
+			seg = j.block.NextBlock(want)
+		} else {
+			buf := m.batch()[:min(want, chunk)]
+			seg = buf[:j.stream.NextBatch(buf)]
+		}
+		s.took(ji, len(seg))
+		if len(seg) == 0 {
+			m.complete(j.Job)
 			continue
 		}
-		want := uint64(s.sliceLeft)
-		if lim := stopAt - ex.now; lim < want {
-			want = lim
-		}
-		n := j.stream.NextBatch(buf[:want])
-		if n == 0 {
-			s.finish(j)
-			s.advance()
-			continue
-		}
-		s.sliceLeft -= n
-		j.accesses += uint64(n)
-		m.runBatch(ex, j.Job, buf[:n])
-		if s.sliceLeft == 0 {
-			s.advance()
-		}
+		m.runBatch(ex, j.Job, seg)
 	}
 	m.accessCount = ex.now
 	return s.remaining == 0
 }
 
-// finish records j's completion exactly as runSerial does at the moment its
-// stream returns empty.
-func (s *sched) finish(j *liveJob) {
-	j.done = true
-	s.remaining--
-	j.Proc.finished = true
-	j.Proc.RuntimeCycles = s.ex.m.maxCycles(j.Cores)
-}
-
 // FinishRun drains whatever remains of the run and returns the result —
-// byte-identical to what Run over the same jobs would have returned,
+// byte-identical to what an uninterrupted Run over the same jobs returns,
 // regardless of how many RunUntil/checkpoint/restore cycles preceded it.
 func (m *Machine) FinishRun() RunResult {
 	s := m.sched

@@ -7,6 +7,7 @@ import (
 
 	"pccsim/internal/mem"
 	"pccsim/internal/tlb"
+	"pccsim/internal/trace"
 )
 
 // Checkpoint/restore equivalence tests: the contract is that a run
@@ -100,8 +101,8 @@ func runUninterrupted(t *testing.T, s simSetup) (RunResult, MachineState) {
 }
 
 // runWithCheckpoint runs machine A to the cut, captures its state, restores
-// it into a freshly built machine B, and lets B finish the run.
-func runWithCheckpoint(t *testing.T, s simSetup, cut uint64) (RunResult, MachineState) {
+// it into a freshly built machine B, and lets resume finish the run on B.
+func runWithCheckpoint(t *testing.T, s simSetup, cut uint64, resume func(*Machine, []*Job) RunResult) (RunResult, MachineState) {
 	t.Helper()
 	mA, jobsA := s.newMachine()
 	if err := mA.StartRun(jobsA...); err != nil {
@@ -114,19 +115,29 @@ func runWithCheckpoint(t *testing.T, s simSetup, cut uint64) (RunResult, Machine
 	if err := mB.RestoreState(st); err != nil {
 		t.Fatalf("cut %d: RestoreState: %v", cut, err)
 	}
-	if err := mB.StartRun(jobsB...); err != nil {
-		t.Fatalf("cut %d: StartRun(B): %v", cut, err)
-	}
-	res := mB.FinishRun()
+	res := resume(mB, jobsB)
 	return res, mB.State()
 }
 
+// checkResumeEquivalence resumes every cut through StartRun/FinishRun.
 func checkResumeEquivalence(t *testing.T, s simSetup, cuts []uint64) {
+	t.Helper()
+	checkResumeVia(t, s, cuts, func(m *Machine, jobs []*Job) RunResult {
+		if err := m.StartRun(jobs...); err != nil {
+			t.Fatalf("StartRun(B): %v", err)
+		}
+		return m.FinishRun()
+	})
+}
+
+// checkResumeVia requires the run resumed by resume from each cut to end
+// with the uninterrupted run's RunResult and state.
+func checkResumeVia(t *testing.T, s simSetup, cuts []uint64, resume func(*Machine, []*Job) RunResult) {
 	t.Helper()
 	wantRes, wantState := runUninterrupted(t, s)
 	stripVolatile(&wantState)
 	for _, cut := range cuts {
-		gotRes, gotState := runWithCheckpoint(t, s, cut)
+		gotRes, gotState := runWithCheckpoint(t, s, cut, resume)
 		if !reflect.DeepEqual(gotRes, wantRes) {
 			t.Errorf("cut %d: RunResult diverged:\ngot  %+v\nwant %+v", cut, gotRes, wantRes)
 		}
@@ -260,6 +271,93 @@ func TestCheckpointResumeMultiJob(t *testing.T) {
 	checkResumeEquivalence(t, s, []uint64{
 		1, 4_095, 4_096, 4_097, 8_000, 10_240, 11_264, 20_000,
 	})
+}
+
+// twoIndependentJobs is a nil-policy setup with one job per core: at
+// Shards > 1 its two jobs run in separate shard groups. Job a has 5120
+// accesses and job b 6144; a's last access is access 9216 of the run, and
+// the run ends at 11264.
+func twoIndependentJobs(cfg Config) simSetup {
+	cfg.Cores = 2
+	return simSetup{
+		cfg: cfg,
+		build: func(m *Machine) []*Job {
+			pa := m.AddProcess("a", testVMA(2), 10)
+			pb := m.AddProcess("b", testVMA(3), 12)
+			return []*Job{
+				{Proc: pa, Stream: seqStream(pa.Ranges()[0], 5), Cores: []int{0}},
+				{Proc: pb, Stream: seqStream(pb.Ranges()[0], 4), Cores: []int{1}},
+			}
+		},
+	}
+}
+
+// TestRunResumesRestoredRun: Run on a machine restored mid-run resumes at
+// the staged scheduler position, serially and through the sharded
+// coordinator, instead of replaying the streams from their start.
+func TestRunResumesRestoredRun(t *testing.T) {
+	run := func(m *Machine, jobs []*Job) RunResult { return m.Run(jobs...) }
+	for _, shards := range []int{1, 4} {
+		cfg := testConfig()
+		cfg.PromotionInterval = 2_000
+		cfg.Shards = shards
+		// The first access, a tick edge, the rotation quantum and its
+		// neighbours, the shorter job's last access, and the exact end.
+		checkResumeVia(t, twoIndependentJobs(cfg), []uint64{
+			1, 2_000, 4_095, 4_096, 4_097, 9_216, 11_264,
+		}, run)
+		pcfg := pressureConfig()
+		pcfg.Shards = shards
+		checkResumeVia(t, twoIndependentJobs(pcfg), []uint64{6_100}, run)
+	}
+}
+
+// TestRefusedStartRunKeepsRestoredPosition: a StartRun refused on a restored
+// machine (wrong job count, or streams too short to fast-forward) leaves
+// the staged scheduler position in place, so a retry with the right jobs
+// still resumes mid-run.
+func TestRefusedStartRunKeepsRestoredPosition(t *testing.T) {
+	cfg := testConfig()
+	cfg.PromotionInterval = 2_000
+	checkResumeVia(t, twoIndependentJobs(cfg), []uint64{4_097, 9_216}, func(m *Machine, jobs []*Job) RunResult {
+		if err := m.StartRun(jobs[0]); err == nil {
+			t.Fatal("StartRun with the wrong job count must fail")
+		}
+		short := []*Job{
+			{Proc: jobs[0].Proc, Stream: trace.Slice(nil), Cores: jobs[0].Cores},
+			{Proc: jobs[1].Proc, Stream: trace.Slice(nil), Cores: jobs[1].Cores},
+		}
+		if err := m.StartRun(short...); err == nil {
+			t.Fatal("StartRun with streams shorter than the checkpoint must fail")
+		}
+		if err := m.StartRun(jobs...); err != nil {
+			t.Fatalf("retry: %v", err)
+		}
+		return m.FinishRun()
+	})
+}
+
+// TestRunRefusedDuringRun: Run on a machine with a run in progress panics
+// before touching it, and the run in progress still finishes exactly.
+func TestRunRefusedDuringRun(t *testing.T) {
+	s := twoIndependentJobs(testConfig())
+	want, _ := runUninterrupted(t, s)
+	m, jobs := s.newMachine()
+	if err := m.StartRun(jobs...); err != nil {
+		t.Fatal(err)
+	}
+	m.RunUntil(5_000)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Run during a run in progress must panic")
+			}
+		}()
+		m.Run(jobs...)
+	}()
+	if got := m.FinishRun(); !reflect.DeepEqual(got, want) {
+		t.Errorf("run in progress diverged after the refused Run:\ngot  %+v\nwant %+v", got, want)
+	}
 }
 
 // TestCheckpointResumeEveryCutNearTick brute-forces every cut in a window

@@ -8,8 +8,9 @@
 #   scripts/benchdiff.sh <ref> [bench-regex] [packages...]
 #
 # Defaults: bench-regex
-# 'Step|RunStream|EmitChunk|Walk|TLBAccess|HierarchyThrash|PCCRecord|ReplayDecode'
-# ('Step' also matches Step2M and StepNUMA), packages ./internal/vmm
+# 'Step|RunStream|RunSharded|EmitChunk|Walk|TLBAccess|HierarchyThrash|PCCRecord|ReplayDecode'
+# ('Step' also matches Step2M, StepNUMA and StepMultiCore; 'RunSharded'
+# matches RunSharded1 and RunSharded8), packages ./internal/vmm
 # ./internal/workloads ./internal/tlb ./internal/ptw ./internal/pcc
 # ./internal/trace. Examples:
 #
@@ -36,7 +37,7 @@
 set -eu
 
 ref=${1:?usage: scripts/benchdiff.sh <ref> [bench-regex] [packages...]}
-regex=${2:-'Step|RunStream|EmitChunk|Walk|TLBAccess|HierarchyThrash|PCCRecord|ReplayDecode'}
+regex=${2:-'Step|RunStream|RunSharded|EmitChunk|Walk|TLBAccess|HierarchyThrash|PCCRecord|ReplayDecode'}
 if [ $# -ge 2 ]; then shift 2; else shift $#; fi
 pkgs=${*:-"./internal/vmm ./internal/workloads ./internal/tlb ./internal/ptw ./internal/pcc ./internal/trace"}
 benchtime=${BENCHTIME:-2s}
