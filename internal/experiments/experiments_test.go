@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"pccsim/internal/obs"
 	"pccsim/internal/trace"
 	"pccsim/internal/workloads"
 )
@@ -341,27 +342,44 @@ func TestVariantSpecsExpansion(t *testing.T) {
 	}
 }
 
+// TestBaselineCacheReuse: a baseline that several cells compare against is
+// simulated once. One app's {baseline, ideal, PCC} cells need exactly one
+// baseline, one ideal and one PCC simulation per variant — the baseline cell
+// aliases the shared baseline run instead of simulating it again.
 func TestBaselineCacheReuse(t *testing.T) {
 	o, _ := tiny()
-	cache := newBaselineCache()
-	o.runApp("BFS", runCfg{kind: polBaseline}, cache)
-	n := len(cache)
-	if n == 0 {
-		t.Fatal("baseline must be cached")
+	reg := obs.NewRegistry()
+	o.Obs = reg
+	res, err := o.runCells([]cell{
+		{"BFS", runCfg{kind: polBaseline}},
+		{"BFS", runCfg{kind: polIdeal}},
+		{"BFS", runCfg{kind: polPCC, budgetPct: 25}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	o.runApp("BFS", runCfg{kind: polIdeal}, cache)
-	if len(cache) != n {
-		t.Error("second run must reuse cached baselines")
+	if s := res[0].Speedup; s != 1 {
+		t.Errorf("baseline cell speedup = %f, want exactly 1 (aliased run)", s)
+	}
+	variants := len(o.variantSpecs("BFS"))
+	if got, want := reg.Snapshot()["pool.tasks.total"], float64(3*variants); got != want {
+		t.Errorf("simulations = %g, want %g (3 per variant, baseline shared)", got, want)
 	}
 }
 
 func TestMultithreadActuallyParallel(t *testing.T) {
-	// Regression: runApp must partition the workload across the machine's
+	// Regression: a cell must partition the workload across the machine's
 	// cores (a 2-thread baseline finishes in less wall-clock than a
 	// 1-thread one). An earlier bug left every access on core 0.
 	o, _ := tiny()
-	one := o.runApp("BFS", runCfg{kind: polBaseline, threads: 1}, newBaselineCache())
-	two := o.runApp("BFS", runCfg{kind: polBaseline, threads: 2}, newBaselineCache())
+	res, err := o.runCells([]cell{
+		{"BFS", runCfg{kind: polBaseline, threads: 1}},
+		{"BFS", runCfg{kind: polBaseline, threads: 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, two := res[0], res[1]
 	if two.Cycles >= one.Cycles*0.95 {
 		t.Errorf("2-thread run (%.3g cycles) must beat 1-thread (%.3g)", two.Cycles, one.Cycles)
 	}

@@ -3,7 +3,7 @@ package experiments
 import (
 	"pccsim/internal/mem"
 	"pccsim/internal/metrics"
-	"pccsim/internal/ospolicy"
+	"pccsim/internal/trace"
 	"pccsim/internal/vmm"
 	"pccsim/internal/workloads"
 )
@@ -29,7 +29,6 @@ type ExtVictimRow struct {
 // promotions on data too sparsely accessed to benefit.
 func ExtVictimCache(o Options) ([]ExtVictimRow, error) {
 	o.Datasets = []workloads.GraphDataset{workloads.DatasetKron}
-	bcache := newBaselineCache()
 	// The budget must be scarcer than the HUB set for selection quality to
 	// matter: 4% at full scale; 25% at CI scale where 4% of a miniature
 	// footprint rounds below one region.
@@ -37,10 +36,20 @@ func ExtVictimCache(o Options) ([]ExtVictimRow, error) {
 	if o.Scale < workloads.DefaultScale {
 		budget = 25
 	}
+	apps := []string{"BFS", "SSSP", "PR"}
+	var cells []cell
+	for _, app := range apps {
+		cells = append(cells,
+			cell{app, runCfg{kind: polPCC, budgetPct: budget}},
+			cell{app, runCfg{kind: polPCC, budgetPct: budget, victim: true}})
+	}
+	res, err := o.runCells(cells)
+	if err != nil {
+		return nil, err
+	}
 	var rows []ExtVictimRow
-	for _, app := range []string{"BFS", "SSSP", "PR"} {
-		p := o.runApp(app, runCfg{kind: polPCC, budgetPct: budget}, bcache)
-		v := o.runApp(app, runCfg{kind: polPCC, budgetPct: budget, victim: true}, bcache)
+	for i, app := range apps {
+		p, v := res[2*i], res[2*i+1]
 		rows = append(rows, ExtVictimRow{
 			App: app, PCC: p.Speedup, Victim: v.Speedup,
 			PCCHuge: p.Huge, VicHuge: v.Huge,
@@ -75,44 +84,16 @@ func Ext1G(o Options) (*Ext1GResult, error) {
 		params.TableBytes = 2 << 30
 		params.Accesses = o.SynthAccesses * 4
 	}
-	build := func() workloads.Workload {
-		return extWorkload{workloads.BigTable(params), 16}
+	run := func(name string, rc runCfg) vmm.RunResult {
+		wl := extWorkload{workloads.BigTable(params), 16}
+		_, res := o.simulate("ext-1g/"+name, o.soloBuild(rc, wl, wl.Stream, func(cfg *vmm.Config) {
+			cfg.Phys.TotalBytes = 8 << 30 // room for 1GB windows
+		}))
+		return res
 	}
-
-	run := func(giga bool, pccOn bool, kind policyKind) vmm.RunResult {
-		wl := build()
-		rc := runCfg{kind: kind}
-		cfg := o.machineConfig(rc)
-		cfg.Phys.TotalBytes = 8 << 30 // room for 1GB windows
-		cfg.EnablePCC = pccOn
-		cfg.Enable1G = giga
-		var policy vmm.Policy
-		var engine *ospolicy.PCCEngine
-		switch kind {
-		case polBaseline:
-			policy = ospolicy.Baseline{}
-		case polPCC:
-			ec := ospolicy.DefaultPCCEngineConfig()
-			if giga {
-				ec.Giga = ospolicy.DefaultGiga1GConfig()
-				ec.Giga.Enable = true
-			}
-			engine = ospolicy.NewPCCEngine(ec)
-			policy = engine
-		}
-		m := vmm.NewMachine(cfg, policy)
-		p := m.AddProcess(wl.Name(), wl.Ranges(), wl.BaseCPA())
-		if engine != nil {
-			engine.Bind(0, p)
-		}
-		st := wl.Stream()
-		defer workloads.CloseStream(st)
-		return m.Run(&vmm.Job{Proc: p, Stream: st, Cores: []int{0}})
-	}
-
-	base := run(false, false, polBaseline)
-	only2M := run(false, true, polPCC)
-	with1G := run(true, true, polPCC)
+	base := run("4KB", runCfg{kind: polBaseline})
+	only2M := run("2MB", runCfg{kind: polPCC})
+	with1G := run("2MB+1GB", runCfg{kind: polPCC, giga: true})
 
 	res := &Ext1GResult{
 		BaselineCycles: base.Cycles,
@@ -148,25 +129,17 @@ func ExtPhases(o Options) (*ExtPhasesResult, error) {
 		params.HalfBytes = 16 << 20
 		params.AccessesPerPhase = o.SynthAccesses * 2
 	}
-	run := func(demote bool) vmm.RunResult {
+	run := func(name string, demote bool) vmm.RunResult {
 		wl := extWorkload{workloads.Phased(params), 16}
-		rc := runCfg{kind: polPCC, demote: demote}
-		cfg := o.machineConfig(rc)
-		// Physical pool sized to fit ~one half's huge pages only.
-		cfg.Phys.TotalBytes = params.HalfBytes
-		cfg.EnablePCC = true
-		ec := ospolicy.DefaultPCCEngineConfig()
-		ec.EnableDemotion = demote
-		engine := ospolicy.NewPCCEngine(ec)
-		m := vmm.NewMachine(cfg, engine)
-		p := m.AddProcess(wl.Name(), wl.Ranges(), wl.BaseCPA())
-		engine.Bind(0, p)
-		st := wl.Stream()
-		defer workloads.CloseStream(st)
-		return m.Run(&vmm.Job{Proc: p, Stream: st, Cores: []int{0}})
+		_, res := o.simulate("ext-phases/"+name, o.soloBuild(runCfg{kind: polPCC, demote: demote}, wl, wl.Stream,
+			func(cfg *vmm.Config) {
+				// Physical pool sized to fit ~one half's huge pages only.
+				cfg.Phys.TotalBytes = params.HalfBytes
+			}))
+		return res
 	}
-	noDem := run(false)
-	withDem := run(true)
+	noDem := run("no-demote", false)
+	withDem := run("demote", true)
 	res := &ExtPhasesResult{
 		NoDemote:   noDem.Cycles,
 		WithDemote: withDem.Cycles,
@@ -193,18 +166,13 @@ type ExtPWCRow struct {
 func ExtPWC(o Options) ([]ExtPWCRow, error) {
 	var rows []ExtPWCRow
 	for _, app := range AppOrder(o) {
-		specs := o.variantSpecs(app)
-		wl, err := workloads.Build(specs[0])
+		spec := o.variantSpecs(app)[0]
+		wl, err := workloads.Build(spec)
 		if err != nil {
 			return nil, err
 		}
-		rc := runCfg{kind: polBaseline}
-		cfg := o.machineConfig(rc)
-		m := vmm.NewMachine(cfg, ospolicy.Baseline{})
-		p := m.AddProcess(wl.Name(), wl.Ranges(), wl.BaseCPA())
-		ws := wl.Stream()
-		m.Run(&vmm.Job{Proc: p, Stream: ws, Cores: []int{0}})
-		workloads.CloseStream(ws)
+		m, _ := o.simulate("ext-pwc/"+app, o.soloBuild(runCfg{kind: polBaseline}, wl,
+			func() trace.Stream { return o.streamFor(spec, wl) }))
 		st := m.Core(0).Walker.Stats()
 		hitRate := 0.0
 		if st.PWCLookups > 0 {

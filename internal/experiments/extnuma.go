@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"pccsim/internal/metrics"
-	"pccsim/internal/ospolicy"
+	"pccsim/internal/trace"
 	"pccsim/internal/vmm"
 	"pccsim/internal/workloads"
 )
@@ -27,23 +27,20 @@ func ExtNUMA(o Options) ([]ExtNUMARow, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := func(pol vmm.NUMAPolicy, share float64) (vmm.RunResult, float64) {
-		rc := runCfg{kind: polBaseline}
-		cfg := o.machineConfig(rc)
-		cfg.NUMA = vmm.DefaultNUMAConfig()
-		cfg.NUMA.Policy = pol
-		cfg.NUMA.LocalShare = share
-		m := vmm.NewMachine(cfg, ospolicy.Baseline{})
-		p := m.AddProcess(wl.Name(), wl.Ranges(), wl.BaseCPA())
-		st := wl.Stream()
-		defer workloads.CloseStream(st)
-		res := m.Run(&vmm.Job{Proc: p, Stream: st, Cores: []int{0}})
-		return res, m.RemoteShare(p)
+	run := func(name string, pol vmm.NUMAPolicy, share float64) (vmm.RunResult, float64) {
+		m, res := o.simulate("ext-numa/"+name, o.soloBuild(runCfg{kind: polBaseline}, wl,
+			func() trace.Stream { return o.streamFor(spec, wl) },
+			func(cfg *vmm.Config) {
+				cfg.NUMA = vmm.DefaultNUMAConfig()
+				cfg.NUMA.Policy = pol
+				cfg.NUMA.LocalShare = share
+			}))
+		return res, m.RemoteShare(m.Procs()[0])
 	}
 
-	bound, boundRemote := run(vmm.NUMABind, 1.0)
-	inter, interRemote := run(vmm.NUMAInterleave, 1.0)
-	spill, spillRemote := run(vmm.NUMALocalFirst, 0.5)
+	bound, boundRemote := run("bind", vmm.NUMABind, 1.0)
+	inter, interRemote := run("interleave", vmm.NUMAInterleave, 1.0)
+	spill, spillRemote := run("local-first", vmm.NUMALocalFirst, 0.5)
 
 	rows := []ExtNUMARow{
 		{Policy: "bind (paper methodology)", Cycles: bound.Cycles, Slowdown: 1, RemoteShare: boundRemote},

@@ -5,7 +5,6 @@ import (
 
 	"pccsim/internal/mem"
 	"pccsim/internal/metrics"
-	"pccsim/internal/ospolicy"
 	"pccsim/internal/trace"
 	"pccsim/internal/virt"
 	"pccsim/internal/vmm"
@@ -116,40 +115,18 @@ func ExtBloat(o Options) (*ExtBloatResult, error) {
 		params.VMABytes = 64 << 20
 		params.Accesses = o.SynthAccesses * 2
 	}
-	run := func(kind policyKind) (vmm.RunResult, *vmm.Process) {
+	run := func(rc runCfg) (vmm.RunResult, *vmm.Process) {
 		wl := extWorkload{workloads.Sparse(params), 20}
-		rc := runCfg{kind: kind}
-		cfg := o.machineConfig(rc)
-		cfg.EnablePCC = kind == polPCC
-		var policy vmm.Policy
-		var engine *ospolicy.PCCEngine
-		switch kind {
-		case polBaseline:
-			policy = ospolicy.Baseline{}
-		case polLinux:
-			policy = ospolicy.NewLinuxTHP(ospolicy.DefaultLinuxTHPConfig())
-		case polPCC:
-			ec := ospolicy.DefaultPCCEngineConfig()
-			// A bloat-conscious OS policy: require a minimum walk
-			// frequency before spending a huge page, so one-shot
-			// lazily-populated regions are never collapsed.
-			ec.MinFreq = 8
-			engine = ospolicy.NewPCCEngine(ec)
-			policy = engine
-		}
-		m := vmm.NewMachine(cfg, policy)
-		p := m.AddProcess(wl.Name(), wl.Ranges(), wl.BaseCPA())
-		if engine != nil {
-			engine.Bind(0, p)
-		}
-		st := wl.Stream()
-		defer workloads.CloseStream(st)
-		return m.Run(&vmm.Job{Proc: p, Stream: st, Cores: []int{0}}), p
+		m, res := o.simulate("ext-bloat/"+rc.kind.String(), o.soloBuild(rc, wl, wl.Stream))
+		return res, m.Procs()[0]
 	}
 
-	base, _ := run(polBaseline)
-	lx, lxp := run(polLinux)
-	pc, pcp := run(polPCC)
+	base, _ := run(runCfg{kind: polBaseline})
+	lx, lxp := run(runCfg{kind: polLinux})
+	// A bloat-conscious OS policy: require a minimum walk frequency before
+	// spending a huge page, so one-shot lazily-populated regions are never
+	// collapsed.
+	pc, pcp := run(runCfg{kind: polPCC, minFreq: 8})
 
 	res := &ExtBloatResult{
 		LinuxBloat:   lxp.BloatBytes(),

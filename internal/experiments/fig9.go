@@ -39,7 +39,7 @@ func Fig9(o Options, appA, appB string) ([]Fig9Series, error) {
 	specB := o.coSpec(appB)
 
 	type pair struct{ a, b vmm.ProcResult }
-	run := func(kind policyKind, sel ospolicy.SelectionPolicy, budgetPct float64) (pair, error) {
+	run := func(name string, rc runCfg) (pair, error) {
 		wlA, err := workloads.Build(specA)
 		if err != nil {
 			return pair{}, err
@@ -48,54 +48,38 @@ func Fig9(o Options, appA, appB string) ([]Fig9Series, error) {
 		if err != nil {
 			return pair{}, err
 		}
-		rc := runCfg{kind: kind, threads: 2, selection: sel}
-		cfg := o.machineConfig(rc)
-		if budgetPct > 0 && budgetPct < 100 {
-			combined := float64(wlA.Footprint() + wlB.Footprint())
-			cfg.MaxHugeBytesTotal = uint64(budgetPct / 100 * combined)
-		}
-		var policy vmm.Policy
-		var engine *ospolicy.PCCEngine
-		switch kind {
-		case polBaseline:
-			policy = ospolicy.Baseline{}
-		case polIdeal:
-			policy = ospolicy.AllHuge{}
-		case polPCC:
-			ec := ospolicy.DefaultPCCEngineConfig()
-			ec.Selection = sel
-			engine = ospolicy.NewPCCEngine(ec)
-			policy = engine
-		}
-		m := vmm.NewMachine(cfg, policy)
-		pA := m.AddProcess(wlA.Name(), wlA.Ranges(), wlA.BaseCPA())
-		pB := m.AddProcess(wlB.Name(), wlB.Ranges(), wlB.BaseCPA())
-		if engine != nil {
-			engine.Bind(0, pA)
-			engine.Bind(1, pB)
-		}
-		// Both producer goroutines must terminate even if Run aborts.
-		stA := wlA.Stream()
-		defer workloads.CloseStream(stA)
-		stB := wlB.Stream()
-		defer workloads.CloseStream(stB)
-		res := m.Run(
-			&vmm.Job{Proc: pA, Stream: stA, Cores: []int{0}},
-			&vmm.Job{Proc: pB, Stream: stB, Cores: []int{1}},
-		)
+		rc.threads = 2
+		_, res := o.simulate(name, func() (*vmm.Machine, []*vmm.Job) {
+			cfg := o.machineConfig(rc)
+			if rc.budgetPct > 0 && rc.budgetPct < 100 {
+				combined := float64(wlA.Footprint() + wlB.Footprint())
+				cfg.MaxHugeBytesTotal = uint64(rc.budgetPct / 100 * combined)
+			}
+			policy, engine := policyFor(rc)
+			m := vmm.NewMachine(cfg, policy)
+			pA := m.AddProcess(wlA.Name(), wlA.Ranges(), wlA.BaseCPA())
+			pB := m.AddProcess(wlB.Name(), wlB.Ranges(), wlB.BaseCPA())
+			if engine != nil {
+				engine.Bind(0, pA)
+				engine.Bind(1, pB)
+			}
+			return m, []*vmm.Job{
+				{Proc: pA, Stream: o.streamFor(specA, wlA), Cores: []int{0}},
+				{Proc: pB, Stream: o.streamFor(specB, wlB), Cores: []int{1}},
+			}
+		})
 		return pair{a: res.PerProc[0], b: res.PerProc[1]}, nil
 	}
 
 	// Task list: base, ideal, then the selection × budget grid; budget 0
 	// aliases the base run (index 0) instead of re-simulating it.
-	tasks := []Task[pair]{
-		{Name: "fig9/" + appA + "+" + appB + "/base", Run: func() (pair, error) {
-			return run(polBaseline, ospolicy.HighestFrequency, 0)
-		}},
-		{Name: "fig9/" + appA + "+" + appB + "/ideal", Run: func() (pair, error) {
-			return run(polIdeal, ospolicy.HighestFrequency, 0)
-		}},
+	var tasks []Task[pair]
+	add := func(suffix string, rc runCfg) {
+		name := "fig9/" + appA + "+" + appB + suffix
+		tasks = append(tasks, Task[pair]{Name: name, Run: func() (pair, error) { return run(name, rc) }})
 	}
+	add("/base", runCfg{kind: polBaseline})
+	add("/ideal", runCfg{kind: polIdeal})
 	var gridIdx []int
 	for _, sel := range []ospolicy.SelectionPolicy{ospolicy.HighestFrequency, ospolicy.RoundRobin} {
 		for _, b := range o.Budgets {
@@ -103,10 +87,7 @@ func Fig9(o Options, appA, appB string) ([]Fig9Series, error) {
 				gridIdx = append(gridIdx, 0)
 				continue
 			}
-			tasks = append(tasks, Task[pair]{
-				Name: fmt.Sprintf("fig9/%s+%s/pcc/%s/b%g", appA, appB, sel, b),
-				Run:  func() (pair, error) { return run(polPCC, sel, b) },
-			})
+			add(fmt.Sprintf("/pcc/%s/b%g", sel, b), runCfg{kind: polPCC, selection: sel, budgetPct: b})
 			gridIdx = append(gridIdx, len(tasks)-1)
 		}
 	}
@@ -175,8 +156,9 @@ func Fig9(o Options, appA, appB string) ([]Fig9Series, error) {
 	return []Fig9Series{*sAH, *sBH, *sAR, *sBR}, nil
 }
 
-// coSpec builds the single-variant spec used in co-run studies (unsorted
-// Kronecker for graph apps; the paper does not average sortings here).
+// coSpec builds the single-variant spec used in co-run studies (the
+// DBG-sorted Kronecker graph for graph apps; the paper does not average
+// sortings here).
 func (o Options) coSpec(app string) workloads.Spec {
 	for _, g := range workloads.GraphAppNames() {
 		if g == app {

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"pccsim/internal/metrics"
-	"pccsim/internal/ospolicy"
 	"pccsim/internal/plot"
-	"pccsim/internal/snapshot"
 	"pccsim/internal/vmm"
 	"pccsim/internal/workloads"
 )
@@ -224,10 +222,9 @@ func FigTenant(o Options) ([]FigTenantRow, error) {
 
 // runTenantCell simulates one multi-tenant machine: each tenant runs its own
 // workload on its own core, registered through AddTenant with a HugeShare
-// slice of a deliberately scarce machine-wide budget. With SnapshotCut set,
-// the run is split across a checkpoint/restore cycle — churn processes, the
-// lifecycle RNG position, NUMA placements and per-VMA policies all travel
-// through the snapshot.
+// slice of a deliberately scarce machine-wide budget. Under a snapshot cut,
+// churn processes, the lifecycle RNG position, NUMA placements and per-VMA
+// policies all travel through the snapshot.
 func (o Options) runTenantCell(c figTenantCell) (figTenantResult, error) {
 	specs := make([]workloads.Spec, c.tenants)
 	wls := make([]workloads.Workload, c.tenants)
@@ -261,8 +258,8 @@ func (o Options) runTenantCell(c figTenantCell) (figTenantResult, error) {
 		total = uint64(float64(4<<20)/minShare) + 2<<20
 	}
 
-	build := func() (*vmm.Machine, []*vmm.Job) {
-		rc := runCfg{kind: polPCC, threads: c.tenants}
+	rc := runCfg{kind: polPCC, threads: c.tenants}
+	m, res := o.simulate(c.name(), func() (*vmm.Machine, []*vmm.Job) {
 		cfg := o.machineConfig(rc)
 		cfg.MaxHugeBytesTotal = total
 		if c.churn {
@@ -284,8 +281,8 @@ func (o Options) runTenantCell(c figTenantCell) (figTenantResult, error) {
 			cfg.NUMA.LocalShare = 0.5
 		}
 
-		engine := ospolicy.NewPCCEngine(ospolicy.DefaultPCCEngineConfig())
-		m := vmm.NewMachine(cfg, engine)
+		policy, engine := policyFor(rc)
+		m := vmm.NewMachine(cfg, policy)
 		jobs := make([]*vmm.Job, c.tenants)
 		for i, wl := range wls {
 			tc := vmm.TenantConfig{
@@ -318,18 +315,7 @@ func (o Options) runTenantCell(c figTenantCell) (figTenantResult, error) {
 			jobs[i] = &vmm.Job{Proc: p, Stream: o.streamFor(specs[i], wl), Cores: []int{i}}
 		}
 		return m, jobs
-	}
-
-	var m *vmm.Machine
-	var res vmm.RunResult
-	if cut := o.tenantCut(c); cut > 0 {
-		m, res = o.runTenantCellWithCut(c, cut, build)
-	} else {
-		var jobs []*vmm.Job
-		m, jobs = build()
-		defer closeJobStreams(jobs)
-		res = m.Run(jobs...)
-	}
+	})
 
 	out := figTenantResult{cycles: res.Cycles, lifecycle: m.LifecycleStats()}
 	var totProm uint64
@@ -359,62 +345,7 @@ func (o Options) runTenantCell(c figTenantCell) (figTenantResult, error) {
 			}
 		}
 	}
-	if o.Obs != nil {
-		o.Obs.Merge(m.Metrics())
-	}
-	if o.EventSink != nil {
-		o.EventSink.Drain(c.name(), m.Events())
-	}
 	return out, nil
-}
-
-// tenantCut resolves the snapshot cut for a cell (0 = run uninterrupted).
-func (o Options) tenantCut(c figTenantCell) uint64 {
-	if o.SnapshotCut == nil {
-		return 0
-	}
-	return o.SnapshotCut(c.name())
-}
-
-// runTenantCellWithCut executes a multi-tenant cell across a
-// checkpoint/restore cycle, exactly as runOneWithCut does for single-job
-// runs: run to the cut, serialize, restore into a freshly built machine
-// (same tenants, fresh streams), finish there.
-func (o Options) runTenantCellWithCut(c figTenantCell, cut uint64,
-	build func() (*vmm.Machine, []*vmm.Job)) (*vmm.Machine, vmm.RunResult) {
-	m1, jobs1 := build()
-	func() {
-		defer closeJobStreams(jobs1)
-		if err := m1.StartRun(jobs1...); err != nil {
-			panic(fmt.Sprintf("experiments: %s: %v", c.name(), err))
-		}
-		m1.RunUntil(cut)
-	}()
-	data, err := snapshot.EncodeBytes(snapshot.Capture(m1, c.name()))
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %s: checkpoint at %d: %v", c.name(), cut, err))
-	}
-	snap, err := snapshot.DecodeBytes(data)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %s: decoding checkpoint: %v", c.name(), err))
-	}
-	m2, jobs2 := build()
-	defer closeJobStreams(jobs2)
-	if err := snapshot.Restore(m2, snap); err != nil {
-		panic(fmt.Sprintf("experiments: %s: restore at %d: %v", c.name(), cut, err))
-	}
-	if err := m2.StartRun(jobs2...); err != nil {
-		panic(fmt.Sprintf("experiments: %s: resume at %d: %v", c.name(), cut, err))
-	}
-	return m2, m2.FinishRun()
-}
-
-// closeJobStreams terminates every job's workload producer (deferred so an
-// abort mid-run cannot leak goroutines).
-func closeJobStreams(jobs []*vmm.Job) {
-	for _, j := range jobs {
-		workloads.CloseStream(j.Stream)
-	}
 }
 
 // minMax returns the smallest and largest element (0, 0 for empty input).

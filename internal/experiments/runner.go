@@ -16,6 +16,7 @@ import (
 	"pccsim/internal/plot"
 	"pccsim/internal/snapshot"
 	"pccsim/internal/tlb"
+	"pccsim/internal/trace"
 	"pccsim/internal/vmm"
 	"pccsim/internal/workloads"
 )
@@ -84,9 +85,9 @@ type Options struct {
 	// value disables caching (every run generates its stream live). Replays
 	// are byte-identical to live emission, so this never changes results.
 	TraceCache int64
-	// SnapshotCut, when non-nil, routes every runOne simulation through a
-	// full checkpoint/restore cycle: the run pauses at the access-clock cut
-	// the hook returns for the run's identity (0 = run uninterrupted), the
+	// SnapshotCut, when non-nil, routes every simulation through a full
+	// checkpoint/restore cycle: the run pauses at the access-clock cut the
+	// hook returns for the run's name (0 = run uninterrupted), the
 	// machine's complete state is serialized through the snapshot container,
 	// decoded back, restored into a second, freshly built machine, and the
 	// run finishes there. Results are pinned byte-identical to the
@@ -224,6 +225,8 @@ type runCfg struct {
 	victim     bool // use the L2-eviction victim tracker instead of the PCC
 	replace    pcc.ReplacementPolicy
 	interval   uint64
+	minFreq    uint32 // PCC engine: minimum walk frequency to promote (0 = default)
+	giga       bool   // PCC engine: also promote 1GB regions (§3.2.3)
 	// Dynamic pressure knobs (see vmm.PressureConfig); the pressure model is
 	// enabled when any of them is non-zero. Baseline runs always execute
 	// pressure-free (see baselineOf).
@@ -265,6 +268,7 @@ func (o Options) machineConfig(rc runCfg) vmm.Config {
 		cfg.PromotionInterval = rc.interval
 	}
 	cfg.EnablePCC = rc.kind == polPCC
+	cfg.Enable1G = rc.kind == polPCC && rc.giga
 	cfg.UseVictimTracker = rc.kind == polPCC && rc.victim
 	cfg.DisableColdFilter = rc.noFilter
 	if rc.pccEntries > 0 {
@@ -291,116 +295,113 @@ func (o Options) machineConfig(rc runCfg) vmm.Config {
 	return cfg
 }
 
-// runOne simulates workload wl (built from spec s) under rc and returns the
-// result. The spec routes the access stream through the trace cache when it
-// is enabled. With SnapshotCut set, the simulation is split across a
-// checkpoint/restore cycle instead of a single Run — by contract with the
-// same result.
-func (o Options) runOne(s workloads.Spec, wl workloads.Workload, rc runCfg) vmm.RunResult {
-	if rc.threads < 1 {
-		rc.threads = 1
-	}
-	build := func() (*vmm.Machine, *vmm.Job) {
-		cfg := o.machineConfig(rc)
-
-		var policy vmm.Policy
-		var engine *ospolicy.PCCEngine
-		switch rc.kind {
-		case polBaseline:
-			policy = ospolicy.Baseline{}
-		case polIdeal:
-			policy = ospolicy.AllHuge{}
-		case polPCC:
-			ec := ospolicy.DefaultPCCEngineConfig()
-			ec.Selection = rc.selection
-			ec.EnableDemotion = rc.demote
-			engine = ospolicy.NewPCCEngine(ec)
-			policy = engine
-		case polHawkEye:
-			policy = ospolicy.NewHawkEye(ospolicy.DefaultHawkEyeConfig())
-		case polLinux:
-			policy = ospolicy.NewLinuxTHP(ospolicy.DefaultLinuxTHPConfig())
+// policyFor builds the OS policy rc selects. For PCC runs it also returns
+// the engine, which the caller binds to the cores its processes run on.
+func policyFor(rc runCfg) (vmm.Policy, *ospolicy.PCCEngine) {
+	switch rc.kind {
+	case polIdeal:
+		return ospolicy.AllHuge{}, nil
+	case polPCC:
+		ec := ospolicy.DefaultPCCEngineConfig()
+		ec.Selection = rc.selection
+		ec.EnableDemotion = rc.demote
+		ec.MinFreq = rc.minFreq
+		if rc.giga {
+			ec.Giga = ospolicy.DefaultGiga1GConfig()
+			ec.Giga.Enable = true
 		}
+		engine := ospolicy.NewPCCEngine(ec)
+		return engine, engine
+	case polHawkEye:
+		return ospolicy.NewHawkEye(ospolicy.DefaultHawkEyeConfig()), nil
+	case polLinux:
+		return ospolicy.NewLinuxTHP(ospolicy.DefaultLinuxTHPConfig()), nil
+	}
+	return ospolicy.Baseline{}, nil
+}
 
+// soloBuild returns a simulate build function for the common single-process
+// run: rc's machine (its config adjusted by tweak, if given) and policy, with
+// wl as the only process, capped at rc's budget, running on cores
+// 0..threads-1 and fed by a fresh stream from stream.
+func (o Options) soloBuild(rc runCfg, wl workloads.Workload, stream func() trace.Stream,
+	tweak ...func(*vmm.Config)) func() (*vmm.Machine, []*vmm.Job) {
+	return func() (*vmm.Machine, []*vmm.Job) {
+		cfg := o.machineConfig(rc)
+		for _, t := range tweak {
+			t(&cfg)
+		}
+		policy, engine := policyFor(rc)
 		m := vmm.NewMachine(cfg, policy)
 		p := m.AddProcess(wl.Name(), wl.Ranges(), wl.BaseCPA())
 		if rc.budgetPct > 0 && rc.budgetPct < 100 {
 			p.MaxHugeBytes = uint64(rc.budgetPct / 100 * float64(wl.Footprint()))
 		}
-		cores := make([]int, rc.threads)
+		cores := make([]int, cfg.Cores)
 		for i := range cores {
 			cores[i] = i
 			if engine != nil {
 				engine.Bind(i, p)
 			}
 		}
-		return m, &vmm.Job{Proc: p, Stream: o.streamFor(s, wl), Cores: cores}
+		return m, []*vmm.Job{{Proc: p, Stream: stream(), Cores: cores}}
 	}
+}
 
+// simulate is the package's one way to run a machine. build must return a
+// fresh machine and its jobs, with fresh streams, on every call. simulate
+// runs them to completion and closes every stream, even on a panic. When
+// SnapshotCut picks a cut for name, the run stops there on a first machine,
+// whose state goes through the snapshot encoding into a second build that
+// finishes the run, by contract with the same result. The finished machine's
+// metrics merge into Obs and its events drain into EventSink under name.
+// Callers read whatever else they need from the returned machine. Any
+// checkpoint failure is a violated invariant, so it panics like the auditor.
+func (o Options) simulate(name string, build func() (*vmm.Machine, []*vmm.Job)) (*vmm.Machine, vmm.RunResult) {
+	must := func(err error, format string, args ...any) {
+		if err != nil {
+			panic(fmt.Sprintf("experiments: %s: %s: %v", name, fmt.Sprintf(format, args...), err))
+		}
+	}
+	var cut uint64
 	if o.SnapshotCut != nil {
-		name := fmt.Sprintf("%s/%v/f%g/b%g/t%d/i%d",
-			wl.Name(), rc.kind, rc.frag, rc.budgetPct, rc.threads, rc.interval)
-		if cut := o.SnapshotCut(name); cut > 0 {
-			return o.runOneWithCut(name, cut, build, wl, rc)
-		}
+		cut = o.SnapshotCut(name)
+	}
+	var snap *snapshot.Snapshot
+	if cut > 0 {
+		func() {
+			m, jobs := build()
+			defer closeJobStreams(jobs)
+			must(m.StartRun(jobs...), "start")
+			m.RunUntil(cut)
+			data, err := snapshot.EncodeBytes(snapshot.Capture(m, name))
+			must(err, "checkpoint at %d", cut)
+			snap, err = snapshot.DecodeBytes(data)
+			must(err, "decoding checkpoint")
+		}()
 	}
 
-	m, job := build()
-	// Run drains the stream, but an abort (panic, pool cancellation) must
-	// still terminate the workload's producer goroutine.
-	defer workloads.CloseStream(job.Stream)
-	res := m.Run(job)
-	o.observe(m, wl, rc)
-	return res
-}
-
-// runOneWithCut executes one simulation across a checkpoint/restore cycle:
-// run to the cut, serialize the machine through the snapshot container,
-// restore the decoded state into a second machine built from scratch, and
-// finish there. Any failure is a violated invariant, so it panics like the
-// auditor does.
-func (o Options) runOneWithCut(name string, cut uint64,
-	build func() (*vmm.Machine, *vmm.Job), wl workloads.Workload, rc runCfg) vmm.RunResult {
-	m1, job1 := build()
-	func() {
-		defer workloads.CloseStream(job1.Stream)
-		if err := m1.StartRun(job1); err != nil {
-			panic(fmt.Sprintf("experiments: %s: %v", name, err))
-		}
-		m1.RunUntil(cut)
-	}()
-	data, err := snapshot.EncodeBytes(snapshot.Capture(m1, name))
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %s: checkpoint at %d: %v", name, cut, err))
+	m, jobs := build()
+	defer closeJobStreams(jobs)
+	var res vmm.RunResult
+	if snap == nil {
+		res = m.Run(jobs...)
+	} else {
+		must(snapshot.Restore(m, snap), "restore at %d", cut)
+		must(m.StartRun(jobs...), "resume at %d", cut)
+		res = m.FinishRun()
 	}
-	snap, err := snapshot.DecodeBytes(data)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %s: decoding checkpoint: %v", name, err))
-	}
-
-	m2, job2 := build()
-	defer workloads.CloseStream(job2.Stream)
-	if err := snapshot.Restore(m2, snap); err != nil {
-		panic(fmt.Sprintf("experiments: %s: restore at %d: %v", name, cut, err))
-	}
-	if err := m2.StartRun(job2); err != nil {
-		panic(fmt.Sprintf("experiments: %s: resume at %d: %v", name, cut, err))
-	}
-	res := m2.FinishRun()
-	o.observe(m2, wl, rc)
-	return res
-}
-
-// observe publishes one finished machine's metrics and event trace into the
-// options' observability hooks. Both sinks are concurrency-safe, so pool
-// workers may call this from any goroutine.
-func (o Options) observe(m *vmm.Machine, wl workloads.Workload, rc runCfg) {
 	if o.Obs != nil {
 		o.Obs.Merge(m.Metrics())
 	}
-	if o.EventSink != nil {
-		tag := fmt.Sprintf("%s/%v@%g%%", wl.Name(), rc.kind, rc.budgetPct)
-		o.EventSink.Drain(tag, m.Events())
+	o.EventSink.Drain(name, m.Events())
+	return m, res
+}
+
+// closeJobStreams terminates every job's workload producer.
+func closeJobStreams(jobs []*vmm.Job) {
+	for _, j := range jobs {
+		workloads.CloseStream(j.Stream)
 	}
 }
 
@@ -443,58 +444,14 @@ type appResult struct {
 	Cycles  float64
 }
 
-// baselineCache memoizes per-variant all-4KB baseline runs so every
-// comparison within one experiment shares the same denominator.
-type baselineCache map[string]vmm.RunResult
-
-// newBaselineCache returns an empty cache.
-func newBaselineCache() baselineCache { return baselineCache{} }
-
-// runApp runs every variant of app under rc (and a paired baseline per
-// variant) and aggregates: geomean of speedups, mean of rates.
-func (o Options) runApp(app string, rc runCfg, baselines baselineCache) appResult {
-	specs := o.variantSpecs(app)
-	var speedups, ptws, l1s, huges, cycles []float64
-	for _, s := range specs {
-		// The workload must be partitioned across the same number of
-		// threads the machine runs; otherwise every access lands on one
-		// core and the other PCCs stay empty.
-		s.Threads = rc.threads
-		wl, err := workloads.Build(s)
-		if err != nil {
-			panic(err)
-		}
-		key := specKey(s, rc.threads)
-		base, ok := baselines[key]
-		if !ok {
-			base = o.runOne(s, wl, baselineOf(rc))
-			baselines[key] = base
-		}
-		res := o.runOne(s, wl, rc)
-		speedups = append(speedups, metrics.Speedup(base.Cycles, res.Cycles))
-		ptws = append(ptws, res.PTWRate)
-		l1s = append(l1s, res.L1MissRate)
-		huges = append(huges, float64(res.HugePages2M))
-		cycles = append(cycles, res.Cycles)
-	}
-	return appResult{
-		Speedup: metrics.Geomean(speedups),
-		PTWRate: metrics.Mean(ptws),
-		L1Miss:  metrics.Mean(l1s),
-		Huge:    metrics.Mean(huges),
-		Cycles:  metrics.Mean(cycles),
-	}
-}
-
 func specKey(s workloads.Spec, threads int) string {
 	return fmt.Sprintf("%s/%s/%v/%d/t%d", s.Name, s.Dataset, s.Sorted, s.Scale, threads)
 }
 
 // cell names one aggregated datum of an experiment grid: application app
 // simulated under rc, averaged across the app's dataset/sorting variants
-// against a paired per-variant 4KB baseline — exactly the aggregation
-// runApp performs, expressed as data so a whole grid can be scheduled at
-// once.
+// against a paired per-variant 4KB baseline, expressed as data so a whole
+// grid can be scheduled at once.
 type cell struct {
 	app string
 	rc  runCfg
@@ -520,10 +477,11 @@ func isBaselineRun(rc runCfg) bool {
 // runCells evaluates a grid of cells on the run pool and returns one
 // appResult per cell, in input order. It expands every cell into its
 // per-variant simulations, deduplicates the baseline runs the speedup
-// denominators share (the role the sequential baselineCache played), fans
-// every distinct simulation out as a self-contained pool task, and
-// aggregates once all results are in. Simulations are deterministic given
-// their spec, so the outcome is identical at any worker count.
+// denominators share (each is simulated once, however many cells compare
+// against it), fans every distinct simulation out as a self-contained pool
+// task, and aggregates once all results are in. Simulations are
+// deterministic given their spec, so the outcome is identical at any worker
+// count.
 func (o Options) runCells(cells []cell) ([]appResult, error) {
 	type sim struct {
 		name string
@@ -544,7 +502,8 @@ func (o Options) runCells(cells []cell) ([]appResult, error) {
 		}
 		for _, s := range o.variantSpecs(c.app) {
 			// The workload must be partitioned across the same number of
-			// threads the machine runs (see runApp).
+			// threads the machine runs; otherwise every access lands on one
+			// core and the other PCCs stay empty.
 			s.Threads = rc.threads
 			key := specKey(s, rc.threads)
 			bi, ok := baseIdx[key]
@@ -575,7 +534,9 @@ func (o Options) runCells(cells []cell) ([]appResult, error) {
 				if err != nil {
 					return vmm.RunResult{}, err
 				}
-				return o.runOne(s.spec, wl, s.rc), nil
+				_, res := o.simulate(s.name, o.soloBuild(s.rc, wl,
+					func() trace.Stream { return o.streamFor(s.spec, wl) }))
+				return res, nil
 			},
 		}
 	}

@@ -18,17 +18,40 @@ type SummaryRow struct {
 // each row corresponds to a quantitative statement in the paper's abstract
 // or §5 summary.
 func Summary(o Options) ([]SummaryRow, error) {
-	bcache := newBaselineCache()
 	var rows []SummaryRow
 	add := func(claim, paper, measured string, holds bool) {
 		rows = append(rows, SummaryRow{Claim: claim, Paper: paper, Measured: measured, Holds: holds})
 	}
 
+	// One grid serves every claim: per graph app the all-2MB ceiling, PCC
+	// and HawkEye at a small budget, then BFS under heavy fragmentation.
+	// Claims 2 and 3 share the PCC cells, and every cell shares its app's
+	// baselines, so each simulation runs once.
+	budget := 4.0
+	if o.Scale < workloads.DefaultScale {
+		budget = 25
+	}
+	apps := []string{"BFS", "SSSP", "PR"}
+	var cells []cell
+	for _, rc := range []runCfg{{kind: polIdeal}, {kind: polPCC, budgetPct: budget}, {kind: polHawkEye, budgetPct: budget}} {
+		for _, app := range apps {
+			cells = append(cells, cell{app, rc})
+		}
+	}
+	cells = append(cells,
+		cell{"BFS", runCfg{kind: polPCC, frag: 0.9}},
+		cell{"BFS", runCfg{kind: polLinux, frag: 0.9}})
+	res, err := o.runCells(cells)
+	if err != nil {
+		return nil, err
+	}
+	ideal, pccAt, hawkAt := res[0:3], res[3:6], res[6:9]
+	pcFrag, lxFrag := res[9], res[10]
+
 	// Claim 1: huge pages speed up TLB-sensitive applications
 	// substantially (abstract: speedups up to ~2x, geomean ~1.3x).
 	var ideals []float64
-	for _, app := range []string{"BFS", "SSSP", "PR"} {
-		r := o.runApp(app, runCfg{kind: polIdeal}, bcache)
+	for _, r := range ideal {
 		ideals = append(ideals, r.Speedup)
 	}
 	geoIdeal := metrics.Geomean(ideals)
@@ -39,13 +62,8 @@ func Summary(o Options) ([]SummaryRow, error) {
 
 	// Claim 2: a small promotion budget of PCC candidates recovers most
 	// of the ideal gain (abstract: 4% of footprint -> >75% of peak).
-	budget := 4.0
-	if o.Scale < workloads.DefaultScale {
-		budget = 25
-	}
 	var fracs []float64
-	for i, app := range []string{"BFS", "SSSP", "PR"} {
-		r := o.runApp(app, runCfg{kind: polPCC, budgetPct: budget}, bcache)
+	for i, r := range pccAt {
 		if ideals[i] > 1 {
 			fracs = append(fracs, (r.Speedup-0)/(ideals[i]))
 		}
@@ -57,10 +75,8 @@ func Summary(o Options) ([]SummaryRow, error) {
 	// Claim 3: the PCC beats HawkEye at the same budget (§5.1: "for all
 	// applications our approach outperforms HawkEye").
 	pccWins := 0
-	for _, app := range []string{"BFS", "SSSP", "PR"} {
-		pc := o.runApp(app, runCfg{kind: polPCC, budgetPct: budget}, bcache)
-		he := o.runApp(app, runCfg{kind: polHawkEye, budgetPct: budget}, bcache)
-		if pc.Speedup >= he.Speedup-0.01 {
+	for i := range apps {
+		if pccAt[i].Speedup >= hawkAt[i].Speedup-0.01 {
 			pccWins++
 		}
 	}
@@ -69,8 +85,6 @@ func Summary(o Options) ([]SummaryRow, error) {
 
 	// Claim 4: under heavy fragmentation the PCC beats Linux's greedy
 	// policy (abstract: 14-16%).
-	pcFrag := o.runApp("BFS", runCfg{kind: polPCC, frag: 0.9}, bcache)
-	lxFrag := o.runApp("BFS", runCfg{kind: polLinux, frag: 0.9}, bcache)
 	adv := pcFrag.Speedup / lxFrag.Speedup
 	add("PCC vs Linux at 90% fragmentation", "1.16x",
 		fmtF(adv)+"x (BFS)", adv > 1.05)

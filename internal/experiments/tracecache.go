@@ -12,8 +12,8 @@ import (
 // paper's evaluation sweeps one workload address stream across dozens of
 // policy/fragmentation/budget cells; without a cache every cell re-executes
 // the native graph kernel or synthetic generator that produces the stream.
-// The cache records each distinct stream once — into trace.Recording's
-// compact varint delta encoding — and hands every subsequent run a replay,
+// The cache records each distinct stream once — into the columnar block
+// format (trace.BlockRecording) — and hands every subsequent run a replay,
 // so a grid pays workload generation once instead of once per cell.
 //
 // Replayed streams are byte-identical to live emission (the recording is a

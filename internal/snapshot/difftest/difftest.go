@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"sync/atomic"
 
 	"pccsim/internal/experiments"
 )
@@ -48,12 +49,22 @@ func RunFigure(fig string, o experiments.Options) ([]byte, error) {
 
 // CheckFigure runs fig with snapshot cuts (seeded as given) and verifies the
 // report equals want — typically the committed golden or a fresh
-// uninterrupted run. o must arrive without SnapshotCut set.
+// uninterrupted run. o must arrive without SnapshotCut set. A figure that
+// never consults SnapshotCut fails the check: none of its simulations went
+// through a checkpoint, so an equal report would prove nothing.
 func CheckFigure(fig string, o experiments.Options, want []byte, seed int64, maxCut uint64) error {
-	o.SnapshotCut = Cutter(seed, maxCut)
+	var consulted atomic.Bool
+	cut := Cutter(seed, maxCut)
+	o.SnapshotCut = func(name string) uint64 {
+		consulted.Store(true)
+		return cut(name)
+	}
 	got, err := RunFigure(fig, o)
 	if err != nil {
 		return err
+	}
+	if !consulted.Load() {
+		return fmt.Errorf("difftest: %s never consulted SnapshotCut, so none of its simulations was cut", fig)
 	}
 	if !bytes.Equal(got, want) {
 		return fmt.Errorf("difftest: %s output with snapshot cuts (seed %d) diverged from the uninterrupted run", fig, seed)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pccsim/internal/experiments"
+	"pccsim/internal/obs"
 	"pccsim/internal/snapshot/difftest"
 )
 
@@ -52,6 +53,70 @@ func TestResumeEquivalenceAcrossGoldenMatrix(t *testing.T) {
 					}
 				}
 			}
+		})
+	}
+}
+
+// TestResumeEquivalenceBeyondGoldens extends the suite to drivers the
+// goldens do not pin, each chosen for state the goldens never cut through:
+// fig9a runs two processes on two cores under a shared budget, ext-1g maps
+// live 1GB pages, ext-phases demotes under memory pressure, and ext-numa
+// places pages across NUMA nodes. The reference for each is the same figure
+// run uncut with the same options. Each maxCut spans about one of the
+// figure's simulations, so the cuts scatter across whole runs; for ext-1g
+// the test also checks, against the uncut run's event trace, that some cut
+// lands after the first 1GB promotion, so a live 1GB mapping travels
+// through the snapshot.
+func TestResumeEquivalenceBeyondGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four figures with checkpoint cycles take seconds each; skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("byte-identical output comparison adds no race coverage; skipped under -race to stay within the package test timeout")
+	}
+	const seeds = 2
+	for _, tc := range []struct {
+		fig    string
+		maxCut uint64
+		after  string // when set, some cut must land after the first event of this kind
+	}{
+		{"fig9a", 3_000_000, ""},
+		{"ext-1g", 4_000_000, "promote1g"},
+		{"ext-phases", 1_600_000, ""},
+		{"ext-numa", 600_000, ""},
+	} {
+		t.Run(tc.fig, func(t *testing.T) {
+			o := experiments.QuickOptions(nil)
+			sink := obs.NewSink(64 * obs.DefaultEventLogSize)
+			o.EventSink = sink
+			want, err := difftest.RunFigure(tc.fig, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.EventSink = nil
+			for seed := int64(1); seed <= seeds; seed++ {
+				if err := difftest.CheckFigure(tc.fig, o, want, seed, tc.maxCut); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+			}
+			if tc.after == "" {
+				return
+			}
+			for _, e := range sink.Events() {
+				if e.Kind != tc.after {
+					continue
+				}
+				var cuts []uint64
+				for seed := int64(1); seed <= seeds; seed++ {
+					cut := difftest.Cutter(seed, tc.maxCut)(e.Run)
+					if cut > e.At {
+						return
+					}
+					cuts = append(cuts, cut)
+				}
+				t.Fatalf("%s: every cut %v lands before its first %s at access %d", e.Run, cuts, tc.after, e.At)
+			}
+			t.Fatalf("the uncut run traced no %s event", tc.after)
 		})
 	}
 }

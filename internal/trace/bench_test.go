@@ -14,27 +14,6 @@ func benchAccesses() []Access {
 	return columnarMix(64 * BlockAccesses)
 }
 
-// BenchmarkReplayDecode is the old row-format varint replay: per-access
-// decode through NextBatch. Baseline for the columnar comparison.
-func BenchmarkReplayDecode(b *testing.B) {
-	accs := benchAccesses()
-	rec := Record(Slice(accs), 0)
-	buf := make([]Access, BlockAccesses)
-	b.SetBytes(1) // count accesses, not bytes: ns/op reads as ns/access
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; {
-		rs := rec.Replay()
-		for {
-			k := rs.NextBatch(buf)
-			if k == 0 {
-				break
-			}
-			n += k
-		}
-	}
-}
-
 // BenchmarkReplayDecodeColumnar is the block-format whole-block decode into
 // a caller buffer — the path the machine's batch drain uses.
 func BenchmarkReplayDecodeColumnar(b *testing.B) {

@@ -15,12 +15,11 @@ var deltaMask = [9]uint64{
 	0xff_ffff_ffff, 0xffff_ffff_ffff, 0xff_ffff_ffff_ffff, ^uint64(0),
 }
 
-// This file implements the columnar block trace format, the second
-// generation of the in-memory record/replay cache (record.go is the first;
-// it remains as the per-record baseline the decode benchmarks compare
-// against). Instead of interleaving flags/address/thread varints per access,
-// a BlockRecording splits the stream into fixed-capacity blocks and stores
-// each field as its own column:
+// This file implements the columnar block trace format behind the in-memory
+// record/replay cache: a finite access stream is drained once into a compact
+// recording and replayed any number of times. Instead of interleaving
+// flags/address/thread varints per access, a BlockRecording splits the
+// stream into fixed-capacity blocks and stores each field as its own column:
 //
 //	uvarint count          accesses in the block (1..BlockAccesses)
 //	flags byte             bit0 = write bitmap present, bit1 = multi-thread,
@@ -51,11 +50,17 @@ var deltaMask = [9]uint64{
 // carries its absolute base address), so a prefetcher can decode block N+1
 // while the simulator consumes block N.
 //
-// Space is comparable to the row encoding (the flags byte per access is
-// replaced by ~1 bit of bitmap plus per-block headers); the win is decode
+// Space is comparable to a per-access varint encoding (a flags byte per
+// access becomes ~1 bit of bitmap plus per-block headers); the win is decode
 // throughput and the in-place handoff: BlockSource lets the consumer run
 // directly over the decoded block instead of copying through its own batch
 // buffer.
+
+// zigzag maps signed deltas onto small unsigned integers.
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+// unzigzag inverts zigzag.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // BlockAccesses is the fixed block capacity. Every block of a recording
 // holds exactly this many accesses except the final one, which may be

@@ -60,39 +60,6 @@ func FuzzParseTextTrace(f *testing.F) {
 	})
 }
 
-// FuzzRecordReplay checks the in-memory recording encodes any access
-// sequence losslessly: decoding a recording of arbitrary (address, thread,
-// write) tuples must replay them exactly, extreme deltas included.
-func FuzzRecordReplay(f *testing.F) {
-	f.Add(uint64(0x1000), uint64(0x2000), 3, true)
-	f.Add(uint64(1)<<63, uint64(0), 127, false)
-	f.Add(^uint64(0), uint64(1), 0, true)
-	f.Fuzz(func(t *testing.T, addr1, addr2 uint64, thread int, write bool) {
-		if thread < 0 {
-			thread = -thread
-		}
-		accs := []Access{
-			{Addr: mem.VirtAddr(addr1)},
-			{Addr: mem.VirtAddr(addr2), Thread: thread, Write: write},
-			{Addr: mem.VirtAddr(addr1 ^ addr2), Thread: thread / 2},
-			{Addr: mem.VirtAddr(addr2), Write: !write},
-		}
-		rec := Record(Slice(accs), 0)
-		if rec == nil {
-			t.Fatal("unlimited Record returned nil")
-		}
-		got := collectStream(rec.Replay())
-		if len(got) != len(accs) {
-			t.Fatalf("replay count %d, want %d", len(got), len(accs))
-		}
-		for i := range accs {
-			if got[i] != accs[i] {
-				t.Fatalf("replay[%d] = %+v, want %+v", i, got[i], accs[i])
-			}
-		}
-	})
-}
-
 // collectStream drains any stream (fuzz helper).
 func collectStream(s Stream) []Access {
 	var out []Access

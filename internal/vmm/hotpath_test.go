@@ -134,10 +134,10 @@ func TestLRUOrderUnchangedByMRUFastPath(t *testing.T) {
 }
 
 // TestSteadyStateRunAllocs: once a machine is warm (pages faulted in, batch
-// buffer allocated, NUMA regions placed), replaying a recorded stream through
-// Run must not allocate per access — the hot path is allocation-free, on the
-// fast kernel and on the NUMA machine's generic one. Per-Run setup (the
-// live-job bookkeeping and the replay cursor) is a small constant.
+// buffer allocated, NUMA regions placed), running a materialized stream
+// through Run must not allocate per access — the hot path is
+// allocation-free, with and without NUMA placement. Per-Run setup (the
+// live-job bookkeeping and the stream cursor) is a small constant.
 func TestSteadyStateRunAllocs(t *testing.T) {
 	// The audit walks every structure each tick and allocates scratch;
 	// it is forced on suite-wide, so opt this machine out explicitly.
@@ -152,16 +152,15 @@ func TestSteadyStateRunAllocs(t *testing.T) {
 		m := NewMachine(cfg, nil)
 		p := m.AddProcess("t", testVMA(8), 0)
 		acc := mixedStream(p.Ranges()[0], 12)
-		rec := trace.Record(trace.Slice(acc), 0)
-		accesses := rec.Accesses()
+		accesses := len(acc)
 		if accesses == 0 {
-			t.Fatal("empty recording")
+			t.Fatal("empty stream")
 		}
 		// Warm: fault every page in and let Run allocate its reusable buffers.
-		m.Run(&Job{Proc: p, Stream: rec.Replay()})
+		m.Run(&Job{Proc: p, Stream: trace.Slice(acc)})
 
 		avg := testing.AllocsPerRun(5, func() {
-			m.Run(&Job{Proc: p, Stream: rec.Replay()})
+			m.Run(&Job{Proc: p, Stream: trace.Slice(acc)})
 		})
 		perAccess := avg / float64(accesses)
 		if perAccess > 0.001 {
