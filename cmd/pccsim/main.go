@@ -82,6 +82,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "pccsim: -machine-shards must be >= 0, got %d\n", *mshards)
 		return 2
 	}
+	if *scale < 0 || *scale > workloads.MaxScale {
+		fmt.Fprintf(stderr, "pccsim: -scale must be 1..%d (or 0 for each experiment's default), got %d\n", workloads.MaxScale, *scale)
+		return 2
+	}
 	if *traceMiB < 0 {
 		fmt.Fprintf(stderr, "pccsim: -tracecache must be >= 0 MiB, got %d\n", *traceMiB)
 		return 2

@@ -54,6 +54,21 @@ func TestNegativeTraceCacheRejectedAtParse(t *testing.T) {
 	}
 }
 
+func TestOutOfRangeScaleRejectedAtParse(t *testing.T) {
+	for _, scale := range []string{"-3", "31"} {
+		var out, errOut strings.Builder
+		if code := run([]string{"-exp", "fig5", "-quick", "-scale", scale}, &out, &errOut); code != 2 {
+			t.Fatalf("-scale %s: exit %d, want 2 (stderr: %s)", scale, code, errOut.String())
+		}
+		if !strings.Contains(errOut.String(), "-scale must be 1..30") {
+			t.Errorf("-scale %s: stderr must explain the range:\n%s", scale, errOut.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("-scale %s: no experiment may run:\n%s", scale, out.String())
+		}
+	}
+}
+
 func TestUndefinedFlagExitsNonZero(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-no-such-flag"}, &out, &errOut); code == 0 {

@@ -19,9 +19,18 @@ func TestBlockstatsMode(t *testing.T) {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
 	got := strings.TrimSpace(out.String())
-	re := regexp.MustCompile(`^mcf: blocks=\d+ accesses=50000 bytes=\d+ bytes/access=\d+\.\d+ single-thread-blocks=\d+ write-blocks=\d+( delta\dB=\d+)*$`)
+	re := regexp.MustCompile(`^mcf: blocks=\d+ accesses=50000 bytes=\d+ bytes/access=\d+\.\d+ single-thread-blocks=\d+ write-blocks=\d+ multi-base-blocks=\d+ multi-base-deltas=\d+( delta\dB=\d+)*$`)
 	if !re.MatchString(got) {
 		t.Errorf("blockstats output shape mismatch:\n%s", got)
+	}
+
+	// A graph kernel's stream takes the multi-base layout.
+	out.Reset()
+	if code := run([]string{"-mode", "blockstats", "-app", "BFS", "-scale", "10"}, &out, &errb); code != 0 {
+		t.Fatalf("BFS: exit %d, stderr: %s", code, errb.String())
+	}
+	if !regexp.MustCompile(`multi-base-blocks=[1-9]`).MatchString(out.String()) {
+		t.Errorf("BFS recording reports no multi-base block:\n%s", out.String())
 	}
 }
 

@@ -19,9 +19,14 @@ import (
 // Replayed streams are byte-identical to live emission (the recording is a
 // lossless copy of the access sequence), so experiment output is unaffected;
 // the golden figure snapshots are pinned with the cache both enabled and
-// disabled. Streams whose encoding would overflow the byte budget fall back
-// to live generation permanently (the full-scale graph kernels at default
-// scale can exceed any reasonable cap; quick/CI grids fit comfortably).
+// disabled. The byte budget is a hard cap on the recordings held, each of
+// which holds exactly its encoded Size(): a stream whose encoding would
+// overflow it falls back to live generation permanently, and so does one
+// that fit when its recording began but not once concurrent recordings of
+// other streams were admitted. Quick/CI grids fit comfortably; at default
+// scale the graph kernels' multi-base blocks (2.5-3.2 bytes per access)
+// let each PageRank stream fit the default budget alone, but not both
+// sortings together.
 
 // DefaultTraceCacheBytes is the cache's byte budget when Options.TraceCache
 // is zero: large enough for every stream of the quick/CI grids, small
@@ -62,9 +67,10 @@ func (c *traceCache) stats() (recordings, blocks int, bytes int64) {
 }
 
 // stream returns a replay of the stream identified by key, recording it via
-// live() on first use. budget caps the cache's total encoded bytes: a
-// stream that would overflow it is marked uncacheable and served live, now
-// and on every later request.
+// live() on first use. budget is a hard cap on the cache's total encoded
+// bytes: a stream that would overflow it, including one that fit when its
+// recording began but not once concurrent recordings of other keys were
+// admitted, is marked uncacheable and served live on every later request.
 func (c *traceCache) stream(key string, budget int64, live func() trace.Stream) trace.Stream {
 	for {
 		c.mu.Lock()
@@ -103,6 +109,14 @@ func (c *traceCache) stream(key string, budget int64, live func() trace.Stream) 
 			c.tooBig[key] = true
 			c.mu.Unlock()
 			return live()
+		}
+		if c.bytes+int64(rec.Size()) > budget {
+			// Another key was admitted while this one recorded. The key
+			// becomes uncacheable, but this request still replays the
+			// finished recording, which equals the live stream.
+			c.tooBig[key] = true
+			c.mu.Unlock()
+			return rec.Replay()
 		}
 		c.recs[key] = rec
 		c.bytes += int64(rec.Size())

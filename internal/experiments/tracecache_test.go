@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"pccsim/internal/mem"
 	"pccsim/internal/obs"
 	"pccsim/internal/trace"
 	"pccsim/internal/workloads"
@@ -101,6 +104,49 @@ func TestTraceCacheRecordsOnceAndFallsBack(t *testing.T) {
 	// stream; the second goes straight to live.
 	if calls != 3 {
 		t.Errorf("generator invoked %d times, want 3 (record attempt + 2 live fallbacks)", calls)
+	}
+}
+
+// TestTraceCacheBudgetIsHard: two different streams recorded at the same
+// time each fit the budget alone but not together. Both live generators
+// meet at a barrier, so both recordings are in flight at once; the cache
+// must admit only one, and the other request must still get its full
+// stream.
+func TestTraceCacheBudgetIsHard(t *testing.T) {
+	const n = 50_000
+	mk := func(base mem.VirtAddr) func() trace.Stream {
+		return func() trace.Stream { return trace.Sequential(base, 1<<30, 64, n) }
+	}
+	size := int64(trace.RecordBlocks(mk(0)(), 0).Size())
+	budget := size * 3 / 2
+	c := newTraceCache()
+	var arrive sync.WaitGroup
+	arrive.Add(2)
+	barrier := func(gen func() trace.Stream) func() trace.Stream {
+		var once sync.Once
+		return func() trace.Stream {
+			once.Do(func() { arrive.Done(); arrive.Wait() })
+			return gen()
+		}
+	}
+	var wg sync.WaitGroup
+	got := make([][]trace.Access, 2)
+	for i, base := range []mem.VirtAddr{1 << 32, 1 << 40} {
+		live := barrier(mk(base))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = trace.Collect(c.stream(fmt.Sprint(base), budget, live), n+1)
+		}()
+	}
+	wg.Wait()
+	if recs, _, bytes := c.stats(); recs != 1 || bytes > budget {
+		t.Fatalf("cache holds %d recordings in %d B, want 1 within the %d B budget", recs, bytes, budget)
+	}
+	for i, base := range []mem.VirtAddr{1 << 32, 1 << 40} {
+		if want := trace.Collect(mk(base)(), n+1); !reflect.DeepEqual(got[i], want) {
+			t.Errorf("stream %d: got %d accesses, not the live stream's %d", i, len(got[i]), len(want))
+		}
 	}
 }
 

@@ -159,13 +159,7 @@ func TestGeneratorsBatchMatchesNext(t *testing.T) {
 				UniformRandom(1<<21, 1<<20, 2000, rng(3)),
 			)
 		},
-		"interleave": func() Stream {
-			return Interleave(100,
-				Sequential(0, 1<<20, 64, 1000),
-				Sequential(1<<21, 1<<20, 64, 350),
-				Sequential(1<<22, 1<<20, 64, 2000),
-			)
-		},
+		"threads": func() Stream { return Limit(Slice(threadRuns(5000, 100)), 3350) },
 		"concat": func() Stream {
 			return Concat(
 				Sequential(0, 1<<20, 64, 777),

@@ -17,7 +17,16 @@ func benchAccesses() []Access {
 // BenchmarkReplayDecodeColumnar is the block-format whole-block decode into
 // a caller buffer — the path the machine's batch drain uses.
 func BenchmarkReplayDecodeColumnar(b *testing.B) {
-	accs := benchAccesses()
+	benchReplayDecode(b, benchAccesses())
+}
+
+// BenchmarkReplayDecodeColumnarGraph is the same decode over a CSR-shaped
+// stream, whose blocks take the multi-base layout.
+func BenchmarkReplayDecodeColumnarGraph(b *testing.B) {
+	benchReplayDecode(b, csrAccesses(64*BlockAccesses))
+}
+
+func benchReplayDecode(b *testing.B, accs []Access) {
 	rec := RecordBlocks(Slice(accs), 0)
 	buf := make([]Access, BlockAccesses)
 	b.SetBytes(1)
@@ -56,11 +65,19 @@ func BenchmarkReplayDecodeColumnarBlock(b *testing.B) {
 	}
 }
 
-// BenchmarkRecordColumnar measures encode cost (ns per recorded access) —
-// paid once per cached stream, so it only needs to stay same-order as the
-// old format's encoder.
+// BenchmarkRecordColumnar measures encode cost (ns per recorded access),
+// paid once per cached stream.
 func BenchmarkRecordColumnar(b *testing.B) {
-	accs := benchAccesses()
+	benchRecord(b, benchAccesses())
+}
+
+// BenchmarkRecordColumnarGraph is the encode cost of a CSR-shaped stream,
+// which runs the multi-base register search over every access.
+func BenchmarkRecordColumnarGraph(b *testing.B) {
+	benchRecord(b, csrAccesses(64*BlockAccesses))
+}
+
+func benchRecord(b *testing.B, accs []Access) {
 	b.SetBytes(1)
 	b.ReportAllocs()
 	b.ResetTimer()

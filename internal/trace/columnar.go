@@ -23,19 +23,35 @@ var deltaMask = [9]uint64{
 //
 //	uvarint count          accesses in the block (1..BlockAccesses)
 //	flags byte             bit0 = write bitmap present, bit1 = multi-thread,
-//	                       bit2 = uniform delta width
-//	uvarint baseAddr       absolute address of the block's first access
-//	width byte             uniform only: the shared byte width (1..8) of
-//	                       every delta; the control column is then absent
-//	ctrl column            ceil((count-1)/2) bytes; nibble i (low nibble of
-//	                       byte i/2 for even i, high for odd) encodes the
-//	                       byte width minus one (1..8) of delta i
-//	delta column           count-1 zigzag deltas, each stored little-endian
-//	                       truncated to its control (or uniform) width
+//	                       bit2 = uniform delta width, bit3 = multi-base
+//	address column         one of the three layouts below
 //	[write bitmap]         ceil(count/8) bytes, bit i = access i is a write
 //	thread column          multi-thread: (uvarint runLen, uvarint
 //	                       zigzag(thread)) pairs summing to count;
 //	                       single-thread: one uvarint zigzag(thread)
+//
+// The single-base layouts store each address as a delta from the previous
+// one:
+//
+//	uvarint baseAddr       absolute address of the block's first access
+//	width byte             uniform only (bit2): the shared byte width (1..8)
+//	                       of every delta; the control column is then absent
+//	ctrl column            mixed only: ceil((count-1)/2) bytes; nibble i (low
+//	                       nibble of byte i/2 for even i, high for odd)
+//	                       encodes the byte width minus one (1..8) of delta i
+//	delta column           count-1 zigzag deltas, each stored little-endian
+//	                       truncated to its control (or uniform) width
+//
+// The multi-base layout (bit3) stores each address as a delta from one of
+// four base registers, the register then taking the address:
+//
+//	4 x uvarint register   the registers' values before the block's first
+//	                       access
+//	ctrl column            ceil(count/2) bytes of width nibbles, as above
+//	                       but one per access, the first included
+//	id column              ceil(count/4) bytes; bits 2(i%4)..2(i%4)+1 of
+//	                       byte i/4 name the register access i is relative to
+//	delta column           count zigzag deltas at their control widths
 //
 // Splitting the width codes out of the byte stream (the stream-vbyte trick)
 // is what makes decode fast: a varint reader burns a data-dependent branch
@@ -47,20 +63,40 @@ var deltaMask = [9]uint64{
 // and decode with a constant-stride loop. The decoder fills a whole block of
 // []Access at a time: writes apply as a bitmap pass only when the block has
 // any, and threads fill by run. Blocks are independently decodable (each
-// carries its absolute base address), so a prefetcher can decode block N+1
-// while the simulator consumes block N.
+// carries its absolute base address or its registers), so a prefetcher can
+// decode block N+1 while the simulator consumes block N.
 //
-// Space is comparable to a per-access varint encoding (a flags byte per
-// access becomes ~1 bit of bitmap plus per-block headers); the win is decode
-// throughput and the in-place handoff: BlockSource lets the consumer run
-// directly over the decoded block instead of copying through its own batch
-// buffer.
+// Multi-base blocks exist for graph kernels, which alternate between four or
+// five arrays (offsets, neighbours, properties): a delta from the previous
+// access then spans the distance between two arrays, while a delta from the
+// register that last touched the same array is a stride or a short hop. The
+// encoder keeps four registers across blocks. Each access takes the nearest
+// register; when none lies within nearBytes, it takes the least recently
+// used one, so a newly visited array claims a register instead of pulling
+// the nearest one away from its own array. A block takes the multi-base
+// layout only when its address column is at least 1/marginDiv smaller than
+// the single-base column, so no block grows, and streams that do not
+// alternate (sequential scans, uniform random probes) keep the single-base
+// bytes and decode loop. The encoder first tries each block's first
+// trialAccesses accesses and skips the rest of the search when that sample
+// does not win by half the margin.
+//
+// A recording's bytes live in chunks of at most chunkBytes. RecordBlocks
+// encodes each block into a reused staging buffer of that size and, when
+// the next block might not fit, copies the staged blocks into one
+// exactly-sized chunk, so recording allocates its encoded size once instead
+// of regrowing one slice, and a recording holds exactly Size() bytes. A
+// block never straddles two chunks: each block index entry keeps the
+// block's own byte slice.
 
 // zigzag maps signed deltas onto small unsigned integers.
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// deltaWidth is the byte width (1..8) a zigzag delta is stored in.
+func deltaWidth(u uint64) int { return (bits.Len64(u|1) + 7) / 8 }
 
 // BlockAccesses is the fixed block capacity. Every block of a recording
 // holds exactly this many accesses except the final one, which may be
@@ -69,8 +105,46 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 const BlockAccesses = 4096
 
 // columnarMagic identifies the serialized columnar container (Bytes /
-// ParseBlockRecording).
-const columnarMagic = "PCCCOL1\n"
+// ParseBlockRecording). Version 2 added the multi-base layout.
+const columnarMagic = "PCCCOL2\n"
+
+// Block flags.
+const (
+	flagWrites    = 1 << 0 // write bitmap present
+	flagThreads   = 1 << 1 // run-length thread column
+	flagUniform   = 1 << 2 // single-base, one delta width for the block
+	flagMultiBase = 1 << 3 // multi-base address column
+)
+
+// Multi-base encoder parameters (see the file comment).
+const (
+	// baseRegs is the number of base registers; the id column's 2-bit
+	// entries name one of them.
+	baseRegs = 4
+	// nearBytes is the distance within which an access takes its nearest
+	// register rather than the least recently used one.
+	nearBytes = 1 << 15
+	// marginDiv sets the selection margin: a block takes the multi-base
+	// layout only when its address column is at most (marginDiv-1)/marginDiv
+	// of the single-base one.
+	marginDiv = 8
+	// trialAccesses is the block prefix the encoder tries the multi-base
+	// layout on. The search goes on over the rest of the block only when
+	// the prefix beats the single-base layout by half the margin, which
+	// leaves room for a prefix that misjudges a block near the margin.
+	trialAccesses = BlockAccesses / 8
+)
+
+// chunkBytes is the staging buffer's size and so the largest chunk.
+const chunkBytes = 256 << 10
+
+// maxBlockBytes bounds one encoded block, with 8 bytes of slack for the
+// encoder's unaligned 8-byte delta stores: count and flags, four registers,
+// the control and id columns, full-width deltas, the write bitmap, and one
+// thread run per access.
+const maxBlockBytes = binary.MaxVarintLen64 + 1 + baseRegs*binary.MaxVarintLen64 +
+	(BlockAccesses+1)/2 + (BlockAccesses+3)/4 + 8*BlockAccesses + 8 +
+	BlockAccesses/8 + BlockAccesses*(binary.MaxVarintLen16+binary.MaxVarintLen64)
 
 // Typed decode errors, following the internal/snapshot convention: decoding
 // untrusted bytes is total — it returns one of these, it never panics.
@@ -102,9 +176,10 @@ type BlockSource interface {
 	DecodeBlock(buf []Access) int
 }
 
-// blockRef locates one encoded block inside a BlockRecording.
+// blockRef is one encoded block of a BlockRecording: its bytes (a slice of
+// one chunk, or of the parsed input) and its access count.
 type blockRef struct {
-	off   int
+	data  []byte
 	count uint32
 }
 
@@ -112,8 +187,8 @@ type blockRef struct {
 // finite access stream in the columnar block format. It is safe for
 // concurrent Replay calls.
 type BlockRecording struct {
-	data   []byte
 	blocks []blockRef
+	size   int // encoded bytes, the sum of the blocks' lengths
 	count  uint64
 }
 
@@ -124,55 +199,136 @@ type BlockRecording struct {
 func RecordBlocks(s Stream, maxBytes int64) *BlockRecording {
 	bs := Batched(s)
 	r := &BlockRecording{}
-	stage := make([]Access, BlockAccesses)
+	block := make([]Access, BlockAccesses)
+	enc := blockEncoder{stage: make([]byte, chunkBytes)}
 	for {
 		// Fill a whole block before encoding, so every block except the
 		// final one holds exactly BlockAccesses even over chunky producers.
 		n := 0
 		for n < BlockAccesses {
-			k := bs.NextBatch(stage[n:])
+			k := bs.NextBatch(block[n:])
 			if k == 0 {
 				break
 			}
 			n += k
 		}
 		if n == 0 {
-			// Trim the append slack: recordings are long-lived.
-			r.data = append([]byte(nil), r.data...)
+			enc.flush(r)
 			return r
 		}
-		r.appendBlock(stage[:n])
+		k := enc.encode(block[:n], r)
+		r.size += k
 		r.count += uint64(n)
-		if maxBytes > 0 && int64(len(r.data)) > maxBytes {
+		if maxBytes > 0 && int64(r.size) > maxBytes {
 			return nil
 		}
 	}
 }
 
-// appendBlock encodes one staged block onto r.data.
-func (r *BlockRecording) appendBlock(acc []Access) {
-	off := len(r.data)
-	hasWrites := false
-	multiThread := false
+// blockEncoder is RecordBlocks' state across blocks: the staging buffer
+// blocks are encoded into, and the multi-base registers with their
+// last-use stamps.
+type blockEncoder struct {
+	stage   []byte // staged blocks, flushed into a chunk when full
+	used    int    // staged bytes
+	pending int    // index of the first block still in stage
+	regs    [baseRegs]uint64
+	stamps  [baseRegs]uint64
+	clock   uint64
+}
+
+// encode encodes one block of acc into the staging buffer, appends its
+// index entry to r and returns its encoded length. The entry's bytes alias
+// the staging buffer until the next flush.
+func (e *blockEncoder) encode(acc []Access, r *BlockRecording) int {
+	if len(e.stage)-e.used < maxBlockBytes {
+		e.flush(r)
+	}
+	dst := e.stage[e.used:]
+	n := len(acc)
+	flags := byte(0)
 	for i := range acc {
 		if acc[i].Write {
-			hasWrites = true
+			flags |= flagWrites
 		}
 		if acc[i].Thread != acc[0].Thread {
-			multiThread = true
+			flags |= flagThreads
 		}
 	}
-	// Detect uniform-width blocks (sequential/strided streams): those drop
-	// the control column and decode with a constant-stride loop. Encode is
-	// the cold path (once per cached stream), so the extra width scan is
-	// cheap.
+	off := binary.PutUvarint(dst, uint64(n))
+	flagsOff := off
+	off++
+	if end, ok := e.multiBase(dst, off, acc); ok {
+		flags |= flagMultiBase
+		off = end
+	} else {
+		var uniform bool
+		off, uniform = singleBase(dst, off, acc)
+		if uniform {
+			flags |= flagUniform
+		}
+	}
+	dst[flagsOff] = flags
+	if flags&flagWrites != 0 {
+		bm := dst[off : off+(n+7)/8]
+		clear(bm)
+		for i := range acc {
+			if acc[i].Write {
+				bm[i>>3] |= 1 << (i & 7)
+			}
+		}
+		off += len(bm)
+	}
+	if flags&flagThreads != 0 {
+		i := 0
+		for i < n {
+			t := acc[i].Thread
+			j := i + 1
+			for j < n && acc[j].Thread == t {
+				j++
+			}
+			off += binary.PutUvarint(dst[off:], uint64(j-i))
+			off += binary.PutUvarint(dst[off:], zigzag(int64(t)))
+			i = j
+		}
+	} else {
+		off += binary.PutUvarint(dst[off:], zigzag(int64(acc[0].Thread)))
+	}
+	r.blocks = append(r.blocks, blockRef{data: dst[:off:off], count: uint32(n)})
+	e.used += off
+	return off
+}
+
+// flush copies the staged blocks into one exactly-sized chunk and repoints
+// their index entries at it.
+func (e *blockEncoder) flush(r *BlockRecording) {
+	if e.used == 0 {
+		return
+	}
+	chunk := make([]byte, e.used)
+	copy(chunk, e.stage[:e.used])
+	pos := 0
+	for i := e.pending; i < len(r.blocks); i++ {
+		end := pos + len(r.blocks[i].data)
+		r.blocks[i].data = chunk[pos:end:end]
+		pos = end
+	}
+	e.used, e.pending = 0, len(r.blocks)
+}
+
+// singleBase writes acc's single-base address column at dst[off:] and
+// returns its end and whether it took the uniform-width layout.
+func singleBase(dst []byte, off int, acc []Access) (int, bool) {
+	prev := uint64(acc[0].Addr)
+	off += binary.PutUvarint(dst[off:], prev)
 	nd := len(acc) - 1
+	// Uniform-width blocks (sequential/strided streams) drop the control
+	// column and decode with a constant-stride loop.
 	uniform := nd > 0
 	w0 := 0
-	prev := uint64(acc[0].Addr)
-	for i := 0; i < nd; i++ {
-		a := uint64(acc[i+1].Addr)
-		w := (bits.Len64(zigzag(int64(a-prev))|1) + 7) / 8 // byte width 1..8
+	for i := 1; i < len(acc); i++ {
+		a := uint64(acc[i].Addr)
+		w := deltaWidth(zigzag(int64(a - prev)))
 		prev = a
 		if w0 == 0 {
 			w0 = w
@@ -181,84 +337,150 @@ func (r *BlockRecording) appendBlock(acc []Access) {
 			break
 		}
 	}
-	flags := byte(0)
-	if hasWrites {
-		flags |= 1
-	}
-	if multiThread {
-		flags |= 2
-	}
-	if uniform {
-		flags |= 4
-	}
-	r.data = binary.AppendUvarint(r.data, uint64(len(acc)))
-	r.data = append(r.data, flags)
-	r.data = binary.AppendUvarint(r.data, uint64(acc[0].Addr))
 	prev = uint64(acc[0].Addr)
 	if uniform {
-		r.data = append(r.data, byte(w0))
-		for i := 0; i < nd; i++ {
-			a := uint64(acc[i+1].Addr)
-			u := zigzag(int64(a - prev))
+		dst[off] = byte(w0)
+		off++
+		for i := 1; i < len(acc); i++ {
+			a := uint64(acc[i].Addr)
+			binary.LittleEndian.PutUint64(dst[off:], zigzag(int64(a-prev)))
 			prev = a
-			for b := 0; b < w0; b++ {
-				r.data = append(r.data, byte(u>>(8*b)))
-			}
+			off += w0
 		}
-	} else {
-		// Control nibbles are fixed-length, so reserve them up front and
-		// fill while appending the variable-length delta payload behind
-		// them.
-		ctrlOff := len(r.data)
-		r.data = append(r.data, make([]byte, (nd+1)/2)...)
-		for i := 0; i < nd; i++ {
-			a := uint64(acc[i+1].Addr)
-			u := zigzag(int64(a - prev))
-			prev = a
-			w := (bits.Len64(u|1) + 7) / 8
-			if i&1 == 0 {
-				r.data[ctrlOff+i/2] = byte(w - 1)
-			} else {
-				r.data[ctrlOff+i/2] |= byte(w-1) << 4
-			}
-			for b := 0; b < w; b++ {
-				r.data = append(r.data, byte(u>>(8*b)))
-			}
-		}
+		return off, true
 	}
-	if hasWrites {
-		bm := make([]byte, (len(acc)+7)/8)
-		for i := range acc {
-			if acc[i].Write {
-				bm[i>>3] |= 1 << (i & 7)
-			}
-		}
-		r.data = append(r.data, bm...)
+	// Control nibbles are fixed-length, so reserve them up front and fill
+	// while storing the variable-length deltas behind them.
+	ctrl := dst[off : off+(nd+1)/2]
+	clear(ctrl)
+	off += len(ctrl)
+	for i := 0; i < nd; i++ {
+		a := uint64(acc[i+1].Addr)
+		u := zigzag(int64(a - prev))
+		prev = a
+		w := deltaWidth(u)
+		ctrl[i>>1] |= byte(w-1) << (i & 1 * 4)
+		binary.LittleEndian.PutUint64(dst[off:], u)
+		off += w
 	}
-	if multiThread {
-		i := 0
-		for i < len(acc) {
-			t := acc[i].Thread
-			j := i + 1
-			for j < len(acc) && acc[j].Thread == t {
-				j++
-			}
-			r.data = binary.AppendUvarint(r.data, uint64(j-i))
-			r.data = binary.AppendUvarint(r.data, zigzag(int64(t)))
-			i = j
-		}
-	} else {
-		r.data = binary.AppendUvarint(r.data, zigzag(int64(acc[0].Thread)))
-	}
-	r.blocks = append(r.blocks, blockRef{off: off, count: uint32(len(acc))})
+	return off, false
 }
+
+// multiBase writes acc's multi-base address column at dst[off:] and
+// returns its end, or false when the layout does not beat the single-base
+// one by the margin. It checks after the first trialAccesses accesses (by
+// half the margin) and at the end (by the whole margin), against the
+// single-base column's size, which it tallies alongside. The registers
+// advance over every access the search visits, whichever layout the block
+// then takes.
+func (e *blockEncoder) multiBase(dst []byte, off int, acc []Access) (int, bool) {
+	n := len(acc)
+	regs, stamps, clock := e.regs, e.stamps, e.clock
+	start := off
+	for _, r := range regs {
+		off += binary.PutUvarint(dst[off:], r)
+	}
+	regsLen := off - start
+	ctrl := dst[off : off+(n+1)/2]
+	clear(ctrl)
+	off += len(ctrl)
+	ids := dst[off : off+(n+3)/4]
+	clear(ids)
+	off += len(ids)
+
+	// The single-base column: the base address, then one width byte (uniform)
+	// or the control nibbles (mixed), then the deltas.
+	prev := uint64(acc[0].Addr)
+	singleHead := uvarintLen(prev)
+	singleSum, multiSum, w0, uniform := 0, 0, 0, true
+	ok := true
+	for i := range acc {
+		a := uint64(acc[i].Addr)
+		if i > 0 {
+			w := deltaWidth(zigzag(int64(a - prev)))
+			singleSum += w
+			if w0 == 0 {
+				w0 = w
+			} else if w != w0 {
+				uniform = false
+			}
+		}
+		prev = a
+
+		// The nearest register by zigzag distance (a tie keeps the lower
+		// id), or the least recently used one when none is near.
+		id := 0
+		best := zigzag(int64(a - regs[0]))
+		if z := zigzag(int64(a - regs[1])); z < best {
+			best, id = z, 1
+		}
+		if z := zigzag(int64(a - regs[2])); z < best {
+			best, id = z, 2
+		}
+		if z := zigzag(int64(a - regs[3])); z < best {
+			best, id = z, 3
+		}
+		if best > 2*nearBytes {
+			id = 0
+			for k := 1; k < baseRegs; k++ {
+				if stamps[k] < stamps[id] {
+					id = k
+				}
+			}
+			best = zigzag(int64(a - regs[id]))
+		}
+		regs[id] = a
+		clock++
+		stamps[id] = clock
+		w := deltaWidth(best)
+		ctrl[i>>1] |= byte(w-1) << (i & 1 * 4)
+		ids[i>>2] |= byte(id) << (i & 3 * 2)
+		binary.LittleEndian.PutUint64(dst[off:], best)
+		off += w
+		multiSum += w
+
+		if i+1 == trialAccesses && i+1 < n {
+			// i+1 accesses: i single-base deltas.
+			single := singleHead + (i+1)/2 + singleSum
+			if uniform {
+				single = singleHead + 1 + singleSum
+			}
+			if !beats(regsLen+(i+2)/2+(i+4)/4+multiSum, single, 2*marginDiv) {
+				ok = false
+				break
+			}
+		}
+	}
+	e.regs, e.stamps, e.clock = regs, stamps, clock
+	if !ok {
+		return 0, false
+	}
+	single := singleHead + n/2 + singleSum
+	if uniform && n > 1 {
+		single = singleHead + 1 + singleSum
+	}
+	if !beats(off-start, single, marginDiv) {
+		return 0, false
+	}
+	return off, true
+}
+
+// beats reports whether a multi-base column of multi bytes is at most
+// (div-1)/div of a single-base one of single bytes.
+func beats(multi, single, div int) bool {
+	return multi*div <= single*(div-1)
+}
+
+// uvarintLen is the encoded length of u as a uvarint.
+func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
 // Accesses returns the number of recorded accesses.
 func (r *BlockRecording) Accesses() uint64 { return r.count }
 
-// Size returns the encoded size in bytes (excluding the per-block index,
-// 16 bytes per ~4K accesses).
-func (r *BlockRecording) Size() int { return len(r.data) }
+// Size returns the encoded size in bytes, which is also what a recording
+// built by RecordBlocks holds (excluding the per-block index, 32 bytes per
+// ~4K accesses).
+func (r *BlockRecording) Size() int { return r.size }
 
 // Blocks returns the number of encoded blocks.
 func (r *BlockRecording) Blocks() int { return len(r.blocks) }
@@ -267,11 +489,14 @@ func (r *BlockRecording) Blocks() int { return len(r.blocks) }
 // magic, uvarint total access count, uvarint block count, then the encoded
 // blocks. ParseBlockRecording inverts it.
 func (r *BlockRecording) Bytes() []byte {
-	out := make([]byte, 0, len(columnarMagic)+2*binary.MaxVarintLen64+len(r.data))
+	out := make([]byte, 0, len(columnarMagic)+2*binary.MaxVarintLen64+r.size)
 	out = append(out, columnarMagic...)
 	out = binary.AppendUvarint(out, r.count)
 	out = binary.AppendUvarint(out, uint64(len(r.blocks)))
-	return append(out, r.data...)
+	for _, b := range r.blocks {
+		out = append(out, b.data...)
+	}
+	return out
 }
 
 // ParseBlockRecording decodes a serialized columnar container. It validates
@@ -299,7 +524,7 @@ func ParseBlockRecording(data []byte) (*BlockRecording, error) {
 	if nblocks > uint64(len(rest)) {
 		return nil, fmt.Errorf("%w: %d blocks in %d bytes", ErrColumnarCorrupt, nblocks, len(rest))
 	}
-	r := &BlockRecording{data: rest, blocks: make([]blockRef, 0, nblocks)}
+	r := &BlockRecording{blocks: make([]blockRef, 0, nblocks), size: len(rest)}
 	scratch := make([]Access, BlockAccesses)
 	off := 0
 	var sum uint64
@@ -308,7 +533,7 @@ func ParseBlockRecording(data []byte) (*BlockRecording, error) {
 		if err != nil {
 			return nil, fmt.Errorf("block %d at %d: %w", b, off, err)
 		}
-		r.blocks = append(r.blocks, blockRef{off: off, count: uint32(count)})
+		r.blocks = append(r.blocks, blockRef{data: rest[off:end:end], count: uint32(count)})
 		sum += uint64(count)
 		off = end
 	}
@@ -391,8 +616,16 @@ func decodeBlock(data []byte, off int, buf []Access) (n, end int, err error) {
 	}
 	flags := data[off]
 	off++
-	if flags&^byte(7) != 0 {
+	if flags&^byte(flagWrites|flagThreads|flagUniform|flagMultiBase) != 0 ||
+		flags&(flagUniform|flagMultiBase) == flagUniform|flagMultiBase {
 		return 0, 0, fmt.Errorf("%w: flags %#x", ErrColumnarCorrupt, flags)
+	}
+	if flags&flagMultiBase != 0 {
+		off, err = decodeMultiBase(data, off, buf)
+		if err != nil {
+			return 0, 0, err
+		}
+		return decodeBlockTail(data, off, buf, flags, count)
 	}
 
 	// Address column: absolute base, control nibbles, then packed deltas.
@@ -404,7 +637,7 @@ func decodeBlock(data []byte, off int, buf []Access) (n, end int, err error) {
 	}
 	buf[0] = Access{Addr: mem.VirtAddr(prev)}
 	nd := count - 1
-	if flags&4 != 0 {
+	if flags&flagUniform != 0 {
 		off, err = decodeUniformDeltas(data, off, buf, prev)
 		if err != nil {
 			return 0, 0, err
@@ -459,6 +692,83 @@ func decodeBlock(data []byte, off int, buf []Access) (n, end int, err error) {
 	return decodeBlockTail(data, off, buf, flags, count)
 }
 
+// decodeMultiBase decodes a multi-base address column (flag bit 3): the four
+// registers, the control and id columns, then one zigzag delta per access,
+// added to the register its id names. As in the mixed layout, each delta is
+// one unaligned 8-byte load and a mask; the main loop decodes one id byte
+// (four accesses) per iteration, and only the accesses within 32 bytes of
+// the input's end take the checked tail path.
+func decodeMultiBase(data []byte, off int, buf []Access) (int, error) {
+	var regs [baseRegs]uint64
+	for k := range regs {
+		u, next, err := uvarintAt(data, off)
+		if err != nil {
+			return 0, err
+		}
+		regs[k], off = u, next
+	}
+	n := len(buf)
+	ctrlLen, idLen := (n+1)/2, (n+3)/4
+	if off+ctrlLen+idLen > len(data) {
+		return 0, ErrColumnarTruncated
+	}
+	ctrl := data[off : off+ctrlLen]
+	ids := data[off+ctrlLen : off+ctrlLen+idLen]
+	off += ctrlLen + idLen
+	var bad byte
+	i := 0
+	for ; i+4 <= n && off <= len(data)-32; i += 4 {
+		id := ids[i>>2]
+		c0, c1 := ctrl[i>>1], ctrl[i>>1+1]
+		bad |= (c0 | c1) & 0x88
+		// The four widths give the four deltas' offsets up front, so their
+		// loads do not wait on each other.
+		w0, w1, w2, w3 := int(c0&7)+1, int(c0>>4&7)+1, int(c1&7)+1, int(c1>>4&7)+1
+		o1 := w0
+		o2 := o1 + w1
+		o3 := o2 + w2
+		d := data[off : off+32]
+		u0 := binary.LittleEndian.Uint64(d) & deltaMask[w0]
+		u1 := binary.LittleEndian.Uint64(d[o1:]) & deltaMask[w1]
+		u2 := binary.LittleEndian.Uint64(d[o2:]) & deltaMask[w2]
+		u3 := binary.LittleEndian.Uint64(d[o3:]) & deltaMask[w3]
+		off += o3 + w3
+		b := buf[i : i+4 : i+4]
+		r := id & 3
+		regs[r] += uint64(unzigzag(u0))
+		b[0] = Access{Addr: mem.VirtAddr(regs[r])}
+		r = id >> 2 & 3
+		regs[r] += uint64(unzigzag(u1))
+		b[1] = Access{Addr: mem.VirtAddr(regs[r])}
+		r = id >> 4 & 3
+		regs[r] += uint64(unzigzag(u2))
+		b[2] = Access{Addr: mem.VirtAddr(regs[r])}
+		r = id >> 6
+		regs[r] += uint64(unzigzag(u3))
+		b[3] = Access{Addr: mem.VirtAddr(regs[r])}
+	}
+	for ; i < n; i++ {
+		nib := ctrl[i>>1] >> (i & 1 * 4) & 0xf
+		bad |= nib & 8
+		w := int(nib&7) + 1
+		if off+w > len(data) {
+			return 0, ErrColumnarTruncated
+		}
+		var u uint64
+		for b := 0; b < w; b++ {
+			u |= uint64(data[off+b]) << (8 * b)
+		}
+		off += w
+		r := ids[i>>2] >> (i & 3 * 2) & 3
+		regs[r] += uint64(unzigzag(u))
+		buf[i] = Access{Addr: mem.VirtAddr(regs[r])}
+	}
+	if bad != 0 {
+		return 0, fmt.Errorf("%w: delta width nibble > 7", ErrColumnarCorrupt)
+	}
+	return off, nil
+}
+
 // decodeUniformDeltas decodes a uniform-width delta column (flag bit 2): a
 // width byte then count-1 fixed-width little-endian zigzag deltas. The
 // constant stride lets the common width-1 case run as a plain byte loop.
@@ -510,7 +820,7 @@ func decodeUniformDeltas(data []byte, off int, buf []Access, prev uint64) (int, 
 // block's address column.
 func decodeBlockTail(data []byte, off int, buf []Access, flags byte, count int) (n, end int, err error) {
 	// Write bitmap, only present when the block has any write.
-	if flags&1 != 0 {
+	if flags&flagWrites != 0 {
 		bmLen := (count + 7) / 8
 		if off+bmLen > len(data) {
 			return 0, 0, ErrColumnarTruncated
@@ -536,7 +846,7 @@ func decodeBlockTail(data []byte, off int, buf []Access, flags byte, count int) 
 	}
 
 	// Thread column: one value for the whole block, or run-length pairs.
-	if flags&2 == 0 {
+	if flags&flagThreads == 0 {
 		u, o, err := uvarintAt(data, off)
 		if err != nil {
 			return 0, 0, err
@@ -601,7 +911,7 @@ func (rs *BlockReplayStream) fill() bool {
 		rs.buf = make([]Access, BlockAccesses)
 	}
 	ref := rs.r.blocks[rs.next]
-	n, _, err := decodeBlock(rs.r.data, ref.off, rs.buf[:ref.count])
+	n, _, err := decodeBlock(ref.data, 0, rs.buf[:ref.count])
 	if err != nil {
 		rs.err = err
 		return false
@@ -633,7 +943,7 @@ func (rs *BlockReplayStream) NextBatch(buf []Access) int {
 				break
 			}
 			if ref := rs.r.blocks[rs.next]; int(ref.count) <= len(buf)-k {
-				n, _, err := decodeBlock(rs.r.data, ref.off, buf[k:k+int(ref.count)])
+				n, _, err := decodeBlock(ref.data, 0, buf[k:k+int(ref.count)])
 				if err != nil {
 					rs.err = err
 					break
@@ -690,7 +1000,7 @@ func (rs *BlockReplayStream) DecodeBlock(buf []Access) int {
 		rs.pos = n
 		return n
 	}
-	n, _, err := decodeBlock(rs.r.data, ref.off, buf[:ref.count])
+	n, _, err := decodeBlock(ref.data, 0, buf[:ref.count])
 	if err != nil {
 		rs.err = err
 		return 0
@@ -716,6 +1026,11 @@ type BlockStats struct {
 	SingleThreadBlocks int
 	// WriteBlocks counts blocks carrying a write bitmap.
 	WriteBlocks int
+	// MultiBaseBlocks counts blocks in the multi-base layout.
+	MultiBaseBlocks int
+	// MultiBaseDeltas counts the deltas of those blocks, one per access;
+	// they are included in DeltaBytes.
+	MultiBaseDeltas uint64
 	// DeltaBytes histograms the encoded width of the address deltas:
 	// DeltaBytes[i] deltas took i+1 payload bytes.
 	DeltaBytes [8]uint64
@@ -723,43 +1038,53 @@ type BlockStats struct {
 
 // Stats scans the recording and reports its encoded shape.
 func (r *BlockRecording) Stats() BlockStats {
-	st := BlockStats{Blocks: len(r.blocks), Accesses: r.count, Bytes: len(r.data)}
+	st := BlockStats{Blocks: len(r.blocks), Accesses: r.count, Bytes: r.size}
 	if r.count > 0 {
-		st.BytesPerAccess = float64(len(r.data)) / float64(r.count)
+		st.BytesPerAccess = float64(r.size) / float64(r.count)
 	}
 	for _, ref := range r.blocks {
-		off := ref.off
-		_, off, err := peekBlockCount(r.data, off)
-		if err != nil || off >= len(r.data) {
+		data := ref.data
+		_, off, err := peekBlockCount(data, 0)
+		if err != nil || off >= len(data) {
 			break // unreachable on recordings we built or validated
 		}
-		flags := r.data[off]
+		flags := data[off]
 		off++
-		if flags&1 != 0 {
+		if flags&flagWrites != 0 {
 			st.WriteBlocks++
 		}
-		if flags&2 == 0 {
+		if flags&flagThreads == 0 {
 			st.SingleThreadBlocks++
 		}
-		_, off, err = uvarintAt(r.data, off) // base address
+		// A single-base block has one delta per access but the first,
+		// behind its base address; a multi-base block has one per access,
+		// behind its four registers.
+		nd, bases := int(ref.count)-1, 1
+		if flags&flagMultiBase != 0 {
+			nd, bases = int(ref.count), baseRegs
+			st.MultiBaseBlocks++
+			st.MultiBaseDeltas += uint64(nd)
+		}
+		for k := 0; k < bases && err == nil; k++ {
+			_, off, err = uvarintAt(data, off)
+		}
 		if err != nil {
 			break
 		}
-		nd := int(ref.count) - 1
-		if flags&4 != 0 {
+		if flags&flagUniform != 0 {
 			// Uniform blocks carry one width byte and no control column.
-			if nd > 0 && off < len(r.data) {
-				if w := int(r.data[off]); w >= 1 && w <= 8 {
+			if nd > 0 && off < len(data) {
+				if w := int(data[off]); w >= 1 && w <= 8 {
 					st.DeltaBytes[w-1] += uint64(nd)
 				}
 			}
 			continue
 		}
 		// Delta widths are read straight off the control column.
-		if off+(nd+1)/2 > len(r.data) {
+		if off+(nd+1)/2 > len(data) {
 			break
 		}
-		ctrl := r.data[off : off+(nd+1)/2]
+		ctrl := data[off : off+(nd+1)/2]
 		for i := 0; i < nd; i++ {
 			if w := int(ctrl[i>>1]>>((i&1)*4)) & 0xf; w < len(st.DeltaBytes) {
 				st.DeltaBytes[w]++
@@ -771,8 +1096,9 @@ func (r *BlockRecording) Stats() BlockStats {
 
 // String renders the stats as the one-per-line table the CLI tools print.
 func (st BlockStats) String() string {
-	s := fmt.Sprintf("blocks=%d accesses=%d bytes=%d bytes/access=%.3f single-thread-blocks=%d write-blocks=%d",
-		st.Blocks, st.Accesses, st.Bytes, st.BytesPerAccess, st.SingleThreadBlocks, st.WriteBlocks)
+	s := fmt.Sprintf("blocks=%d accesses=%d bytes=%d bytes/access=%.3f single-thread-blocks=%d write-blocks=%d multi-base-blocks=%d multi-base-deltas=%d",
+		st.Blocks, st.Accesses, st.Bytes, st.BytesPerAccess, st.SingleThreadBlocks, st.WriteBlocks,
+		st.MultiBaseBlocks, st.MultiBaseDeltas)
 	for i, c := range st.DeltaBytes {
 		if c > 0 {
 			s += fmt.Sprintf(" delta%dB=%d", i+1, c)

@@ -73,10 +73,14 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 
 // FuzzColumnarEncode fuzzes the encode side: any access tuple sequence must
 // survive RecordBlocks → Replay exactly, and its container must re-parse.
+// After the four fuzzed accesses comes a block's worth of strided accesses
+// alternating between addr1 and addr2 (and wrapping around the address
+// space), so the multi-base layout and its selection are fuzzed too.
 func FuzzColumnarEncode(f *testing.F) {
 	f.Add(uint64(0x1000), uint64(0x2000), 3, true)
 	f.Add(uint64(1)<<63, uint64(0), 127, false)
 	f.Add(^uint64(0), uint64(1), 0, true)
+	f.Add(uint64(0x3f80_0000_0000), uint64(0x3f80_4000_0000), 0, false)
 	f.Fuzz(func(t *testing.T, addr1, addr2 uint64, thread int, write bool) {
 		if thread < 0 {
 			thread = -thread
@@ -86,6 +90,13 @@ func FuzzColumnarEncode(f *testing.F) {
 			{Addr: mem.VirtAddr(addr2), Thread: thread, Write: write},
 			{Addr: mem.VirtAddr(addr1 ^ addr2), Thread: thread / 2},
 			{Addr: mem.VirtAddr(addr2), Write: !write},
+		}
+		for i := uint64(0); i < BlockAccesses; i++ {
+			a := addr1 + 8*i
+			if i&1 != 0 {
+				a = addr2 - 64*i
+			}
+			accs = append(accs, Access{Addr: mem.VirtAddr(a), Write: write && i%7 == 0})
 		}
 		rec := RecordBlocks(Slice(accs), 0)
 		if rec == nil {
@@ -115,9 +126,8 @@ func columnarCorpusSeeds() map[string][]byte {
 	add("one", []Access{{Addr: 0x1000, Thread: 2, Write: true}})
 	add("seq", Collect(Sequential(1<<30, 1<<20, 64, 5000), 5000))
 	add("mixed", columnarMix(BlockAccesses+300))
-	add("threads", Collect(Interleave(64,
-		Sequential(0, 1<<20, 64, 2000),
-		Sequential(1<<21, 1<<20, 64, 2000)), 4000))
+	add("threads", threadRuns(4000, 64))
+	add("multibase", csrAccesses(BlockAccesses+300))
 
 	full := seeds["valid-mixed"]
 	seeds["bad-magic"] = append([]byte("XXXXXXXX"), full[8:]...)

@@ -1,9 +1,12 @@
 package trace
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pccsim/internal/mem"
@@ -39,59 +42,113 @@ func columnarMix(n int) []Access {
 	return accs
 }
 
+// csrAccesses builds a deterministic CSR-shaped access sequence over four
+// arrays, the way a graph kernel walks them: per vertex one offsets read
+// (sequential), then per edge one neighbour-id read (sequential) and one
+// property read at a random vertex, then the vertex's own result written to
+// a second property array (sequential). Every array sits in its own region,
+// as the workloads' layouts place them.
+func csrAccesses(n int) []Access {
+	const (
+		vertices = 1 << 16
+		offsets  = mem.VirtAddr(0x3f80_0000_0000)
+		neigh    = offsets + 64<<20
+		prop     = neigh + 512<<20
+		result   = prop + 64<<20
+	)
+	rng := rand.New(rand.NewSource(5))
+	accs := make([]Access, 0, n+64)
+	e := 0
+	for v := 0; len(accs) < n; v = (v + 1) % vertices {
+		accs = append(accs, Access{Addr: offsets + mem.VirtAddr(8*v)})
+		for k := rng.Intn(24); k >= 0; k-- {
+			u := rng.Intn(vertices)
+			accs = append(accs,
+				Access{Addr: neigh + mem.VirtAddr(16*e)},
+				Access{Addr: prop + mem.VirtAddr(32*u)})
+			e++
+		}
+		accs = append(accs, Access{Addr: result + mem.VirtAddr(32*v), Write: true})
+	}
+	return accs[:n]
+}
+
+// threadRuns builds a multi-thread access sequence: two sequential streams
+// over separate regions, switching thread every run accesses and stamping
+// each access with its stream's index as the thread id.
+func threadRuns(n, run int) []Access {
+	accs := make([]Access, n)
+	var next [2]mem.VirtAddr
+	next[1] = 1 << 21
+	for i := range accs {
+		t := i / run % 2
+		accs[i] = Access{Addr: next[t], Thread: t}
+		next[t] += 64
+	}
+	return accs
+}
+
 // TestColumnarRoundTrip proves a block recording replays the exact access
 // sequence through every consumption style: Next, NextBatch at odd sizes,
-// and the in-place NextBlock/DecodeBlock paths.
+// and the in-place NextBlock/DecodeBlock paths, over both the single-base
+// (columnarMix) and the multi-base (csrAccesses) layouts.
 func TestColumnarRoundTrip(t *testing.T) {
-	for _, n := range []int{0, 1, BlockAccesses - 1, BlockAccesses, BlockAccesses + 1, 3*BlockAccesses + 17} {
-		accs := columnarMix(n)
-		rec := RecordBlocks(Slice(accs), 0)
-		if rec == nil {
-			t.Fatalf("n=%d: unlimited RecordBlocks returned nil", n)
+	for _, gen := range []func(int) []Access{columnarMix, csrAccesses} {
+		for _, n := range []int{0, 1, BlockAccesses - 1, BlockAccesses, BlockAccesses + 1, 3*BlockAccesses + 17} {
+			columnarRoundTrip(t, gen(n))
 		}
-		if rec.Accesses() != uint64(n) {
-			t.Fatalf("n=%d: Accesses() = %d", n, rec.Accesses())
+	}
+}
+
+func columnarRoundTrip(t *testing.T, accs []Access) {
+	t.Helper()
+	n := len(accs)
+	rec := RecordBlocks(Slice(accs), 0)
+	if rec == nil {
+		t.Fatalf("n=%d: unlimited RecordBlocks returned nil", n)
+	}
+	if rec.Accesses() != uint64(n) {
+		t.Fatalf("n=%d: Accesses() = %d", n, rec.Accesses())
+	}
+	wantBlocks := (n + BlockAccesses - 1) / BlockAccesses
+	if rec.Blocks() != wantBlocks {
+		t.Fatalf("n=%d: Blocks() = %d, want %d", n, rec.Blocks(), wantBlocks)
+	}
+	if got := drainNext(rec.Replay(), n+1); !reflect.DeepEqual(got, accs) && n > 0 {
+		t.Fatalf("n=%d: Next replay diverged", n)
+	}
+	if got := drainBatch(rec.Replay(), n+1); !reflect.DeepEqual(got, accs) && n > 0 {
+		t.Fatalf("n=%d: batch replay diverged", n)
+	}
+	// In-place block consumption at a capped size.
+	rs := rec.Replay()
+	var got []Access
+	for {
+		seg := rs.NextBlock(700)
+		if len(seg) == 0 {
+			break
 		}
-		wantBlocks := (n + BlockAccesses - 1) / BlockAccesses
-		if rec.Blocks() != wantBlocks {
-			t.Fatalf("n=%d: Blocks() = %d, want %d", n, rec.Blocks(), wantBlocks)
+		got = append(got, seg...)
+	}
+	if !reflect.DeepEqual(got, accs) && n > 0 {
+		t.Fatalf("n=%d: NextBlock replay diverged", n)
+	}
+	if rs.Err() != nil {
+		t.Fatalf("n=%d: clean replay reported error %v", n, rs.Err())
+	}
+	// Whole-block decode into a caller buffer.
+	rs = rec.Replay()
+	buf := make([]Access, BlockAccesses)
+	got = got[:0]
+	for {
+		k := rs.DecodeBlock(buf)
+		if k == 0 {
+			break
 		}
-		if got := drainNext(rec.Replay(), n+1); !reflect.DeepEqual(got, accs) && n > 0 {
-			t.Fatalf("n=%d: Next replay diverged", n)
-		}
-		if got := drainBatch(rec.Replay(), n+1); !reflect.DeepEqual(got, accs) && n > 0 {
-			t.Fatalf("n=%d: batch replay diverged", n)
-		}
-		// In-place block consumption at a capped size.
-		rs := rec.Replay()
-		var got []Access
-		for {
-			seg := rs.NextBlock(700)
-			if len(seg) == 0 {
-				break
-			}
-			got = append(got, seg...)
-		}
-		if !reflect.DeepEqual(got, accs) && n > 0 {
-			t.Fatalf("n=%d: NextBlock replay diverged", n)
-		}
-		if rs.Err() != nil {
-			t.Fatalf("n=%d: clean replay reported error %v", n, rs.Err())
-		}
-		// Whole-block decode into a caller buffer.
-		rs = rec.Replay()
-		buf := make([]Access, BlockAccesses)
-		got = got[:0]
-		for {
-			k := rs.DecodeBlock(buf)
-			if k == 0 {
-				break
-			}
-			got = append(got, buf[:k]...)
-		}
-		if !reflect.DeepEqual(got, accs) && n > 0 {
-			t.Fatalf("n=%d: DecodeBlock replay diverged", n)
-		}
+		got = append(got, buf[:k]...)
+	}
+	if !reflect.DeepEqual(got, accs) && n > 0 {
+		t.Fatalf("n=%d: DecodeBlock replay diverged", n)
 	}
 }
 
@@ -205,6 +262,32 @@ func TestColumnarTypedErrors(t *testing.T) {
 		})
 	}
 
+	// A multi-base block's malformations: both address layouts flagged at
+	// once, and a cut inside its register header or columns.
+	mb := RecordBlocks(Slice(csrAccesses(BlockAccesses)), 0).Bytes()
+	// The flags byte follows the magic, the uvarint total (2 bytes), the
+	// block count (1) and the block's own count (2). The encoder's registers
+	// start at zero, so the first block's four take one byte each.
+	hdr := len(columnarMagic) + 2 + 1 + 2
+	if mb[hdr]&flagMultiBase == 0 {
+		t.Fatalf("flags byte %#x is not multi-base", mb[hdr])
+	}
+	both := append([]byte{}, mb...)
+	both[hdr] |= flagUniform
+	for name, tc := range map[string]struct {
+		data []byte
+		want error
+	}{
+		"uniform and multi-base": {both, ErrColumnarCorrupt},
+		"cut in registers":       {mb[:hdr+3], ErrColumnarTruncated},
+		"cut in id column":       {mb[:hdr+1+baseRegs+BlockAccesses/2+10], ErrColumnarTruncated},
+		"cut in deltas":          {mb[:len(mb)-100], ErrColumnarTruncated},
+	} {
+		if _, err := ParseBlockRecording(tc.data); !errors.Is(err, tc.want) {
+			t.Errorf("%s: ParseBlockRecording = %v, want %v", name, err, tc.want)
+		}
+	}
+
 	// Corrupting the header count without touching blocks must be caught.
 	bad := append([]byte{}, valid...)
 	bad[len(columnarMagic)] ^= 1
@@ -251,5 +334,128 @@ func TestColumnarStats(t *testing.T) {
 	// the width byte instead of misreading delta data as nibble codes.
 	if want := uint64(10_000 - sst.Blocks); sst.DeltaBytes[0] != want {
 		t.Fatalf("sequential stream 1-byte deltas = %d, want %d (%+v)", sst.DeltaBytes[0], want, sst.DeltaBytes)
+	}
+
+	// A CSR-shaped stream encodes multi-base blocks, whose deltas number one
+	// per access and are counted both in the histogram and on their own.
+	csr := RecordBlocks(Slice(csrAccesses(3*BlockAccesses+100)), 0)
+	cst := csr.Stats()
+	if cst.MultiBaseBlocks == 0 {
+		t.Fatalf("CSR stream encoded no multi-base block: %+v", cst)
+	}
+	var multi uint64
+	deltas = 0
+	for i, b := range csr.blocks {
+		if b.data[blockFlagsOff(t, b)]&flagMultiBase != 0 {
+			multi += uint64(b.count)
+		} else if i < len(csr.blocks)-1 {
+			t.Errorf("CSR block %d is single-base", i)
+		}
+	}
+	for _, c := range cst.DeltaBytes {
+		deltas += c
+	}
+	if cst.MultiBaseDeltas != multi {
+		t.Fatalf("multi-base deltas = %d, want %d", cst.MultiBaseDeltas, multi)
+	}
+	if want := cst.Accesses - uint64(cst.Blocks-cst.MultiBaseBlocks); deltas != want {
+		t.Fatalf("delta histogram holds %d entries, want %d", deltas, want)
+	}
+	if !strings.Contains(cst.String(), fmt.Sprintf("multi-base-blocks=%d", cst.MultiBaseBlocks)) {
+		t.Fatalf("stats rendering lacks the multi-base count: %s", cst)
+	}
+}
+
+// blockFlagsOff returns the offset of b's flags byte.
+func blockFlagsOff(t *testing.T, b blockRef) int {
+	t.Helper()
+	_, off, err := peekBlockCount(b.data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return off
+}
+
+// TestColumnarNoBlockGrows pins the selection rule: a block takes the
+// multi-base layout only when its address column beats the single-base one
+// by the margin, so no block is larger than its single-base encoding, and a
+// single-base block is exactly that encoding.
+func TestColumnarNoBlockGrows(t *testing.T) {
+	rng := func() *rand.Rand { return rand.New(rand.NewSource(11)) }
+	streams := map[string][]Access{
+		"mix":        columnarMix(5*BlockAccesses + 99),
+		"sequential": Collect(Sequential(1<<30, 1<<24, 64, 5*BlockAccesses), 5*BlockAccesses),
+		"uniform":    Collect(UniformRandom(1<<30, 1<<32, 5*BlockAccesses, rng()), 5*BlockAccesses),
+		"csr":        csrAccesses(5*BlockAccesses + 99),
+	}
+	scratch := make([]byte, maxBlockBytes)
+	buf := make([]Access, BlockAccesses)
+	for name, accs := range streams {
+		rec := RecordBlocks(Slice(accs), 0)
+		multi := 0
+		for i, b := range rec.blocks {
+			acc := buf[:b.count]
+			if _, _, err := decodeBlock(b.data, 0, acc); err != nil {
+				t.Fatalf("%s block %d: %v", name, i, err)
+			}
+			off := blockFlagsOff(t, b) + 1
+			single, _ := singleBase(scratch, 0, acc)
+			var got int
+			if b.data[off-1]&flagMultiBase != 0 {
+				multi++
+				end, err := decodeMultiBase(b.data, off, acc)
+				if err != nil {
+					t.Fatalf("%s block %d: %v", name, i, err)
+				}
+				if got = end - off; got*marginDiv > single*(marginDiv-1) {
+					t.Errorf("%s block %d: multi-base column %d B does not beat single-base %d B by 1/%d",
+						name, i, got, single, marginDiv)
+				}
+				continue
+			}
+			// A single-base block's column is singleBase's output byte for
+			// byte.
+			if !bytes.Equal(b.data[off:off+single], scratch[:single]) {
+				t.Errorf("%s block %d: single-base column differs from singleBase's encoding", name, i)
+			}
+		}
+		if wantMulti := name == "csr"; (multi > 0) != wantMulti {
+			t.Errorf("%s: %d multi-base blocks of %d, want some: %v", name, multi, rec.Blocks(), wantMulti)
+		}
+	}
+}
+
+// TestColumnarChunks: a recording larger than one chunk keeps every block
+// in a single chunk, holds exactly Size() bytes in blocks that leave no
+// append capacity, and replays exactly; the byte cap still applies across
+// chunks.
+func TestColumnarChunks(t *testing.T) {
+	n := 200 * BlockAccesses
+	accs := Collect(UniformRandom(1<<30, 1<<40, uint64(n), rand.New(rand.NewSource(4))), n)
+	rec := RecordBlocks(Slice(accs), 0)
+	if rec.Size() < 4*chunkBytes {
+		t.Fatalf("recording of %d B is too small to span several chunks", rec.Size())
+	}
+	held := 0
+	for i, b := range rec.blocks {
+		if cap(b.data) != len(b.data) {
+			t.Fatalf("block %d: cap %d > len %d", i, cap(b.data), len(b.data))
+		}
+		held += len(b.data)
+	}
+	if held != rec.Size() {
+		t.Fatalf("blocks hold %d B, Size() = %d", held, rec.Size())
+	}
+	if got := drainBatch(rec.Replay(), n+1); !reflect.DeepEqual(got, accs) {
+		t.Fatal("multi-chunk recording replays a different sequence")
+	}
+	if re, err := ParseBlockRecording(rec.Bytes()); err != nil || re.Size() != rec.Size() {
+		t.Fatalf("container round trip: %v", err)
+	}
+	if capped := RecordBlocks(Slice(accs), int64(rec.Size()-1)); capped != nil {
+		t.Fatal("a cap one byte below the encoded size must refuse the recording")
+	}
+	if exact := RecordBlocks(Slice(accs), int64(rec.Size())); exact == nil {
+		t.Fatal("a cap equal to the encoded size must admit the recording")
 	}
 }

@@ -196,93 +196,6 @@ func (c *concatStream) Close() {
 	}
 }
 
-// interleaveStream merges per-thread streams; see Interleave.
-type interleaveStream struct {
-	chunk     int
-	streams   []BatchStream
-	done      []bool
-	cur       int
-	inChunk   int
-	remaining int
-}
-
-// Interleave merges per-thread streams by switching threads every chunk
-// accesses, modelling concurrently executing cores as seen by a shared
-// simulation clock. Exhausted streams drop out; the merge ends when all do.
-// Each access is stamped with its stream index as the thread id. The result
-// is batch-capable: one NextBatch call hands back up to a chunk's worth of
-// the current stream before rotating.
-func Interleave(chunk int, streams ...Stream) Stream {
-	if chunk <= 0 {
-		chunk = 1
-	}
-	il := &interleaveStream{
-		chunk:     chunk,
-		streams:   make([]BatchStream, len(streams)),
-		done:      make([]bool, len(streams)),
-		remaining: len(streams),
-	}
-	for i, s := range streams {
-		il.streams[i] = Batched(s)
-	}
-	return il
-}
-
-// Next implements Stream.
-func (il *interleaveStream) Next() (Access, bool) {
-	var one [1]Access
-	if il.NextBatch(one[:]) == 0 {
-		return Access{}, false
-	}
-	return one[0], true
-}
-
-// NextBatch implements BatchStream.
-func (il *interleaveStream) NextBatch(buf []Access) int {
-	if len(buf) == 0 {
-		return 0
-	}
-	for il.remaining > 0 {
-		if il.done[il.cur] || il.inChunk >= il.chunk {
-			il.inChunk = 0
-			// advance to next live stream
-			for i := 0; i < len(il.streams); i++ {
-				il.cur = (il.cur + 1) % len(il.streams)
-				if !il.done[il.cur] {
-					break
-				}
-			}
-			if il.done[il.cur] {
-				return 0
-			}
-		}
-		want := il.chunk - il.inChunk
-		if want > len(buf) {
-			want = len(buf)
-		}
-		k := il.streams[il.cur].NextBatch(buf[:want])
-		if k == 0 {
-			il.done[il.cur] = true
-			il.remaining--
-			il.inChunk = il.chunk // force switch
-			continue
-		}
-		for i := 0; i < k; i++ {
-			buf[i].Thread = il.cur
-		}
-		il.inChunk += k
-		return k
-	}
-	return 0
-}
-
-// Close closes every sub-stream that supports closing.
-func (il *interleaveStream) Close() {
-	for _, s := range il.streams {
-		closeStream(s)
-	}
-}
-
 // sliceStream replays a materialized access list; see Slice.
 type sliceStream struct {
 	acc []Access

@@ -3,7 +3,6 @@ package trace
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"pccsim/internal/mem"
 )
@@ -52,48 +51,6 @@ func TestConcat(t *testing.T) {
 	got := addrs(s)
 	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Errorf("got %v", got)
-	}
-}
-
-func TestInterleaveChunksAndThreadTags(t *testing.T) {
-	a := Slice([]Access{{Addr: 10}, {Addr: 11}, {Addr: 12}, {Addr: 13}})
-	b := Slice([]Access{{Addr: 20}, {Addr: 21}})
-	s := Interleave(2, a, b)
-	var got []Access
-	for {
-		x, ok := s.Next()
-		if !ok {
-			break
-		}
-		got = append(got, x)
-	}
-	if len(got) != 6 {
-		t.Fatalf("merged %d accesses, want 6", len(got))
-	}
-	// Chunk 2: a,a,b,b,a,a; thread tags follow the source stream index.
-	wantAddr := []mem.VirtAddr{10, 11, 20, 21, 12, 13}
-	wantThr := []int{0, 0, 1, 1, 0, 0}
-	for i := range got {
-		if got[i].Addr != wantAddr[i] || got[i].Thread != wantThr[i] {
-			t.Errorf("pos %d = %+v, want addr=%d thr=%d", i, got[i], wantAddr[i], wantThr[i])
-		}
-	}
-}
-
-func TestInterleaveConservesAccesses(t *testing.T) {
-	f := func(la, lb, lc uint8, chunk uint8) bool {
-		mk := func(n uint8) Stream {
-			var acc []Access
-			for i := 0; i < int(n); i++ {
-				acc = append(acc, Access{Addr: mem.VirtAddr(i)})
-			}
-			return Slice(acc)
-		}
-		s := Interleave(int(chunk%8)+1, mk(la), mk(lb), mk(lc))
-		return Count(s) == uint64(la)+uint64(lb)+uint64(lc)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 

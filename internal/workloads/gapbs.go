@@ -316,9 +316,12 @@ const (
 )
 
 // BuildDataset constructs the named dataset at the given scale
-// (2^scale vertices), optionally applying degree-based grouping ("sorted").
-// Deterministic per (dataset, scale, sorted).
+// (2^scale vertices, 1..MaxScale), optionally applying degree-based grouping
+// ("sorted"). Deterministic per (dataset, scale, sorted).
 func BuildDataset(d GraphDataset, scale int, sorted bool) (*graph.CSR, error) {
+	if scale < 1 || scale > MaxScale {
+		return nil, fmt.Errorf("workloads: graph scale %d out of range 1..%d", scale, MaxScale)
+	}
 	var g *graph.CSR
 	n := 1 << scale
 	switch d {

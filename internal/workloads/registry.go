@@ -56,6 +56,9 @@ type Spec struct {
 // the paper's inputs.
 const DefaultScale = 20
 
+// MaxScale is the largest graph scale a dataset can be built at.
+const MaxScale = 30
+
 // graphApp adapts GraphWorkload to the Workload interface.
 type graphApp struct {
 	name    string

@@ -145,6 +145,28 @@ func TestBuildUnknownDataset(t *testing.T) {
 	}
 }
 
+// TestBuildDatasetScaleRange: a scale outside 1..MaxScale is an error on
+// every dataset, through BuildDataset and through Build, never a panic or a
+// negative shift.
+func TestBuildDatasetScaleRange(t *testing.T) {
+	for _, d := range []GraphDataset{DatasetKron, DatasetSocial, DatasetWeb} {
+		for _, scale := range []int{-3, 0, MaxScale + 1, 64} {
+			if g, err := BuildDataset(d, scale, false); err == nil || g != nil {
+				t.Errorf("BuildDataset(%s, %d) = (%v, %v), want an error", d, scale, g, err)
+			}
+			if scale == 0 {
+				continue // Spec.Scale 0 selects DefaultScale
+			}
+			if _, err := Build(Spec{Name: "BFS", Dataset: d, Scale: scale}); err == nil {
+				t.Errorf("Build(BFS, %s, scale %d) succeeded, want an error", d, scale)
+			}
+		}
+		if _, err := BuildDataset(d, 1, true); err != nil {
+			t.Errorf("BuildDataset(%s, 1): %v", d, err)
+		}
+	}
+}
+
 func TestGraphAppsProduceStreams(t *testing.T) {
 	for _, name := range GraphAppNames() {
 		wl, err := Build(Spec{Name: name, Scale: testScale})
@@ -212,6 +234,39 @@ func TestGraphStreamReplaysIdentically(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("replay diverges at %d: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestGraphRecordingsCompact pins the columnar format's gain on the graph
+// kernels: every kron-12 stream, in both sortings, records at no more than
+// 2.6 bytes per access (the single-base layout alone needs 3.3-3.5) and
+// replays exactly.
+func TestGraphRecordingsCompact(t *testing.T) {
+	for _, name := range GraphAppNames() {
+		for _, sorted := range []bool{false, true} {
+			wl, err := Build(Spec{Name: name, Scale: testScale, Sorted: sorted})
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := trace.Collect(wl.Stream(), 1<<30)
+			st := wl.Stream()
+			rec := trace.RecordBlocks(st, 0)
+			CloseStream(st)
+			got := trace.Collect(rec.Replay(), len(live)+1)
+			if len(got) != len(live) {
+				t.Fatalf("%s sorted=%v: replay holds %d accesses, live %d", name, sorted, len(got), len(live))
+			}
+			for i := range live {
+				if got[i] != live[i] {
+					t.Fatalf("%s sorted=%v: replay diverges at %d: %+v vs %+v", name, sorted, i, got[i], live[i])
+				}
+			}
+			if bpa := float64(rec.Size()) / float64(rec.Accesses()); bpa > 2.6 {
+				t.Errorf("%s sorted=%v: %.3f B/access, want <= 2.6 (%s)", name, sorted, bpa, rec.Stats())
+			} else {
+				t.Logf("%s sorted=%v: %.3f B/access", name, sorted, bpa)
+			}
 		}
 	}
 }

@@ -8,7 +8,7 @@
 #   scripts/benchdiff.sh <ref> [bench-regex] [packages...]
 #
 # Defaults: bench-regex
-# 'Step|RunStream|RunSharded|EmitChunk|Walk|TLBAccess|HierarchyThrash|PCCRecord|ReplayDecode'
+# 'Step|RunStream|RunSharded|EmitChunk|Walk|TLBAccess|HierarchyThrash|PCCRecord|ReplayDecode|RecordColumnar'
 # ('Step' also matches Step2M, StepNUMA and StepMultiCore; 'RunSharded'
 # matches RunSharded1 and RunSharded8), packages ./internal/vmm
 # ./internal/workloads ./internal/tlb ./internal/ptw ./internal/pcc
@@ -37,7 +37,7 @@
 set -eu
 
 ref=${1:?usage: scripts/benchdiff.sh <ref> [bench-regex] [packages...]}
-regex=${2:-'Step|RunStream|RunSharded|EmitChunk|Walk|TLBAccess|HierarchyThrash|PCCRecord|ReplayDecode'}
+regex=${2:-'Step|RunStream|RunSharded|EmitChunk|Walk|TLBAccess|HierarchyThrash|PCCRecord|ReplayDecode|RecordColumnar'}
 if [ $# -ge 2 ]; then shift 2; else shift $#; fi
 pkgs=${*:-"./internal/vmm ./internal/workloads ./internal/tlb ./internal/ptw ./internal/pcc ./internal/trace"}
 benchtime=${BENCHTIME:-2s}
@@ -75,15 +75,26 @@ for side in base cur; do
 done
 
 # run_bench side pkg rep appends "rep name ns_per_op bytes_per_op
-# allocs_per_op" for each benchmark of one run to $wt/side.txt. The binary
-# runs from its package directory, as `go test` would run it.
+# allocs_per_op" for each benchmark of one run to $wt/side.txt. Values are
+# picked by their unit, since a benchmark that calls SetBytes prints an MB/s
+# column between ns/op and B/op. The binary runs from its package
+# directory, as `go test` would run it.
 run_bench() {
     bin=$(binary "$1" "$2")
     [ -x "$bin" ] || return 0
     (cd "$(tree_of "$1")/$2" &&
         "$bin" -test.run '^$' -test.bench "$regex" -test.benchtime "$benchtime" \
             -test.benchmem -test.count 1 -test.timeout 60m 2>/dev/null) |
-        awk -v rep="$3" '/^Benchmark/ { sub(/-[0-9]+$/, "", $1); print rep, $1, $3, $5, $7 }' >>"$wt/$1.txt"
+        awk -v rep="$3" '/^Benchmark/ {
+            sub(/-[0-9]+$/, "", $1)
+            ns = by = al = ""
+            for (i = 3; i <= NF; i++) {
+                if ($i == "ns/op") ns = $(i-1)
+                if ($i == "B/op") by = $(i-1)
+                if ($i == "allocs/op") al = $(i-1)
+            }
+            print rep, $1, ns, by, al
+        }' >>"$wt/$1.txt"
 }
 
 : >"$wt/base.txt"
