@@ -1,6 +1,7 @@
 // Command pccsim regenerates the paper's tables and figures from the
-// simulator. Each -exp value corresponds to one artifact of the evaluation
-// (see DESIGN.md's experiment index):
+// simulator, runs custom simulation cells, and serves experiment grids.
+// Each -exp value corresponds to one artifact of the evaluation (see
+// DESIGN.md's experiment index):
 //
 //	pccsim -exp list                 # show available experiments
 //	pccsim -exp fig5                 # single-thread utility curves
@@ -17,10 +18,22 @@
 // -tracecache bounds the shared trace record/replay cache (0 disables it);
 // neither changes any experiment's output.
 //
+// Cell mode: -app runs one custom configuration, or a -budgets sweep of it,
+// and prints raw counters per budget (see experiments.Cell):
+//
+//	pccsim -app PR -policy pcc -budgets 4 -frag 0.5
+//	pccsim -app BFS -policy linux -frag 0.9 -threads 4
+//	pccsim -app PR -policy pcc -budgets 0,4,25 -quick
+//	pccsim -app PR -policy pcc -frag 0.9 -churn 2048 -compact 512 -demote-wm 8
+//	pccsim -app trace:app.trc -policy hawkeye
+//
 // Daemon mode: -serve addr runs a long-lived HTTP server accepting
 // experiment grids (POST /jobs) and streaming progress; with -checkpoint it
 // saves completed work on SIGTERM and, restarted with -restore, finishes
 // the pending grid. See internal/daemon.
+//
+// Every flag belongs to the modes it has an effect in; one set outside its
+// mode is refused. Invalid input exits 2 before anything runs.
 package main
 
 import (
@@ -28,8 +41,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -42,6 +57,28 @@ import (
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// The three modes; a flag's mode mask lists those it has an effect in.
+const (
+	modeExp = 1 << iota
+	modeCell
+	modeServe
+)
+
+var modeNames = map[int]string{modeExp: "-exp runs", modeCell: "-app cells", modeServe: "-serve"}
+
+// flagModes restricts flags to the modes they act in; flags not listed
+// size and run every mode's simulations.
+var flagModes = map[string]int{
+	"exp": modeExp, "serve": modeServe, "checkpoint": modeServe, "restore": modeServe,
+	"full": modeExp | modeServe, "plots": modeExp | modeServe, "tenants": modeExp | modeServe,
+	"churn-procs": modeExp | modeServe, "quota-skew": modeExp | modeServe,
+	"audit": modeExp | modeCell, "events": modeExp | modeCell, "pprof": modeExp | modeCell,
+	"app": modeCell, "dataset": modeCell, "sorted": modeCell, "policy": modeCell, "budgets": modeCell,
+	"frag": modeCell, "threads": modeCell, "phys": modeCell, "pcc": modeCell, "demote": modeCell,
+	"victim": modeCell, "1g": modeCell, "churn": modeCell, "compact": modeCell, "demote-wm": modeCell,
+	"numa": modeCell,
 }
 
 // run is main with its dependencies injected, so CLI behaviour (flag
@@ -65,50 +102,72 @@ func run(args []string, stdout, stderr io.Writer) int {
 		events    = fs.String("events", "", "write the simulation event trace (promotions, PCC dumps, compactions, shootdowns) to this file")
 		pprofAddr = fs.String("pprof", "", "serve Go pprof endpoints on this address (e.g. localhost:6060) while running")
 		tenants   = fs.Int("tenants", 0, "restrict figtenant to this tenant count (0 = sweep 2 and 4)")
-		churn     = fs.Int("churn-procs", 0, "cap on concurrent churn processes in figtenant's lifecycle cells (0 = default)")
+		churnP    = fs.Int("churn-procs", 0, "cap on concurrent churn processes in figtenant's lifecycle cells (0 = default)")
 		skew      = fs.String("quota-skew", "", "restrict figtenant's quota split: even or skewed (default: sweep both)")
-		serveAddr = fs.String("serve", "", "run as a long-lived daemon serving the experiment HTTP API on this address (e.g. localhost:8080); -exp is ignored")
+		serveAddr = fs.String("serve", "", "run as a long-lived daemon serving the experiment HTTP API on this address (e.g. localhost:8080)")
 		ckptPath  = fs.String("checkpoint", "", "grid checkpoint file the daemon writes on SIGTERM/SIGINT (requires -serve)")
 		restore   = fs.Bool("restore", false, "resume pending grid work from -checkpoint at startup (requires -serve and -checkpoint)")
+		budgets   = fs.String("budgets", "0", "cell promotion budgets, comma list of % of footprint, one run each (0 and 100 = unlimited)")
+		physGiB   = fs.Float64("phys", 2, "cell physical memory in GiB (0.5 with -quick, unless set)")
 	)
+	// The remaining cell flags bind straight into the cell.
+	var cell experiments.Cell
+	fs.StringVar(&cell.App, "app", "", "run one custom cell of this workload: a registry app, phased, bigtable, sparse, or trace:<file>")
+	fs.StringVar((*string)(&cell.Dataset), "dataset", "kron", "cell graph dataset (kron|social|web)")
+	fs.BoolVar(&cell.Sorted, "sorted", false, "cell graph input with degree-based grouping")
+	fs.StringVar(&cell.Policy, "policy", "pcc", "cell OS policy: base|ideal|pcc|pcc-rr|hawkeye|linux")
+	fs.Float64Var(&cell.Frag, "frag", 0, "cell fragmented fraction of physical memory")
+	fs.IntVar(&cell.Threads, "threads", 1, "cell simulated cores")
+	fs.IntVar(&cell.PCCEntries, "pcc", 128, "cell 2MB PCC entries")
+	fs.BoolVar(&cell.Demote, "demote", false, "cell PCC policy: enable PCC-driven demotion")
+	fs.BoolVar(&cell.Victim, "victim", false, "cell PCC policy: use the L2-eviction victim tracker instead of the PCC")
+	fs.BoolVar(&cell.Giga, "1g", false, "cell PCC policy: enable 1GB tracking and promotion")
+	fs.IntVar(&cell.Churn, "churn", 0, "cell dynamic pressure: churn allocations per tick in 4KB frames (half as many are freed)")
+	fs.IntVar(&cell.Compact, "compact", 0, "cell dynamic pressure: kcompactd migration budget per tick in 4KB frames")
+	fs.IntVar(&cell.DemoteWM, "demote-wm", 0, "cell dynamic pressure: free-block watermark that triggers 2MB demotion")
+	fs.StringVar(&cell.NUMA, "numa", "", "cell 2-node NUMA placement: bind|interleave|local-first (default: one node)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *workers < 0 {
-		fmt.Fprintf(stderr, "pccsim: -workers must be >= 0, got %d\n", *workers)
-		return 2
-	}
-	if *mshards < 0 {
-		fmt.Fprintf(stderr, "pccsim: -machine-shards must be >= 0, got %d\n", *mshards)
-		return 2
-	}
-	if *scale < 0 || *scale > workloads.MaxScale {
-		fmt.Fprintf(stderr, "pccsim: -scale must be 1..%d (or 0 for each experiment's default), got %d\n", workloads.MaxScale, *scale)
-		return 2
-	}
-	if *traceMiB < 0 {
-		fmt.Fprintf(stderr, "pccsim: -tracecache must be >= 0 MiB, got %d\n", *traceMiB)
-		return 2
-	}
-	if *tenants < 0 {
-		fmt.Fprintf(stderr, "pccsim: -tenants must be >= 0, got %d\n", *tenants)
-		return 2
-	}
-	if *churn < 0 {
-		fmt.Fprintf(stderr, "pccsim: -churn-procs must be >= 0, got %d\n", *churn)
-		return 2
-	}
-	if *skew != "" && *skew != "even" && *skew != "skewed" {
-		fmt.Fprintf(stderr, "pccsim: -quota-skew must be \"even\" or \"skewed\", got %q\n", *skew)
+	refuse := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "pccsim: "+format+"\n", args...)
 		return 2
 	}
 	if *ckptPath != "" && *serveAddr == "" {
-		fmt.Fprintln(stderr, "pccsim: -checkpoint requires -serve")
-		return 2
+		return refuse("-checkpoint requires -serve")
 	}
 	if *restore && *ckptPath == "" {
-		fmt.Fprintln(stderr, "pccsim: -restore requires -checkpoint")
-		return 2
+		return refuse("-restore requires -checkpoint")
+	}
+	mode := modeExp
+	switch {
+	case *serveAddr != "":
+		mode = modeServe
+	case cell.App != "":
+		mode = modeCell
+	}
+	set := map[string]bool{}
+	var misplaced []string // in name order
+	fs.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		if m, ok := flagModes[f.Name]; ok && m&mode == 0 {
+			misplaced = append(misplaced, f.Name)
+		}
+	})
+	if len(misplaced) > 0 {
+		return refuse("-%s does not apply to %s", misplaced[0], modeNames[mode])
+	}
+	if *quick && *full {
+		return refuse("-quick and -full are mutually exclusive")
+	}
+	if *workers < 0 {
+		return refuse("-workers must be >= 0, got %d", *workers)
+	}
+	if *scale < 0 || *scale > workloads.MaxScale {
+		return refuse("-scale must be 1..%d (or 0 for each experiment's default), got %d", workloads.MaxScale, *scale)
+	}
+	if *traceMiB < 0 {
+		return refuse("-tracecache must be >= 0 MiB, got %d", *traceMiB)
 	}
 
 	// buildOptions assembles the experiment options for a given report
@@ -143,13 +202,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 			o.TraceCache = *traceMiB << 20
 		}
 		o.Tenants = *tenants
-		o.ChurnProcs = *churn
+		o.ChurnProcs = *churnP
 		o.QuotaSkew = *skew
+		if set["phys"] {
+			o.PhysBytes = gibBytes(*physGiB)
+		}
 		return o
 	}
 	o := buildOptions(stdout)
+	if err := o.Validate(); err != nil {
+		return refuse("%v", err)
+	}
 
-	if *serveAddr != "" {
+	if mode == modeServe {
 		srv, err := daemon.New(daemon.Config{
 			BaseOptions:    buildOptions,
 			CheckpointPath: *ckptPath,
@@ -171,36 +236,49 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *exp == "list" {
+	// Validate the whole request — every experiment name, or the cell —
+	// before running any of it: a typo at the end of a comma list must not
+	// waste the minutes the earlier entries take.
+	var selected []string
+	switch {
+	case mode == modeCell:
+		for _, b := range strings.Split(*budgets, ",") {
+			v, err := strconv.ParseFloat(strings.TrimSpace(b), 64)
+			if err != nil {
+				return refuse("-budgets: bad entry %q", b)
+			}
+			cell.Budgets = append(cell.Budgets, v)
+		}
+		if err := cell.Validate(o); err != nil {
+			return refuse("%v", err)
+		}
+	case *exp == "list":
 		fmt.Fprintln(stdout, "available experiments:")
 		for _, n := range experiments.Names() {
 			fmt.Fprintln(stdout, "  ", n)
 		}
 		fmt.Fprintln(stdout, "\nworkloads:", strings.Join(workloads.AppNames(), ", "))
+		fmt.Fprintln(stdout, "cells (-app) also run: phased, bigtable, sparse, trace:<file>")
 		return 0
-	}
-
-	names := strings.Split(*exp, ",")
-	if *exp == "all" {
-		names = experiments.Names()
-	}
-	// Validate every requested experiment before running any: a typo at the
-	// end of a comma list must not waste the minutes the earlier entries
-	// take.
-	var selected []string
-	for _, name := range names {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
+	default:
+		names := strings.Split(*exp, ",")
+		if *exp == "all" {
+			names = experiments.Names()
 		}
-		if _, ok := experiments.Registry[name]; !ok {
-			fmt.Fprintf(stderr, "pccsim: unknown experiment %q; available:\n", name)
-			for _, n := range experiments.Names() {
-				fmt.Fprintln(stderr, "  ", n)
+		for _, name := range names {
+			name = strings.TrimSpace(name)
+			if name == "" {
+				continue
 			}
-			return 2
+			if _, ok := experiments.Registry[name]; !ok {
+				fmt.Fprintf(stderr, "pccsim: unknown experiment %q; available:\n", name)
+				for _, n := range experiments.Names() {
+					fmt.Fprintln(stderr, "  ", n)
+				}
+				return 2
+			}
+			selected = append(selected, name)
 		}
-		selected = append(selected, name)
 	}
 
 	if *pprofAddr != "" {
@@ -223,6 +301,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		o.Audit = *audit
 	}
 
+	if mode == modeCell {
+		if err := experiments.RunCell(o, cell); err != nil {
+			fmt.Fprintf(stderr, "pccsim: %s: %v\n", cell.App, err)
+			return 1
+		}
+	}
 	for _, name := range selected {
 		start := time.Now()
 		if err := experiments.Run(name, o); err != nil {
@@ -251,6 +335,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *audit {
 		fmt.Fprintf(stdout, "audit: 0 invariant violations (checked every policy tick and end of run)\n")
 		fmt.Fprintf(stdout, "metrics snapshot (%d events traced):\n%s\n", sink.Total(), o.Obs.Snapshot().JSON())
+	}
+	return 0
+}
+
+// gibBytes converts a -phys value in GiB to bytes. A value that is not a
+// positive number of bytes below 2^64 maps to 0, which validation refuses.
+func gibBytes(gib float64) uint64 {
+	if b := gib * (1 << 30); b > 0 && b < math.MaxUint64 {
+		return uint64(b)
 	}
 	return 0
 }

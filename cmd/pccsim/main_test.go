@@ -124,3 +124,68 @@ func TestServeRefusesCorruptCheckpoint(t *testing.T) {
 		t.Errorf("stderr must name the corrupt checkpoint:\n%s", errOut.String())
 	}
 }
+
+// TestRefusedInputs is the front door's negative path: every input below
+// must exit 2 before anything runs — empty stdout — with a stderr message
+// naming the offending flag and no panic (no goroutine dump).
+func TestRefusedInputs(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-app", "mcf", "-pcc", "0"}, "-pcc"},
+		{[]string{"-app", "mcf", "-phys", "0"}, "-phys"},
+		{[]string{"-app", "mcf", "-phys", "0.3"}, "-phys"},
+		{[]string{"-app", "mcf", "-frag", "1.5"}, "-frag"},
+		{[]string{"-app", "mcf", "-frag", "NaN"}, "-frag"},
+		{[]string{"-app", "mcf", "-threads", "-2"}, "-threads"},
+		{[]string{"-app", "mcf", "-threads", "0"}, "-threads"},
+		{[]string{"-app", "mcf", "-budgets", "-5"}, "-budgets"},
+		{[]string{"-app", "mcf", "-budgets", "150"}, "-budgets"},
+		{[]string{"-app", "mcf", "-budgets", "NaN"}, "-budgets"},
+		{[]string{"-app", "mcf", "-budgets", "4,x"}, "-budgets"},
+		{[]string{"-app", "mcf", "-policy", "nope"}, "-policy"},
+		{[]string{"-app", "mcf", "-numa", "bogus"}, "-numa"},
+		{[]string{"-app", "mcf", "-churn", "-1"}, "-churn"},
+		{[]string{"-app", "nope"}, "-app"},
+		{[]string{"-app", "trace:/nonexistent"}, "-app"},
+		{[]string{"-app", "mcf", "-exp", "fig5"}, "-exp"},
+		{[]string{"-app", "mcf", "-serve", ":0"}, "-app"},
+		{[]string{"-app", "mcf", "-tenants", "2"}, "-tenants"},
+		{[]string{"-policy", "pcc"}, "-policy"},
+		{[]string{"-exp", "fig1", "-frag", "0.5"}, "-frag"},
+		{[]string{"-serve", ":0", "-audit"}, "-audit"},
+		{[]string{"-quick", "-full"}, "-full"},
+		{[]string{"-exp", "fig1", "-tenants", "5"}, "-tenants"},
+		{[]string{"-exp", "fig1", "-machine-shards", "-1"}, "-machine-shards"},
+		{[]string{"-exp", "fig1", "-quota-skew", "lopsided"}, "-quota-skew"},
+	} {
+		var out, errOut strings.Builder
+		code := run(tc.args, &out, &errOut)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr: %s)", tc.args, code, errOut.String())
+		}
+		if !strings.Contains(errOut.String(), tc.flag) {
+			t.Errorf("%v: stderr does not name %s:\n%s", tc.args, tc.flag, errOut.String())
+		}
+		if strings.Contains(errOut.String(), "goroutine") {
+			t.Errorf("%v: panicked:\n%s", tc.args, errOut.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: ran before refusing:\n%s", tc.args, out.String())
+		}
+	}
+}
+
+// TestCellRuns drives one small cell end to end: one counter block per
+// budget, in budget order.
+func TestCellRuns(t *testing.T) {
+	var out, errOut strings.Builder
+	if code := run([]string{"-app", "mcf", "-quick", "-accesses", "50000", "-budgets", "0,25"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d (stderr: %s)", code, errOut.String())
+	}
+	s := out.String()
+	if strings.Count(s, "workload       mcf") != 2 || strings.Index(s, "budget=0%") > strings.Index(s, "budget=25%") {
+		t.Errorf("want one block per budget, in order:\n%s", s)
+	}
+}

@@ -75,6 +75,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg := vmm.DefaultConfig()
 		cfg.EnablePCC = true
 		cfg.PromotionInterval = *interval
+		if err := cfg.Validate(); err != nil {
+			fmt.Fprintln(stderr, "pcctrace: -interval:", err)
+			return 2
+		}
 		engine := ospolicy.NewPCCEngine(ospolicy.DefaultPCCEngineConfig())
 		m := vmm.NewMachine(cfg, engine)
 		p := m.AddProcess(wl.Name(), wl.Ranges(), wl.BaseCPA())

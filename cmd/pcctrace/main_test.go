@@ -84,3 +84,14 @@ func TestBadFlagFails(t *testing.T) {
 		t.Fatalf("exit %d, want 2", code)
 	}
 }
+
+// TestZeroIntervalRefused: a record interval the machine cannot run is
+// refused with exit 2 before anything runs, not a panic.
+func TestZeroIntervalRefused(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run([]string{"-mode", "record", "-app", "BFS", "-scale", "10", "-interval", "0",
+		"-out", filepath.Join(t.TempDir(), "c.jsonl")}, &out, &errb)
+	if code != 2 || !strings.Contains(errb.String(), "-interval") || out.Len() != 0 {
+		t.Fatalf("exit %d, stdout %q, stderr %q", code, out.String(), errb.String())
+	}
+}

@@ -5,11 +5,6 @@
 //
 //	tracechar -app BFS -scale 17 > bfs_reuse.tsv
 //	tracechar -app canneal -max 5000
-//
-// With -blockstats the stream is first captured into the columnar block
-// format (the form the experiment trace cache stores) and its encoded shape
-// is reported alongside the characterization, which then runs off the
-// replay — exercising the exact decode path cached experiment runs use.
 package main
 
 import (
@@ -39,7 +34,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sorted  = fs.Bool("sorted", false, "apply degree-based grouping")
 		maxPts  = fs.Int("max", 0, "max scatter points (0 = all pages)")
 		summary = fs.Bool("summary", false, "print class summary only")
-		blockst = fs.Bool("blockstats", false, "record to columnar blocks, report shape, analyze the replay")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -58,15 +52,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	st := wl.Stream()
-	var blockStats trace.BlockStats
-	if *blockst {
-		rec := trace.RecordBlocks(st, 0)
-		workloads.CloseStream(st)
-		blockStats = rec.Stats()
-		st = rec.Replay()
-	}
 	an := trace.NewReuseAnalyzer()
 	n := an.Drain(st)
+	workloads.CloseStream(st)
 	results := an.Results()
 	sum := trace.Summarize(results)
 
@@ -75,9 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	fmt.Fprintf(w, "# app=%s accesses=%d pages=%d threshold=%d\n",
 		wl.Name(), n, len(results), trace.ClassifyThreshold)
-	if *blockst {
-		fmt.Fprintf(w, "# columnar %s\n", blockStats)
-	}
 	for _, c := range []trace.PageClass{trace.TLBFriendly, trace.HUB, trace.LowReuse} {
 		fmt.Fprintf(w, "# class %-14s pages=%-10d accesses=%d\n", c, sum.Pages[c], sum.Accesses[c])
 	}

@@ -29,29 +29,6 @@ func TestSummaryOutput(t *testing.T) {
 	}
 }
 
-// TestBlockstatsFlag: -blockstats must add the columnar shape line and
-// produce the same characterization off the block replay.
-func TestBlockstatsFlag(t *testing.T) {
-	var plain, withBlocks, errb bytes.Buffer
-	if code := run([]string{"-app", "BFS", "-scale", "10", "-summary"}, &plain, &errb); code != 0 {
-		t.Fatalf("plain: exit %d, stderr: %s", code, errb.String())
-	}
-	if code := run([]string{"-app", "BFS", "-scale", "10", "-summary", "-blockstats"}, &withBlocks, &errb); code != 0 {
-		t.Fatalf("blockstats: exit %d, stderr: %s", code, errb.String())
-	}
-	s := withBlocks.String()
-	if !regexp.MustCompile(`(?m)^# columnar blocks=\d+ accesses=\d+ bytes=\d+ bytes/access=\d+\.\d+`).MatchString(s) {
-		t.Errorf("missing columnar shape line:\n%s", s)
-	}
-	// The replayed characterization must match the live one exactly: strip
-	// the extra columnar line and compare.
-	stripped := regexp.MustCompile(`(?m)^# columnar [^\n]*\n`).ReplaceAllString(s, "")
-	if stripped != plain.String() {
-		t.Errorf("characterization diverges between live and block replay:\nlive:\n%s\nreplay:\n%s",
-			plain.String(), s)
-	}
-}
-
 // TestTSVTable: without -summary the scatter table follows the headers.
 func TestTSVTable(t *testing.T) {
 	var out, errb bytes.Buffer

@@ -1,0 +1,220 @@
+package experiments
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+
+	"pccsim/internal/mem"
+	"pccsim/internal/ospolicy"
+	"pccsim/internal/trace"
+	"pccsim/internal/vmm"
+	"pccsim/internal/workloads"
+)
+
+// Cell is one custom simulation beyond the paper's figures (pccsim's -app
+// mode): an application under one OS policy and machine, run once per
+// promotion budget and reported as raw counters. Options supply the
+// workload sizing, the machine's interval, memory and seed, and the run
+// plumbing (pool, shards, trace cache, audit, events, snapshot cuts).
+// Validate's errors name the pccsim flag behind each field.
+type Cell struct {
+	// App is a registry application, an extension workload (phased,
+	// bigtable, sparse) or an external trace file as "trace:<path>".
+	App string
+	// Dataset and Sorted select a graph application's input ("" = kron).
+	Dataset workloads.GraphDataset
+	Sorted  bool
+	// Policy is base, ideal, pcc, pcc-rr, hawkeye or linux.
+	Policy string
+	// Budgets are the promotion budgets to run, in percent of the
+	// footprint, where 0 and 100 both mean unlimited. Empty runs once,
+	// unlimited.
+	Budgets []float64
+	// Frag is the fraction of physical memory fragmented at boot.
+	Frag float64
+	// Threads is the simulated core count; graph kernels split across it.
+	Threads int
+	// PCCEntries sizes the 2MB PCC (Table 2: 128).
+	PCCEntries int
+	// Demote, Victim and Giga configure the PCC policy: PCC-driven
+	// demotion, the L2-eviction victim tracker in place of the PCC, and
+	// 1GB promotion.
+	Demote, Victim, Giga bool
+	// Churn, Compact and DemoteWM turn on dynamic pressure: churn frames
+	// allocated per tick, the kcompactd budget in frames per tick, and the
+	// free-block watermark that triggers demotion.
+	Churn, Compact, DemoteWM int
+	// NUMA names an ext-numa placement on two nodes: bind, interleave or
+	// local-first ("" = one node).
+	NUMA string
+}
+
+// cellPolicies maps Cell.Policy names to the run configuration each selects.
+var cellPolicies = map[string]runCfg{
+	"base":    {kind: polBaseline},
+	"ideal":   {kind: polIdeal},
+	"pcc":     {kind: polPCC},
+	"pcc-rr":  {kind: polPCC, selection: ospolicy.RoundRobin},
+	"hawkeye": {kind: polHawkEye},
+	"linux":   {kind: polLinux},
+}
+
+// cellExtensions are the workloads a cell runs beyond the registry, at
+// their default sizes and with the base CPAs the ext-* experiments give them.
+var cellExtensions = map[string]func() extWorkload{
+	"phased":   func() extWorkload { return extWorkload{workloads.Phased(workloads.DefaultPhasedParams()), 16} },
+	"bigtable": func() extWorkload { return extWorkload{workloads.BigTable(workloads.DefaultBigTableParams()), 16} },
+	"sparse":   func() extWorkload { return extWorkload{workloads.Sparse(workloads.DefaultSparseParams()), 20} },
+}
+
+// configFlags names the pccsim flag that sets each vmm.Config field an
+// Options or Cell value reaches, so a refused value is reported by the flag
+// the user typed.
+var configFlags = map[string]string{
+	"Cores":                          "-threads",
+	"PCC2M":                          "-pcc",
+	"Phys":                           "-phys",
+	"FragFrac":                       "-frag",
+	"PromotionInterval":              "-interval",
+	"Shards":                         "-machine-shards",
+	"Pressure.ChurnAllocFrames":      "-churn",
+	"Pressure.CompactBudgetFrames":   "-compact",
+	"Pressure.DemoteWatermarkBlocks": "-demote-wm",
+}
+
+// validateConfig runs cfg.Validate, prefixing a refusal with the flag that
+// sets the field.
+func validateConfig(cfg vmm.Config) error {
+	err := cfg.Validate()
+	var ce *vmm.ConfigError
+	if errors.As(err, &ce) && configFlags[ce.Field] != "" {
+		return fmt.Errorf("%s: %w", configFlags[ce.Field], err)
+	}
+	return err
+}
+
+// cellPlan is a validated cell: its workload, a fresh-stream source, one
+// run configuration per budget, and the machine settings the cell adds.
+type cellPlan struct {
+	wl     workloads.Workload
+	stream func() trace.Stream
+	runs   []runCfg
+	tweak  func(*vmm.Config)
+}
+
+// Validate refuses a cell that cannot run under o, before anything runs.
+func (c Cell) Validate(o Options) error {
+	_, err := c.plan(o)
+	return err
+}
+
+func (c Cell) plan(o Options) (cellPlan, error) {
+	var p cellPlan
+	base, ok := cellPolicies[c.Policy]
+	if !ok {
+		return p, fmt.Errorf("-policy %q: want base, ideal, pcc, pcc-rr, hawkeye or linux", c.Policy)
+	}
+	placement := numaPlacements[c.NUMA]
+	if placement == nil && c.NUMA != "" {
+		return p, fmt.Errorf("-numa %q: want bind, interleave or local-first", c.NUMA)
+	}
+	switch c.Dataset {
+	case "", workloads.DatasetKron, workloads.DatasetSocial, workloads.DatasetWeb:
+	default:
+		return p, fmt.Errorf("-dataset %q: want kron, social or web", c.Dataset)
+	}
+	p.tweak = func(cfg *vmm.Config) {
+		cfg.Cores = c.Threads
+		cfg.PCC2M.Entries = c.PCCEntries
+		if placement != nil {
+			placement(cfg)
+		}
+	}
+	budgets := c.Budgets
+	if len(budgets) == 0 {
+		budgets = []float64{0}
+	}
+	for _, b := range budgets {
+		if !(b >= 0 && b <= 100) {
+			return p, fmt.Errorf("-budgets: %v is not a percentage in [0,100]", b)
+		}
+		rc := base
+		rc.budgetPct, rc.frag, rc.threads = b, c.Frag, c.Threads
+		rc.demote, rc.victim, rc.giga = c.Demote, c.Victim, c.Giga
+		rc.churnAlloc, rc.compactBudget, rc.demoteWM = c.Churn, c.Compact, c.DemoteWM
+		cfg := o.machineConfig(rc)
+		p.tweak(&cfg)
+		if err := validateConfig(cfg); err != nil {
+			return p, err
+		}
+		p.runs = append(p.runs, rc)
+	}
+
+	if ext, ok := cellExtensions[c.App]; ok {
+		wl := ext()
+		p.wl, p.stream = wl, wl.Stream
+		return p, nil
+	}
+	spec := workloads.Spec{
+		Name: c.App, Dataset: c.Dataset, Sorted: c.Sorted, Scale: o.Scale, Threads: c.Threads,
+		SizeScale: o.SynthSizeScale, Accesses: o.SynthAccesses,
+	}
+	wl, err := workloads.Build(spec)
+	if err != nil {
+		return p, fmt.Errorf("-app %s: %w", c.App, err)
+	}
+	p.wl, p.stream = wl, func() trace.Stream { return o.streamFor(spec, wl) }
+	return p, nil
+}
+
+// RunCell validates c, simulates each of its budgets on o's run pool, and
+// writes one block of raw counters per budget to o.Out, in budget order.
+// Each run publishes under the name cell/<app>/<policy>/b<budget>.
+func RunCell(o Options, c Cell) error {
+	p, err := c.plan(o)
+	if err != nil {
+		return err
+	}
+	tasks := make([]Task[string], len(p.runs))
+	for i, rc := range p.runs {
+		name := fmt.Sprintf("cell/%s/%s/b%g", c.App, c.Policy, rc.budgetPct)
+		tasks[i] = Task[string]{Name: name, Run: func() (string, error) {
+			m, res := o.simulate(name, o.soloBuild(rc, p.wl, p.stream, p.tweak))
+			return c.report(p.wl, rc, m, res), nil
+		}}
+	}
+	blocks, err := RunAll(o.pool(), tasks)
+	if err != nil {
+		return err
+	}
+	o.printf("%s", strings.Join(blocks, "\n"))
+	return nil
+}
+
+// report renders one finished run's raw counters.
+func (c Cell) report(wl workloads.Workload, rc runCfg, m *vmm.Machine, res vmm.RunResult) string {
+	var b strings.Builder
+	line := func(label, format string, args ...any) {
+		fmt.Fprintf(&b, "%-14s %s\n", label, fmt.Sprintf(format, args...))
+	}
+	p := m.Procs()[0]
+	line("workload", "%s (footprint %s)", wl.Name(), mem.HumanBytes(wl.Footprint()))
+	line("policy", "%s  frag=%.0f%%  budget=%g%%  threads=%d", m.Policy().Name(), 100*c.Frag, rc.budgetPct, c.Threads)
+	line("accesses", "%d", res.Accesses)
+	line("cycles", "%.4g", res.Cycles)
+	line("PTW rate", "%.3f%%", 100*res.PTWRate)
+	line("L1 miss rate", "%.3f%%", 100*res.L1MissRate)
+	line("huge pages", "%d (2MB), %d (1GB)", res.HugePages2M, res.HugePages1G)
+	line("promotions", "%d   demotions %d", res.Promotions, res.Demotions)
+	line("stall cycles", "%.4g   background %.4g", res.StallCycles, res.BackgroundCycles)
+	line("phys", "%v", m.Phys())
+	if rc.pressureOn() {
+		st := m.Phys().Stats()
+		line("pressure", "churn alloc=%d free=%d pinned=%d blocked=%d   daemon migrated=%d rebuilt=%d   pressure demotions=%d",
+			st.ChurnAllocFrames, st.ChurnFreeFrames, st.ChurnPinnedFrames, st.ChurnBlockedAllocs,
+			st.DaemonMigrated, st.DaemonRebuilt, m.PressureDemotions)
+	}
+	line("bloat", "%s (touched %s)", mem.HumanBytes(p.BloatBytes()), mem.HumanBytes(p.TouchedBytes()))
+	return b.String()
+}

@@ -27,20 +27,15 @@ func ExtNUMA(o Options) ([]ExtNUMARow, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := func(name string, pol vmm.NUMAPolicy, share float64) (vmm.RunResult, float64) {
-		m, res := o.simulate("ext-numa/"+name, o.soloBuild(runCfg{kind: polBaseline}, wl,
-			func() trace.Stream { return o.streamFor(spec, wl) },
-			func(cfg *vmm.Config) {
-				cfg.NUMA = vmm.DefaultNUMAConfig()
-				cfg.NUMA.Policy = pol
-				cfg.NUMA.LocalShare = share
-			}))
+	run := func(placement string) (vmm.RunResult, float64) {
+		m, res := o.simulate("ext-numa/"+placement, o.soloBuild(runCfg{kind: polBaseline}, wl,
+			func() trace.Stream { return o.streamFor(spec, wl) }, numaPlacements[placement]))
 		return res, m.RemoteShare(m.Procs()[0])
 	}
 
-	bound, boundRemote := run("bind", vmm.NUMABind, 1.0)
-	inter, interRemote := run("interleave", vmm.NUMAInterleave, 1.0)
-	spill, spillRemote := run("local-first", vmm.NUMALocalFirst, 0.5)
+	bound, boundRemote := run("bind")
+	inter, interRemote := run("interleave")
+	spill, spillRemote := run("local-first")
 
 	rows := []ExtNUMARow{
 		{Policy: "bind (paper methodology)", Cycles: bound.Cycles, Slowdown: 1, RemoteShare: boundRemote},
@@ -55,4 +50,21 @@ func ExtNUMA(o Options) ([]ExtNUMARow, error) {
 	}
 	o.printf("Extension — NUMA placement (why the paper binds memory to one node)\n\n%s\n", t.String())
 	return rows, nil
+}
+
+// numaPlacements are ext-numa's two-node placements by name (also a cell's
+// -numa choices): bind and interleave fit every region locally, local-first
+// spills half of them to the remote node.
+var numaPlacements = map[string]func(*vmm.Config){
+	"bind":        numaPlacement(vmm.NUMABind, 1),
+	"interleave":  numaPlacement(vmm.NUMAInterleave, 1),
+	"local-first": numaPlacement(vmm.NUMALocalFirst, 0.5),
+}
+
+func numaPlacement(pol vmm.NUMAPolicy, localShare float64) func(*vmm.Config) {
+	return func(cfg *vmm.Config) {
+		cfg.NUMA = vmm.DefaultNUMAConfig()
+		cfg.NUMA.Policy = pol
+		cfg.NUMA.LocalShare = localShare
+	}
 }

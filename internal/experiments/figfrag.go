@@ -51,24 +51,14 @@ func FigFrag(o Options) ([]FigFragRow, error) {
 	// scale with the pool so the sweep stresses the same regime at every
 	// Options size.
 	o.PhysBytes /= 16
-	o.Interval /= 2
+	o.Interval = max(o.Interval/2, 1)
 	totalFrames := int(o.PhysBytes / 4096)
 	figFragChurn := []int{0, totalFrames / 16, totalFrames / 4}
 	figFragBudgets := []int{0, totalFrames / 16}
 	watermark := totalFrames / 512 / 4 // a quarter of the pool's blocks
 
 	mkCfg := func(kind policyKind, churn, budget int) runCfg {
-		rc := runCfg{kind: kind, frag: frag, demoteWM: watermark}
-		if churn > 0 {
-			// Net-positive churn: more frames arrive than leave each tick,
-			// so ambient activity steadily consumes migration headroom, and
-			// a trickle of pinned allocations poisons blocks for good.
-			rc.churnAlloc = churn
-			rc.churnFree = churn / 2
-			rc.churnPinned = 0.05
-		}
-		rc.compactBudget = budget
-		return rc
+		return runCfg{kind: kind, frag: frag, demoteWM: watermark, churnAlloc: churn, compactBudget: budget}
 	}
 
 	var cells []cell

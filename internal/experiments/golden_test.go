@@ -10,7 +10,8 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files with the current output")
 
-// TestGolden pins the -quick stdout of the headline figures byte-for-byte.
+// TestGolden pins the -quick stdout of the headline figures, and of the
+// goldenCells, byte-for-byte.
 // Each figure runs at two worker counts, two machine-shard counts, and with
 // the trace record/replay cache both enabled and disabled; all eight runs
 // must produce identical output — the determinism contracts the run pool,
@@ -26,7 +27,7 @@ func TestGolden(t *testing.T) {
 	if raceEnabled {
 		t.Skip("byte-identical output comparison adds no race coverage over the grid tests; skipped under -race to stay within the package test timeout")
 	}
-	for _, name := range []string{"fig1", "fig5", "fig6", "fig7", "figfrag", "figtenant"} {
+	for _, name := range []string{"fig1", "fig5", "fig6", "fig7", "figfrag", "figtenant", "cell"} {
 		t.Run(name, func(t *testing.T) {
 			var got []byte
 			for _, w := range []int{1, 8} {
@@ -37,7 +38,7 @@ func TestGolden(t *testing.T) {
 						o.Workers = w
 						o.MachineShards = shards
 						o.TraceCache = cache
-						if err := Run(name, o); err != nil {
+						if err := runGolden(name, o); err != nil {
 							t.Fatalf("%s at %d workers, %d shards (cache %d): %v", name, w, shards, cache, err)
 						}
 						if got == nil {
@@ -72,4 +73,34 @@ func TestGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// goldenCells cover the cell mode's policies and machine options: pcc at
+// several budgets, pcc-rr, hawkeye, linux under fragmentation, and one
+// pressure, one NUMA and one 1GB cell.
+var goldenCells = []Cell{
+	{App: "PR", Policy: "pcc", Budgets: []float64{0, 4, 25}},
+	{App: "PR", Policy: "pcc-rr", Budgets: []float64{25}},
+	{App: "SSSP", Policy: "hawkeye"},
+	{App: "BFS", Policy: "linux", Frag: 0.9},
+	{App: "PR", Policy: "pcc", Frag: 0.9, Churn: 2048, Compact: 512, DemoteWM: 8},
+	{App: "BFS", Policy: "base", NUMA: "local-first", Threads: 2},
+	{App: "mcf", Policy: "pcc", Giga: true, Demote: true},
+}
+
+// runGolden runs one golden entry: a registered experiment, or "cell" for
+// every goldenCells entry in turn.
+func runGolden(name string, o Options) error {
+	if name != "cell" {
+		return Run(name, o)
+	}
+	for _, c := range goldenCells {
+		c.Threads = max(c.Threads, 1)
+		c.PCCEntries = 128
+		if err := RunCell(o, c); err != nil {
+			return err
+		}
+		o.printf("\n")
+	}
+	return nil
 }

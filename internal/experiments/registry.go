@@ -57,11 +57,14 @@ func Names() []string {
 	return names
 }
 
-// Run dispatches one experiment by name.
+// Run validates o and dispatches one experiment by name.
 func Run(name string, o Options) error {
 	d, ok := Registry[name]
 	if !ok {
 		return fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
+	}
+	if err := o.Validate(); err != nil {
+		return err
 	}
 	return d(o)
 }

@@ -7,6 +7,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"pccsim/internal/metrics"
 	"pccsim/internal/obs"
@@ -107,6 +108,22 @@ type Options struct {
 	QuotaSkew string
 }
 
+// Validate refuses options no experiment can run with, before anything
+// runs: figtenant's selectors out of range, or a machine setting (interval,
+// physical memory, shards) vmm.Config.Validate refuses. Run calls it first.
+// Errors name the pccsim flag that sets the field.
+func (o Options) Validate() error {
+	switch {
+	case o.Tenants < 0 || o.Tenants > len(figTenantApps):
+		return fmt.Errorf("-tenants must be 0..%d (the co-located workloads), got %d", len(figTenantApps), o.Tenants)
+	case o.ChurnProcs < 0:
+		return fmt.Errorf("-churn-procs must be >= 0, got %d", o.ChurnProcs)
+	case o.QuotaSkew != "" && o.QuotaSkew != "even" && o.QuotaSkew != "skewed":
+		return fmt.Errorf("-quota-skew must be \"even\" or \"skewed\", got %q", o.QuotaSkew)
+	}
+	return validateConfig(o.machineConfig(runCfg{kind: polPCC}))
+}
+
 // pool returns the run pool the options select. Its worker budget is the
 // Workers bound divided by the per-machine shard budget (rounded up), so
 // grid-level and machine-level parallelism compose without oversubscribing
@@ -122,11 +139,7 @@ func gridWorkers(total, shards int) int {
 	if shards <= 1 {
 		return total
 	}
-	w := (total + shards - 1) / shards
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max((total+shards-1)/shards, 1)
 }
 
 // savePlot writes an SVG next to the textual report, logging rather than
@@ -230,35 +243,23 @@ type runCfg struct {
 	// Dynamic pressure knobs (see vmm.PressureConfig); the pressure model is
 	// enabled when any of them is non-zero. Baseline runs always execute
 	// pressure-free (see baselineOf).
-	churnAlloc    int     // churn source: frames allocated per tick
-	churnFree     int     // churn source: frames freed per tick
-	churnPinned   float64 // fraction of churn allocations that are pinned
-	compactBudget int     // kcompactd daemon migration budget, frames per tick
-	demoteWM      int     // free-block watermark that triggers pressure demotion
+	churnAlloc    int // churn source: frames allocated per tick (half as many are freed)
+	compactBudget int // kcompactd daemon migration budget, frames per tick
+	demoteWM      int // free-block watermark that triggers pressure demotion
 }
 
 // pressureOn reports whether rc asks for the dynamic pressure model.
 func (rc runCfg) pressureOn() bool {
-	return rc.churnAlloc > 0 || rc.churnFree > 0 || rc.compactBudget > 0 || rc.demoteWM > 0
+	return rc.churnAlloc != 0 || rc.compactBudget != 0 || rc.demoteWM != 0
 }
 
 func (o Options) machineConfig(rc runCfg) vmm.Config {
 	cfg := vmm.DefaultConfig()
-	cfg.Cores = rc.threads
-	if cfg.Cores < 1 {
-		cfg.Cores = 1
-	}
+	cfg.Cores = max(rc.threads, 1)
 	if d := o.TLBDivisor; d > 1 {
-		shrink := func(c *tlb.Config) {
-			c.Entries /= d
-			if c.Entries < c.Ways {
-				c.Entries = c.Ways
-			}
+		for _, c := range []*tlb.Config{&cfg.TLB.L1D4K, &cfg.TLB.L1D2M, &cfg.TLB.L1D1G, &cfg.TLB.L2} {
+			c.Entries = max(c.Entries/d, c.Ways)
 		}
-		shrink(&cfg.TLB.L1D4K)
-		shrink(&cfg.TLB.L1D2M)
-		shrink(&cfg.TLB.L1D1G)
-		shrink(&cfg.TLB.L2)
 	}
 	cfg.Phys = physmem.Config{TotalBytes: o.PhysBytes, MovableFillRatio: 0.5}
 	cfg.FragFrac = rc.frag
@@ -279,11 +280,14 @@ func (o Options) machineConfig(rc runCfg) vmm.Config {
 	cfg.AuditEveryTick = o.Audit
 	cfg.Shards = o.MachineShards
 	if rc.pressureOn() {
+		// Net-positive churn: more frames arrive than leave each tick, so
+		// ambient activity steadily consumes migration headroom, and a
+		// trickle of pinned allocations poisons blocks for good.
 		cfg.Pressure = vmm.PressureConfig{
 			Enable:                true,
 			ChurnAllocFrames:      rc.churnAlloc,
-			ChurnFreeFrames:       rc.churnFree,
-			ChurnPinnedFrac:       rc.churnPinned,
+			ChurnFreeFrames:       rc.churnAlloc / 2,
+			ChurnPinnedFrac:       0.05,
 			CompactBudgetFrames:   rc.compactBudget,
 			DemoteWatermarkBlocks: rc.demoteWM,
 			MaxDemotionsPerTick:   2,
@@ -408,14 +412,7 @@ func closeJobStreams(jobs []*vmm.Job) {
 // variantSpecs expands an app name into the dataset/sorting variants the
 // paper geomeans over (graph apps) or the single instance (synthetic apps).
 func (o Options) variantSpecs(app string) []workloads.Spec {
-	isGraph := false
-	for _, g := range workloads.GraphAppNames() {
-		if g == app {
-			isGraph = true
-			break
-		}
-	}
-	if !isGraph {
+	if !slices.Contains(workloads.GraphAppNames(), app) {
 		return []workloads.Spec{{
 			Name:      app,
 			SizeScale: o.SynthSizeScale,
@@ -462,7 +459,7 @@ type cell struct {
 // grid is measured against the same undisturbed denominator.
 func baselineOf(rc runCfg) runCfg {
 	rc.kind, rc.frag, rc.budgetPct = polBaseline, 0, 0
-	rc.churnAlloc, rc.churnFree, rc.churnPinned, rc.compactBudget, rc.demoteWM = 0, 0, 0, 0, 0
+	rc.churnAlloc, rc.compactBudget, rc.demoteWM = 0, 0, 0
 	return rc
 }
 
@@ -497,9 +494,7 @@ func (o Options) runCells(cells []cell) ([]appResult, error) {
 	plans := make([]plan, len(cells))
 	for ci, c := range cells {
 		rc := c.rc
-		if rc.threads < 1 {
-			rc.threads = 1
-		}
+		rc.threads = max(rc.threads, 1)
 		for _, s := range o.variantSpecs(c.app) {
 			// The workload must be partitioned across the same number of
 			// threads the machine runs; otherwise every access lands on one

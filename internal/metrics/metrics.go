@@ -6,7 +6,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -106,27 +105,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Percentile returns the p-th percentile (0-100) using nearest-rank on a
-// copy of xs.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	if p <= 0 {
-		return c[0]
-	}
-	if p >= 100 {
-		return c[len(c)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(c)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return c[rank]
 }
 
 // CurvePoint is one point of a utility curve: performance at a given

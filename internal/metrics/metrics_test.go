@@ -69,26 +69,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if Percentile(xs, 0) != 1 {
-		t.Errorf("p0 = %v", Percentile(xs, 0))
-	}
-	if Percentile(xs, 100) != 5 {
-		t.Errorf("p100 = %v", Percentile(xs, 100))
-	}
-	if Percentile(xs, 50) != 3 {
-		t.Errorf("p50 = %v", Percentile(xs, 50))
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile must be 0")
-	}
-	// Input must not be mutated.
-	if xs[0] != 5 {
-		t.Error("percentile must not sort the input in place")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("App", "Speedup")
 	tb.AddRow("BFS", "1.25")

@@ -141,17 +141,33 @@ type PCC struct {
 	mru int
 }
 
-// New builds a PCC. It panics on invalid configuration (static hardware
+// MaxEntries bounds a PCC's (or victim tracker's) capacity — 64x the
+// paper's 128-entry 2MB PCC — so no configuration Validate accepts can
+// exhaust host memory.
+const MaxEntries = 1 << 13
+
+// Validate reports why cfg cannot build a PCC: it needs 1..MaxEntries
+// entries, a 2MB or 1GB region size, a 1..32-bit counter and a known
+// replacement policy.
+func (cfg Config) Validate() error {
+	switch {
+	case cfg.Entries <= 0 || cfg.Entries > MaxEntries:
+		return fmt.Errorf("pcc: %d entries, want 1..%d", cfg.Entries, MaxEntries)
+	case cfg.RegionSize != mem.Page2M && cfg.RegionSize != mem.Page1G:
+		return fmt.Errorf("pcc: unsupported region size %v", cfg.RegionSize)
+	case cfg.CounterBits <= 0 || cfg.CounterBits > 32:
+		return fmt.Errorf("pcc: invalid counter width %d, want 1..32", cfg.CounterBits)
+	case cfg.Replacement != LFU && cfg.Replacement != LRU && cfg.Replacement != FIFO:
+		return fmt.Errorf("pcc: unknown replacement policy %d", cfg.Replacement)
+	}
+	return nil
+}
+
+// New builds a PCC. It panics on a config Validate refuses (static hardware
 // shape).
 func New(cfg Config) *PCC {
-	if cfg.Entries <= 0 {
-		panic("pcc: entries must be positive")
-	}
-	if cfg.RegionSize != mem.Page2M && cfg.RegionSize != mem.Page1G {
-		panic(fmt.Sprintf("pcc: unsupported region size %v", cfg.RegionSize))
-	}
-	if cfg.CounterBits <= 0 || cfg.CounterBits > 32 {
-		panic(fmt.Sprintf("pcc: invalid counter width %d", cfg.CounterBits))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	return &PCC{
 		cfg:     cfg,
@@ -411,15 +427,6 @@ func (p *PCC) InvalidateRange(r mem.Range) int {
 	return n
 }
 
-// Clear empties the PCC (e.g. after a full dump-and-promote cycle when the
-// OS opts to reset tracking).
-func (p *PCC) Clear() {
-	for i := range p.entries {
-		p.entries[i].valid = false
-	}
-	p.nvalid = 0
-}
-
 // Len returns the number of valid entries.
 func (p *PCC) Len() int {
 	n := 0
@@ -429,21 +436,4 @@ func (p *PCC) Len() int {
 		}
 	}
 	return n
-}
-
-// Full reports whether every way holds a valid entry.
-func (p *PCC) Full() bool { return p.Len() == len(p.entries) }
-
-// StorageBits returns the hardware storage the PCC requires, in bits:
-// per entry a tag (virtual address prefix above the region shift, assuming
-// 48-bit virtual addresses and a valid bit folded in) plus the counter.
-// For the paper's 128-entry 2MB PCC with 40-bit tags and 8-bit counters
-// this is 128*(40+8) bits = 768B.
-func (p *PCC) StorageBits() int {
-	// The paper budgets 40 tag bits per 2MB entry and 31 per 1GB entry.
-	tagBits := 40
-	if p.cfg.RegionSize == mem.Page1G {
-		tagBits = 31
-	}
-	return len(p.entries) * (tagBits + p.cfg.CounterBits)
 }

@@ -44,13 +44,6 @@ func TestDefaultConfigs(t *testing.T) {
 	if p1.Config().Entries != 8 || p1.RegionSize() != mem.Page1G {
 		t.Errorf("1G default = %+v", p1.Config())
 	}
-	// Paper storage arithmetic: 128x(40+8) bits = 768B; 8x(31+8) = 39B.
-	if p2.StorageBits() != 128*48 {
-		t.Errorf("2M storage bits = %d", p2.StorageBits())
-	}
-	if p1.StorageBits() != 8*39 {
-		t.Errorf("1G storage bits = %d", p1.StorageBits())
-	}
 }
 
 func TestInsertWithFreqZeroAndIncrement(t *testing.T) {
@@ -226,22 +219,6 @@ func TestInvalidateRange(t *testing.T) {
 	}
 	if p.Len() != 4 {
 		t.Errorf("len = %d, want 4", p.Len())
-	}
-}
-
-func TestClearAndFull(t *testing.T) {
-	p := small(2)
-	p.Record(addr2M(1))
-	if p.Full() {
-		t.Error("not full yet")
-	}
-	p.Record(addr2M(2))
-	if !p.Full() {
-		t.Error("must be full")
-	}
-	p.Clear()
-	if p.Len() != 0 || p.Full() {
-		t.Error("clear must empty")
 	}
 }
 

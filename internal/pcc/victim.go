@@ -1,6 +1,7 @@
 package pcc
 
 import (
+	"fmt"
 	"sort"
 
 	"pccsim/internal/mem"
@@ -46,8 +47,8 @@ var (
 // NewVictimTracker builds a tracker with the given capacity (compare with a
 // PCC of equal entries for a fair area argument).
 func NewVictimTracker(entries int) *VictimTracker {
-	if entries <= 0 {
-		panic("pcc: victim tracker entries must be positive")
+	if entries <= 0 || entries > MaxEntries {
+		panic(fmt.Sprintf("pcc: victim tracker entries %d, want 1..%d", entries, MaxEntries))
 	}
 	return &VictimTracker{entries: make([]entry, entries), max: 255}
 }

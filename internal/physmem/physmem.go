@@ -115,10 +115,29 @@ type Memory struct {
 	stats        Stats
 }
 
-// New builds the model with all blocks free.
+// MaxTotalBytes bounds the modeled memory at 1 TiB: 512Ki blocks of
+// 5 bytes of model state each, so no configuration Validate accepts can
+// exhaust host memory.
+const MaxTotalBytes = 1 << 40
+
+// Validate reports why cfg cannot build the model: TotalBytes must be a
+// positive multiple of 2MB up to MaxTotalBytes, and MovableFillRatio a
+// fraction in [0,1].
+func (cfg Config) Validate() error {
+	if cfg.TotalBytes == 0 || cfg.TotalBytes%uint64(mem.Page2M) != 0 || cfg.TotalBytes > MaxTotalBytes {
+		return fmt.Errorf("physmem: total bytes %d not a positive multiple of 2MB up to %d", cfg.TotalBytes, uint64(MaxTotalBytes))
+	}
+	if !(cfg.MovableFillRatio >= 0 && cfg.MovableFillRatio <= 1) {
+		return fmt.Errorf("physmem: movable fill ratio %v out of [0,1]", cfg.MovableFillRatio)
+	}
+	return nil
+}
+
+// New builds the model with all blocks free. It panics on a config Validate
+// refuses.
 func New(cfg Config) *Memory {
-	if cfg.TotalBytes == 0 || cfg.TotalBytes%uint64(mem.Page2M) != 0 {
-		panic(fmt.Sprintf("physmem: total bytes %d not a positive multiple of 2MB", cfg.TotalBytes))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	n := int(cfg.TotalBytes / uint64(mem.Page2M))
 	return &Memory{
@@ -204,7 +223,7 @@ func (m *Memory) reclassify(b int) {
 // frac=0.5 reproduces the paper's "50% of total memory fragmented";
 // frac=0.9 the 90% case.
 func (m *Memory) Fragment(frac float64, rng *rand.Rand) {
-	if frac < 0 || frac > 1 {
+	if !(frac >= 0 && frac <= 1) {
 		panic(fmt.Sprintf("physmem: fragmentation fraction %v out of [0,1]", frac))
 	}
 	if m.hugeBlocks > 0 || m.gigaPages > 0 {
@@ -316,19 +335,6 @@ func (m *Memory) migrateOut(src, exLo, exHi int, allowFree bool) (int, bool) {
 	m.movableFrames[src] = 0
 	m.reclassify(src)
 	return need, true
-}
-
-// HugeBlocksAvailable returns how many further 2MB huge pages could be
-// created right now, counting free blocks plus blocks that compaction could
-// empty.
-func (m *Memory) HugeBlocksAvailable() int {
-	n := 0
-	for _, b := range m.blocks {
-		if b == blockFree || b == blockMovable {
-			n++
-		}
-	}
-	return n
 }
 
 // HugePagesInUse returns the number of live 2MB huge pages (1GB pages are

@@ -71,7 +71,7 @@ func TestFragmentFractionValidation(t *testing.T) {
 func TestFragmentBlocksUnmovable(t *testing.T) {
 	m := New(Config{TotalBytes: 100 << 21, MovableFillRatio: 0.5})
 	m.Fragment(0.9, rand.New(rand.NewSource(1)))
-	if got := m.HugeBlocksAvailable(); got != 10 {
+	if got := hugeBlocksAvailable(m); got != 10 {
 		t.Errorf("available = %d, want 10 (10%% of 100)", got)
 	}
 	// All 10 allocations require compaction (MovableFillRatio > 0).
@@ -158,7 +158,7 @@ func TestDeterministicFragmentation(t *testing.T) {
 	c.Fragment(0.5, rand.New(rand.NewSource(8)))
 	// Aggregate counts match even if placement differs; verify via
 	// available count instead.
-	if a.HugeBlocksAvailable() != c.HugeBlocksAvailable() {
+	if hugeBlocksAvailable(a) != hugeBlocksAvailable(c) {
 		t.Error("fragmentation fraction must be seed-independent in aggregate")
 	}
 }
@@ -203,4 +203,16 @@ func TestAllocBaseAccounting(t *testing.T) {
 	if m.Stats().BaseAllocs != 10 {
 		t.Errorf("base allocs = %d", m.Stats().BaseAllocs)
 	}
+}
+
+// hugeBlocksAvailable counts the blocks a huge allocation could still use:
+// free ones plus those compaction could empty.
+func hugeBlocksAvailable(m *Memory) int {
+	n := 0
+	for _, b := range m.blocks {
+		if b == blockFree || b == blockMovable {
+			n++
+		}
+	}
+	return n
 }

@@ -322,25 +322,6 @@ func (t *Table) Walk(a mem.VirtAddr) WalkInfo {
 	return info
 }
 
-// ClearAccessed clears the accessed bits across the whole table at or below
-// the given level. HawkEye-style software scanning uses this to sample page
-// activity; passing PGD clears everything.
-func (t *Table) ClearAccessed(upTo Level) {
-	t.clearAccessed(0, PGD, upTo)
-}
-
-func (t *Table) clearAccessed(ni int32, l, upTo Level) {
-	n := &t.nodes[ni]
-	for i := 0; i < 512; i++ {
-		if l <= upTo {
-			n.accessed[i] = false
-		}
-		if n.children[i] != 0 {
-			t.clearAccessed(n.children[i], l-1, upTo)
-		}
-	}
-}
-
 // Accessed4K reports whether the PTE for the 4KB page containing a has its
 // accessed bit set (software sampling path used by the HawkEye model).
 func (t *Table) Accessed4K(a mem.VirtAddr) bool {

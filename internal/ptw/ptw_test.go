@@ -197,21 +197,6 @@ func TestAccessed4KSampleAndClear(t *testing.T) {
 	}
 }
 
-func TestClearAccessedTree(t *testing.T) {
-	tb := NewTable()
-	a := mem.VirtAddr(0x5000)
-	tb.Map(a, mem.Page4K)
-	tb.Walk(a)
-	tb.ClearAccessed(PGD)
-	if tb.Accessed4K(a) {
-		t.Error("tree-wide clear must reach PTEs")
-	}
-	info := tb.Walk(a)
-	if info.PMDWasAccessed || info.PUDWasAccessed {
-		t.Error("tree-wide clear must reach upper levels")
-	}
-}
-
 func TestWalkerPWCSkipsLevels(t *testing.T) {
 	tb := NewTable()
 	w := NewWalker(DefaultPWCConfig())

@@ -18,6 +18,21 @@ type PWCConfig struct {
 	PMDEntries int
 }
 
+// MaxPWCEntries bounds each page walk cache level's capacity, so no
+// configuration Validate accepts can exhaust host memory.
+const MaxPWCEntries = 1 << 10
+
+// Validate reports why cfg cannot build a walker: every level needs
+// 0..MaxPWCEntries entries (0 disables that level's cache).
+func (cfg PWCConfig) Validate() error {
+	for _, n := range []int{cfg.PGDEntries, cfg.PUDEntries, cfg.PMDEntries} {
+		if n < 0 || n > MaxPWCEntries {
+			return fmt.Errorf("ptw: page walk cache level of %d entries, want 0..%d", n, MaxPWCEntries)
+		}
+	}
+	return nil
+}
+
 // DefaultPWCConfig returns a typical MMU-cache geometry.
 func DefaultPWCConfig() PWCConfig {
 	return PWCConfig{PGDEntries: 2, PUDEntries: 4, PMDEntries: 32}
@@ -188,8 +203,12 @@ type Walker struct {
 	stats WalkerStats
 }
 
-// NewWalker builds a walker with the given PWC geometry.
+// NewWalker builds a walker with the given PWC geometry. It panics on a
+// config Validate refuses.
 func NewWalker(cfg PWCConfig) *Walker {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	return &Walker{
 		pgd: newPWCCache(cfg.PGDEntries),
 		pud: newPWCCache(cfg.PUDEntries),

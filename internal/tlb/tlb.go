@@ -132,11 +132,25 @@ type Config struct {
 	Ways    int // associativity; Ways == Entries means fully associative
 }
 
-// New builds a TLB from a config. It panics on invalid geometry because TLB
-// shapes are static machine configuration, not runtime input.
+// MaxEntries bounds one TLB structure's capacity (8x Table 2's 1024-entry
+// L2), so no configuration Validate accepts can exhaust host memory.
+const MaxEntries = 1 << 13
+
+// Validate reports why cfg cannot build a TLB: it needs 1..MaxEntries
+// entries and a positive way count that divides them.
+func (cfg Config) Validate() error {
+	if cfg.Entries <= 0 || cfg.Entries > MaxEntries || cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
+		return fmt.Errorf("tlb: invalid geometry %d entries / %d ways (want 1..%d entries in whole sets)",
+			cfg.Entries, cfg.Ways, MaxEntries)
+	}
+	return nil
+}
+
+// New builds a TLB from a config. It panics on a config Validate refuses,
+// because TLB shapes are static machine configuration, not runtime input.
 func New(cfg Config) *TLB {
-	if cfg.Entries <= 0 || cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
-		panic(fmt.Sprintf("tlb: invalid geometry %d entries / %d ways", cfg.Entries, cfg.Ways))
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	t := &TLB{
 		name: cfg.Name,

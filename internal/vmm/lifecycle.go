@@ -54,11 +54,11 @@ type LifecycleConfig struct {
 	SpawnProb float64
 	ExecProb  float64
 	ExitProb  float64
-	// VMABytes sizes each churn address space (default 8MB; rounded up to
-	// a 4KB multiple, capped at the 1GB slot stride).
+	// VMABytes sizes each churn address space (0 = 8MB; rounded up to a
+	// 4KB multiple; at most the 1GB slot stride).
 	VMABytes uint64
 	// TouchFrac is the fraction of the VMA faulted in at spawn/exec
-	// (default 0.5).
+	// (0 = 0.5).
 	TouchFrac float64
 	// HugeRegions is how many leading 2MB regions each spawn/exec attempts
 	// to promote (competing for the shared huge page pool; failures are
@@ -185,9 +185,6 @@ func (m *Machine) spawnChurn() {
 		bytes = 8 << 20
 	}
 	bytes = (bytes + uint64(mem.Page4K) - 1) &^ (uint64(mem.Page4K) - 1)
-	if bytes > uint64(churnSlotStride) {
-		bytes = uint64(churnSlotStride)
-	}
 	slot := m.lifecycle.Spawns % churnAddrSlots
 	start := churnVABase + mem.VirtAddr(slot)*churnSlotStride
 	p := newProcess(m.nextPID, fmt.Sprintf("churn-%d", m.lifecycle.Spawns),
@@ -213,10 +210,8 @@ func (m *Machine) populateChurn(p *Process) {
 	lc := m.cfg.Lifecycle
 	v := p.vmas[0]
 	frac := lc.TouchFrac
-	if frac <= 0 {
+	if frac == 0 {
 		frac = 0.5
-	} else if frac > 1 {
-		frac = 1
 	}
 	pages := uint64(float64(len(v.state)) * frac)
 	if pages == 0 {

@@ -125,13 +125,12 @@ func (m *Machine) PromotionLog() []PromotionEvent {
 }
 
 // NewMachine builds a machine; policy may be nil (no OS huge page
-// management beyond 4KB faults — the baseline).
+// management beyond 4KB faults — the baseline). It panics with the
+// *ConfigError of a config Validate refuses: entry points validate first,
+// so only a programming error reaches the panic.
 func NewMachine(cfg Config, policy Policy) *Machine {
-	if cfg.Cores <= 0 {
-		cfg.Cores = 1
-	}
-	if cfg.PromotionInterval == 0 {
-		cfg.PromotionInterval = DefaultConfig().PromotionInterval
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	if TestForceAudit {
 		cfg.AuditEveryTick = true

@@ -57,7 +57,7 @@ type NUMAConfig struct {
 	Policy NUMAPolicy
 	// LocalShare caps the home node's share of a process's regions under
 	// NUMALocalFirst before spilling (models pressure; 1.0 = everything
-	// fits locally).
+	// fits locally). Must be in (0,1] when NUMA is on.
 	LocalShare float64
 }
 
@@ -85,9 +85,6 @@ type demotePlacementKey struct {
 func newNUMAState(cfg NUMAConfig) *numaState {
 	if cfg.Nodes <= 1 {
 		return nil
-	}
-	if cfg.LocalShare <= 0 {
-		cfg.LocalShare = 1.0
 	}
 	return &numaState{
 		cfg:           cfg,

@@ -44,21 +44,6 @@ type PressureConfig struct {
 	MaxDemotionsPerTick int
 }
 
-// DefaultPressureConfig returns a moderate pressure setup: a few hundred
-// frames of churn per tick with a small pinned fraction, a daemon budget
-// that roughly keeps pace, and single-page watermark demotion.
-func DefaultPressureConfig() PressureConfig {
-	return PressureConfig{
-		Enable:                true,
-		ChurnAllocFrames:      256,
-		ChurnFreeFrames:       128,
-		ChurnPinnedFrac:       0.01,
-		CompactBudgetFrames:   512,
-		DemoteWatermarkBlocks: 2,
-		MaxDemotionsPerTick:   1,
-	}
-}
-
 // pressureRNG lazily builds the pressure model's dedicated RNG stream,
 // decoupled from the fragmentation RNG (which NewMachine consumes at build
 // time) so enabling pressure never re-rolls the initial fragment placement.

@@ -109,7 +109,10 @@ func TestSteadyStateRunAllocsLivePressure(t *testing.T) {
 
 	cfg := testConfig()
 	cfg.PromotionInterval = 20_000
-	cfg.Pressure = DefaultPressureConfig()
+	cfg.Pressure = PressureConfig{
+		Enable: true, ChurnAllocFrames: 256, ChurnFreeFrames: 128, ChurnPinnedFrac: 0.01,
+		CompactBudgetFrames: 512, DemoteWatermarkBlocks: 2, MaxDemotionsPerTick: 1,
+	}
 	m := NewMachine(cfg, nil)
 	p := m.AddProcess("t", testVMA(8), 0)
 	r := p.Ranges()[0]

@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"pccsim/internal/graph"
@@ -29,7 +30,7 @@ type Workload interface {
 // Spec describes a workload instantiation request.
 type Spec struct {
 	// Name selects the application: BFS, SSSP, PR, canneal, omnetpp,
-	// xalancbmk, dedup, mcf.
+	// xalancbmk, dedup, mcf, or an external trace file as "trace:<path>".
 	Name string
 	// Dataset selects the graph input for BFS/SSSP/PR (ignored for
 	// others). Empty means DatasetKron.
@@ -145,6 +146,9 @@ func Build(s Spec) (Workload, error) {
 		}
 		return &synthAdapter{SynthApp: app, baseCPA: baseCPAFor(s.Name)}, nil
 	default:
+		if path, ok := strings.CutPrefix(s.Name, TracePrefix); ok {
+			return TraceFile(path)
+		}
 		return nil, fmt.Errorf("workloads: unknown application %q", s.Name)
 	}
 }

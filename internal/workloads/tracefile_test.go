@@ -1,0 +1,95 @@
+package workloads
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"pccsim/internal/mem"
+	"pccsim/internal/trace"
+)
+
+// writeTrace stores addrs as a trace file in the given format and returns
+// its path.
+func writeTrace(t *testing.T, binary bool, addrs ...mem.VirtAddr) string {
+	t.Helper()
+	accs := make([]trace.Access, len(addrs))
+	for i, a := range addrs {
+		accs[i] = trace.Access{Addr: a, Write: i%2 == 1}
+	}
+	var buf bytes.Buffer
+	write := trace.WriteText
+	if binary {
+		write = trace.WriteBinary
+	}
+	if _, err := write(&buf, trace.Slice(accs)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "app.trc")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestTraceFileMergesGapsUpTo16MB: touched 2MB regions merge into one VMA
+// across at most 16MB of untouched space and split beyond it.
+func TestTraceFileMergesGapsUpTo16MB(t *testing.T) {
+	const base, mb = mem.VirtAddr(1 << 30), mem.VirtAddr(1 << 20)
+	path := writeTrace(t, false,
+		base+5,       // region [0, 2MB)
+		base+18*mb,   // 16MB gap after the first region: merges
+		base+19*mb,   // same region again
+		base+39*mb+1, // region [38MB, 40MB): an 18MB gap, splits
+	)
+	wl, err := Build(Spec{Name: TracePrefix + path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []mem.Range{{Start: base, End: base + 20*mb}, {Start: base + 38*mb, End: base + 40*mb}}
+	if got := wl.Ranges(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ranges = %v, want %v", got, want)
+	}
+	if wl.Footprint() != uint64(22*mb) || wl.Name() != TracePrefix+path {
+		t.Errorf("footprint %d name %q", wl.Footprint(), wl.Name())
+	}
+}
+
+// TestTraceFileTextAndBinaryAgree: both formats load to the same VMAs and
+// replay the same accesses.
+func TestTraceFileTextAndBinaryAgree(t *testing.T) {
+	addrs := []mem.VirtAddr{0x200000, 0x201000, 0x5000000, 0x200040}
+	var loaded [2]Workload
+	for i, binary := range []bool{false, true} {
+		wl, err := TraceFile(writeTrace(t, binary, addrs...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded[i] = wl
+		got := trace.Collect(wl.Stream(), len(addrs)+1)
+		if len(got) != len(addrs) {
+			t.Fatalf("binary=%v: replayed %d accesses, want %d", binary, len(got), len(addrs))
+		}
+		for k, a := range got {
+			if a.Addr != addrs[k] || a.Write != (k%2 == 1) {
+				t.Errorf("binary=%v: access %d = %+v, want addr %#x", binary, k, a, uint64(addrs[k]))
+			}
+		}
+	}
+	if !reflect.DeepEqual(loaded[0].Ranges(), loaded[1].Ranges()) {
+		t.Errorf("text ranges %v != binary ranges %v", loaded[0].Ranges(), loaded[1].Ranges())
+	}
+}
+
+// TestTraceFileErrors: an empty trace and an unreadable file are refused.
+func TestTraceFileErrors(t *testing.T) {
+	if _, err := TraceFile(writeTrace(t, true)); err == nil || !strings.Contains(err.Error(), "contains no accesses") {
+		t.Errorf("empty trace: err = %v", err)
+	}
+	if _, err := Build(Spec{Name: TracePrefix + filepath.Join(t.TempDir(), "missing.trc")}); err == nil {
+		t.Error("missing file: no error")
+	}
+}
