@@ -48,10 +48,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sorted   = fs.Bool("sorted", false, "degree-based grouping")
 		out      = fs.String("out", "candidates.jsonl", "trace output path (record)")
 		in       = fs.String("in", "candidates.jsonl", "trace input path (replay)")
-		interval = fs.Uint64("interval", 2_000_000, "promotion interval (accesses)")
-		budget   = fs.Float64("budget", 0, "huge budget %% of footprint (record)")
+		interval = fs.Uint64("interval", 2_000_000, "promotion interval in accesses (replay ticks every interval/100, so at least 100)")
+		budget   = fs.Float64("budget", 0, "huge budget, % of footprint in [0,100] (record; 0 and 100 = unlimited)")
 		accCap   = fs.Uint64("accesses", 0, "cap the stream length (blockstats; 0 = full stream)")
-		size     = fs.Float64("sizescale", 0, "synthetic footprint scale (blockstats; 0 = app default)")
+		size     = fs.Float64("sizescale", 0, "synthetic footprint scale, finite and >= 0 (0 = app default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -61,24 +61,49 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "pcctrace:", err)
 		return 1
 	}
-
-	wl, err := workloads.Build(workloads.Spec{
+	// Every flag is checked before the workload is built, so a bad value
+	// costs nothing and exits 2 like a flag parse error.
+	refuse := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "pcctrace: "+format+"\n", args...)
+		return 2
+	}
+	spec := workloads.Spec{
 		Name: *app, Dataset: workloads.GraphDataset(*dataset), Scale: *scale, Sorted: *sorted,
 		SizeScale: *size, Accesses: *accCap,
-	})
+	}
+	if err := spec.Validate(); err != nil {
+		return refuse("%v", err)
+	}
+	cfg := vmm.DefaultConfig()
+	switch *mode {
+	case "record":
+		if !(*budget >= 0 && *budget <= 100) {
+			return refuse("-budget: %v is not a percentage in [0,100]", *budget)
+		}
+		cfg.PromotionInterval = *interval
+	case "replay":
+		// The replayed system ticks 100 times as often as the recorded one,
+		// so recorded promotions land close to their recorded instants.
+		if *interval < 100 {
+			return refuse("-interval %d: replay ticks every interval/100 accesses, so it must be at least 100", *interval)
+		}
+		cfg.EnablePCC = false // the replayed system has no PCC hardware
+		cfg.PromotionInterval = *interval / 100
+	case "blockstats":
+	default:
+		return refuse("-mode %q: want record, replay or blockstats", *mode)
+	}
+	if err := cfg.Validate(); err != nil {
+		return refuse("-interval: %v", err)
+	}
+
+	wl, err := workloads.Build(spec)
 	if err != nil {
 		return fail(err)
 	}
 
 	switch *mode {
 	case "record":
-		cfg := vmm.DefaultConfig()
-		cfg.EnablePCC = true
-		cfg.PromotionInterval = *interval
-		if err := cfg.Validate(); err != nil {
-			fmt.Fprintln(stderr, "pcctrace: -interval:", err)
-			return 2
-		}
 		engine := ospolicy.NewPCCEngine(ospolicy.DefaultPCCEngineConfig())
 		m := vmm.NewMachine(cfg, engine)
 		p := m.AddProcess(wl.Name(), wl.Ranges(), wl.BaseCPA())
@@ -100,12 +125,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		cfg := vmm.DefaultConfig()
-		cfg.EnablePCC = false // the replayed system has no PCC hardware
-		cfg.PromotionInterval = *interval / 100
-		if cfg.PromotionInterval == 0 {
-			cfg.PromotionInterval = 1000
-		}
 		replay := ctrace.NewReplayPolicy(tr)
 		m := vmm.NewMachine(cfg, replay)
 		p := m.AddProcess(wl.Name(), wl.Ranges(), wl.BaseCPA())
@@ -123,9 +142,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rec := trace.RecordBlocks(st, 0)
 		workloads.CloseStream(st)
 		fmt.Fprintf(stdout, "%s: %s\n", wl.Name(), rec.Stats())
-
-	default:
-		return fail(fmt.Errorf("unknown mode %q", *mode))
 	}
 	return 0
 }

@@ -66,14 +66,57 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUnknownModeFails: a bad -mode must report the error and exit nonzero.
+// TestRefusedInputs: every input below must exit 2 before the workload is
+// built or anything runs — empty stdout — with a stderr message naming the
+// offending flag and no panic (no goroutine dump). TestUnknownModeFails
+// covers -mode the same way.
+func TestRefusedInputs(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-mode", "record", "-budget", "-5"}, "-budget"},
+		{[]string{"-mode", "record", "-budget", "NaN"}, "-budget"},
+		{[]string{"-mode", "record", "-budget", "150"}, "-budget"},
+		{[]string{"-mode", "replay", "-interval", "50"}, "-interval"},
+		{[]string{"-mode", "replay", "-interval", "0"}, "-interval"},
+		{[]string{"-mode", "blockstats", "-app", "mcf", "-sizescale", "-1"}, "-sizescale"},
+		{[]string{"-mode", "blockstats", "-app", "mcf", "-sizescale", "NaN"}, "-sizescale"},
+		{[]string{"-mode", "blockstats", "-dataset", "bogus"}, "-dataset"},
+		{[]string{"-mode", "blockstats", "-scale", "31"}, "-scale"},
+		{[]string{"-mode", "blockstats", "-scale", "-1"}, "-scale"},
+	} {
+		// Small workloads and scratch paths first: the case's own flags
+		// come last and win.
+		args := append([]string{"-scale", "10", "-accesses", "50000",
+			"-out", filepath.Join(dir, "c.jsonl"), "-in", filepath.Join(dir, "c.jsonl")}, tc.args...)
+		var out, errb bytes.Buffer
+		code := run(args, &out, &errb)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr: %s)", tc.args, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), tc.flag) {
+			t.Errorf("%v: stderr does not name %s:\n%s", tc.args, tc.flag, errb.String())
+		}
+		if strings.Contains(errb.String(), "goroutine") {
+			t.Errorf("%v: panicked:\n%s", tc.args, errb.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: ran before refusing:\n%s", tc.args, out.String())
+		}
+	}
+}
+
+// TestUnknownModeFails: a bad -mode is refused with exit 2 before the
+// workload is built.
 func TestUnknownModeFails(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-mode", "bogus", "-app", "mcf", "-sizescale", "0.05"}, &out, &errb); code != 1 {
-		t.Fatalf("exit %d, want 1", code)
+	if code := run([]string{"-mode", "bogus", "-app", "mcf", "-sizescale", "0.05"}, &out, &errb); code != 2 {
+		t.Fatalf("exit %d, want 2", code)
 	}
-	if !strings.Contains(errb.String(), `unknown mode "bogus"`) {
-		t.Errorf("stderr: %s", errb.String())
+	if !strings.Contains(errb.String(), `-mode "bogus"`) || out.Len() != 0 {
+		t.Errorf("stdout %q, stderr %q", out.String(), errb.String())
 	}
 }
 

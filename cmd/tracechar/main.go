@@ -38,14 +38,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	wl, err := workloads.Build(workloads.Spec{
+	// Every flag is checked before the workload is built, so a bad value
+	// costs nothing and exits 2 like a flag parse error.
+	refuse := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "tracechar: "+format+"\n", args...)
+		return 2
+	}
+	spec := workloads.Spec{
 		Name:     *app,
 		Dataset:  workloads.GraphDataset(*dataset),
 		Scale:    *scale,
 		Sorted:   *sorted,
 		SkipInit: true, // characterize the steady-state kernel only
-	})
+	}
+	if err := spec.Validate(); err != nil {
+		return refuse("%v", err)
+	}
+	if *maxPts < 0 {
+		return refuse("-max must be >= 0 (0 = all pages), got %d", *maxPts)
+	}
+
+	wl, err := workloads.Build(spec)
 	if err != nil {
 		fmt.Fprintln(stderr, "tracechar:", err)
 		return 1

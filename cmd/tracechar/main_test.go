@@ -55,3 +55,35 @@ func TestUnknownAppFails(t *testing.T) {
 		t.Errorf("stderr: %s", errb.String())
 	}
 }
+
+// TestRefusedInputs: every input below must exit 2 before the workload is
+// built or anything runs — empty stdout — with a stderr message naming the
+// offending flag and no panic (no goroutine dump).
+func TestRefusedInputs(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-max", "-3"}, "-max"},
+		{[]string{"-scale", "31"}, "-scale"},
+		{[]string{"-scale", "-1"}, "-scale"},
+		{[]string{"-dataset", "bogus"}, "-dataset"},
+	} {
+		// A small workload first: the case's own flags come last and win.
+		args := append([]string{"-app", "BFS", "-scale", "10", "-summary"}, tc.args...)
+		var out, errb bytes.Buffer
+		code := run(args, &out, &errb)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr: %s)", tc.args, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), tc.flag) {
+			t.Errorf("%v: stderr does not name %s:\n%s", tc.args, tc.flag, errb.String())
+		}
+		if strings.Contains(errb.String(), "goroutine") {
+			t.Errorf("%v: panicked:\n%s", tc.args, errb.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: ran before refusing:\n%s", tc.args, out.String())
+		}
+	}
+}

@@ -119,10 +119,8 @@ func (c Cell) plan(o Options) (cellPlan, error) {
 	if placement == nil && c.NUMA != "" {
 		return p, fmt.Errorf("-numa %q: want bind, interleave or local-first", c.NUMA)
 	}
-	switch c.Dataset {
-	case "", workloads.DatasetKron, workloads.DatasetSocial, workloads.DatasetWeb:
-	default:
-		return p, fmt.Errorf("-dataset %q: want kron, social or web", c.Dataset)
+	if err := (workloads.Spec{Dataset: c.Dataset}).Validate(); err != nil {
+		return p, err
 	}
 	p.tweak = func(cfg *vmm.Config) {
 		cfg.Cores = c.Threads

@@ -13,12 +13,6 @@ type LinuxTHPConfig struct {
 	// SyncFaultAlloc enables synchronous 2MB allocation at first touch
 	// (Linux's aggressive default for THP=always).
 	SyncFaultAlloc bool
-	// MadviseOnly models THP=madvise: fault-time huge allocation and
-	// khugepaged collapses apply only to ranges the application opted
-	// into with MADV_HUGEPAGE (registered via Madvise). §2.1 notes this
-	// shifts the placement burden onto the programmer — ranges outside
-	// the advice stay at 4KB no matter how TLB-hostile they are.
-	MadviseOnly bool
 	// DirectCompactionLimit is how many consecutive fault-time huge
 	// allocations may trigger direct compaction before the policy
 	// switches to deferred mode (subsequent faults get 4KB, leaving huge
@@ -57,10 +51,6 @@ type LinuxTHP struct {
 	compactionFaults int
 	deferred         bool
 
-	// advised holds the MADV_HUGEPAGE ranges per process ID (used only in
-	// MadviseOnly mode).
-	advised map[int][]mem.Range
-
 	// khugepaged scan cursor.
 	procIdx int
 	offset  uint64
@@ -76,28 +66,6 @@ func (l *LinuxTHP) PublishMetrics(s obs.Snapshot) {
 	if l.deferred {
 		s.Add("ospolicy.deferred", 1)
 	}
-}
-
-// Madvise registers a MADV_HUGEPAGE range for the process (a no-op unless
-// the policy runs in MadviseOnly mode).
-func (l *LinuxTHP) Madvise(p *vmm.Process, r mem.Range) {
-	if l.advised == nil {
-		l.advised = map[int][]mem.Range{}
-	}
-	l.advised[p.ID] = append(l.advised[p.ID], r)
-}
-
-// eligible reports whether the policy may place a huge page at addr for p.
-func (l *LinuxTHP) eligible(p *vmm.Process, addr mem.VirtAddr) bool {
-	if !l.cfg.MadviseOnly {
-		return true
-	}
-	for _, r := range l.advised[p.ID] {
-		if r.Contains(addr) {
-			return true
-		}
-	}
-	return false
 }
 
 // NewLinuxTHP builds the policy.
@@ -117,22 +85,11 @@ func NewLinuxTHP(cfg LinuxTHPConfig) *LinuxTHP {
 // Name implements vmm.Policy.
 func (l *LinuxTHP) Name() string { return "Linux-THP" }
 
-// OnProcessExit implements vmm.ProcessReaper.
-func (l *LinuxTHP) OnProcessExit(p *vmm.Process) { l.OnAddressSpaceTeardown(p) }
-
-// OnAddressSpaceTeardown implements vmm.AddressSpaceReaper: MADV_HUGEPAGE
-// advice does not survive exec (the ranges belong to the torn-down mappings),
-// and keeping entries for dead PIDs would silently re-apply stale advice if
-// the kernel ever reused the ID.
-func (l *LinuxTHP) OnAddressSpaceTeardown(p *vmm.Process) {
-	delete(l.advised, p.ID)
-}
-
-// OnFault implements vmm.Policy: request a huge page for every eligible
-// first touch while not in deferred mode. The machine reports back through
+// OnFault implements vmm.Policy: request a huge page for every first touch
+// while not in deferred mode. The machine reports back through
 // Phys() state; we track compaction pressure by observing free blocks.
 func (l *LinuxTHP) OnFault(m *vmm.Machine, p *vmm.Process, addr mem.VirtAddr) mem.PageSize {
-	if !l.cfg.SyncFaultAlloc || l.deferred || !l.eligible(p, addr) {
+	if !l.cfg.SyncFaultAlloc || l.deferred {
 		return mem.Page4K
 	}
 	if m.Phys().FreeBlocks() == 0 {
@@ -207,7 +164,7 @@ func (l *LinuxTHP) Tick(m *vmm.Machine) {
 		// regionPages of scan budget).
 		scanBudget -= regionPages
 		l.offset += uint64(mem.Page2M)
-		if p.IsHuge2M(base) || !l.eligible(p, base) {
+		if p.IsHuge2M(base) {
 			continue
 		}
 		// Collapse if any pages are mapped (max_ptes_none is permissive

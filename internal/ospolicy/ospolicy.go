@@ -4,7 +4,7 @@
 //   - PCCEngine: the paper's proposal — the OS periodically reads each
 //     core's promotion candidate cache dump and promotes the top-ranked
 //     regions (§3.3), with highest-frequency or round-robin selection
-//     across PCCs, optional process bias, and optional PCC-driven demotion.
+//     across PCCs and optional PCC-driven demotion.
 //   - HawkEye: the software state of the art (Panwar et al., ASPLOS'19) —
 //     access-bit sampling builds per-region access-coverage buckets; the
 //     scanner is rate-limited like khugepaged (§2.2).

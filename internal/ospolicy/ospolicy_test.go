@@ -170,37 +170,6 @@ func TestPCCEngineRoundRobinAcrossCores(t *testing.T) {
 	}
 }
 
-func TestPCCEngineProcessBias(t *testing.T) {
-	// With a shared budget of 2 regions and bias to process b, b must get
-	// the huge pages even though both are equally hot.
-	cfg := DefaultPCCEngineConfig()
-	cfg.Selection = HighestFrequency
-	mcfg := testConfig(true)
-	mcfg.Cores = 2
-	mcfg.MaxHugeBytesTotal = 2 << 21
-
-	// First find b's PID by building the same scenario.
-	engine := NewPCCEngine(cfg)
-	m := vmm.NewMachine(mcfg, engine)
-	pa := m.AddProcess("a", testVMA(4), 10)
-	pb := m.AddProcess("b", testVMA(4), 10)
-	engine2cfg := cfg
-	engine2cfg.BiasProcs = []int{pb.ID}
-	*engine = *NewPCCEngine(engine2cfg)
-	engine.Bind(0, pa)
-	engine.Bind(1, pb)
-	m.Run(
-		&vmm.Job{Proc: pa, Stream: hotStream(pa.Ranges()[0], 40_000), Cores: []int{0}},
-		&vmm.Job{Proc: pb, Stream: hotStream(pb.Ranges()[0], 40_000), Cores: []int{1}},
-	)
-	if pb.HugePages2M() < 2 {
-		t.Errorf("biased process got %d of 2 budgeted regions", pb.HugePages2M())
-	}
-	if pa.HugePages2M() != 0 {
-		t.Errorf("unbiased process must be starved under bias, got %d", pa.HugePages2M())
-	}
-}
-
 func TestPCCEngineDemotionRelievesPressure(t *testing.T) {
 	cfg := DefaultPCCEngineConfig()
 	cfg.EnableDemotion = true
@@ -432,33 +401,5 @@ func TestPCCEngineVictimSource(t *testing.T) {
 	m.Run(&vmm.Job{Proc: p, Stream: hotStream(p.Ranges()[0], 120_000)})
 	if p.HugePages2M() == 0 {
 		t.Error("victim-tracker-fed engine must still promote")
-	}
-}
-
-func TestLinuxTHPMadviseOnly(t *testing.T) {
-	cfg := DefaultLinuxTHPConfig()
-	cfg.MadviseOnly = true
-	lx := NewLinuxTHP(cfg)
-	m := vmm.NewMachine(testConfig(false), lx)
-	p := m.AddProcess("t", testVMA(4), 10)
-	r := p.Ranges()[0]
-	// Advise only the first two regions.
-	lx.Madvise(p, mem.Range{Start: r.Start, End: r.Start + 2<<21})
-	m.Run(&vmm.Job{Proc: p, Stream: seq(r, 2)})
-	if !p.IsHuge2M(r.Start) || !p.IsHuge2M(r.Start+mem.VirtAddr(mem.Page2M)) {
-		t.Error("advised regions must get huge pages")
-	}
-	if p.IsHuge2M(r.Start+2<<21) || p.IsHuge2M(r.Start+3<<21) {
-		t.Error("unadvised regions must stay 4KB, even under khugepaged")
-	}
-}
-
-func TestLinuxTHPMadviseIgnoredInAlwaysMode(t *testing.T) {
-	lx := NewLinuxTHP(DefaultLinuxTHPConfig()) // MadviseOnly false
-	m := vmm.NewMachine(testConfig(false), lx)
-	p := m.AddProcess("t", testVMA(2), 10)
-	m.Run(&vmm.Job{Proc: p, Stream: seq(p.Ranges()[0], 1)})
-	if p.HugePages2M() != 2 {
-		t.Errorf("always mode must back everything: %d", p.HugePages2M())
 	}
 }

@@ -42,9 +42,6 @@ type PCCEngineConfig struct {
 	RegionsPerTick int
 	// Selection merges candidates across per-core PCCs.
 	Selection SelectionPolicy
-	// BiasProcs lists process IDs whose candidates are promoted before
-	// any other process's (kernel parameter promotion_bias_process).
-	BiasProcs []int
 	// EnableDemotion activates PCC-driven demotion under memory pressure
 	// (§3.3.3): when no physical block is free, promoted regions that no
 	// longer appear hot in any PCC are split to make room for hotter
@@ -284,16 +281,6 @@ func (e *PCCEngine) sel(perCore map[int][]candidate) []candidate {
 		}
 	}
 
-	if len(e.cfg.BiasProcs) > 0 {
-		bias := map[int]bool{}
-		for _, pid := range e.cfg.BiasProcs {
-			bias[pid] = true
-		}
-		sort.SliceStable(merged, func(i, j int) bool {
-			bi, bj := bias[merged[i].proc.ID], bias[merged[j].proc.ID]
-			return bi && !bj
-		})
-	}
 	// Deduplicate regions (multiple cores may track the same region of a
 	// shared address space); keep the first (highest-priority) instance.
 	seen := map[string]bool{}

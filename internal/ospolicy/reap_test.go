@@ -164,21 +164,3 @@ func TestHawkEyeReapsExitedProcess(t *testing.T) {
 		}
 	}
 }
-
-func TestLinuxTHPDropsAdviceOnExec(t *testing.T) {
-	cfg := DefaultLinuxTHPConfig()
-	cfg.MadviseOnly = true
-	l := NewLinuxTHP(cfg)
-	m := vmm.NewMachine(testConfig(false), l)
-	p := m.AddProcess("t", testVMA(2), 10)
-	l.Madvise(p, p.Ranges()[0])
-	if len(l.advised[p.ID]) == 0 {
-		t.Fatal("setup: advice must register")
-	}
-	if err := m.ExecProcess(p, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(l.advised[p.ID]) != 0 {
-		t.Error("MADV_HUGEPAGE advice survives exec of the advised mappings")
-	}
-}

@@ -28,17 +28,10 @@ func init() {
 	gob.Register(PCCEngineState{})
 }
 
-// AdvisedState is one process's MADV_HUGEPAGE ranges, in registration order.
-type AdvisedState struct {
-	PID    int
-	Ranges []mem.Range
-}
-
 // LinuxTHPState is LinuxTHP's serializable cross-tick state.
 type LinuxTHPState struct {
 	CompactionFaults int
 	Deferred         bool
-	Advised          []AdvisedState
 	ProcIdx          int
 	Offset           uint64
 	Ticks            uint64
@@ -47,7 +40,7 @@ type LinuxTHPState struct {
 
 // PolicyState implements vmm.StatefulPolicy.
 func (l *LinuxTHP) PolicyState() any {
-	s := LinuxTHPState{
+	return LinuxTHPState{
 		CompactionFaults: l.compactionFaults,
 		Deferred:         l.deferred,
 		ProcIdx:          l.procIdx,
@@ -55,11 +48,6 @@ func (l *LinuxTHP) PolicyState() any {
 		Ticks:            l.ticks,
 		Promoted:         l.promoted,
 	}
-	for pid, rs := range l.advised {
-		s.Advised = append(s.Advised, AdvisedState{PID: pid, Ranges: append([]mem.Range(nil), rs...)})
-	}
-	sort.Slice(s.Advised, func(i, j int) bool { return s.Advised[i].PID < s.Advised[j].PID })
-	return s
 }
 
 // RestorePolicyState implements vmm.StatefulPolicy.
@@ -70,13 +58,6 @@ func (l *LinuxTHP) RestorePolicyState(_ *vmm.Machine, st any) error {
 	}
 	l.compactionFaults = s.CompactionFaults
 	l.deferred = s.Deferred
-	l.advised = nil
-	for _, a := range s.Advised {
-		if l.advised == nil {
-			l.advised = map[int][]mem.Range{}
-		}
-		l.advised[a.PID] = append([]mem.Range(nil), a.Ranges...)
-	}
 	l.procIdx = s.ProcIdx
 	l.offset = s.Offset
 	l.ticks = s.Ticks

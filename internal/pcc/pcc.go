@@ -375,8 +375,8 @@ func (p *PCC) Publish(s obs.Snapshot, prefix string) {
 	s.Add(prefix+".dumps", float64(p.stats.Dumps))
 }
 
-// Peek returns the frequency for the region containing a, if tracked. Used
-// by the 1GB-promotion comparison (§3.2.3) and by tests.
+// Peek returns the frequency for the region containing a, if tracked,
+// without moving any counter or recency stamp. Only tests call it.
 func (p *PCC) Peek(a mem.VirtAddr) (uint32, bool) {
 	tag := mem.PageNumber(a, p.cfg.RegionSize)
 	for i := range p.entries {
@@ -388,25 +388,9 @@ func (p *PCC) Peek(a mem.VirtAddr) (uint32, bool) {
 	return 0, false
 }
 
-// Invalidate drops the entry for the region containing a, returning whether
-// one was present. Called on TLB shootdown for the region (e.g. after the OS
-// promotes it), so no stale candidate can survive a promotion.
-func (p *PCC) Invalidate(a mem.VirtAddr) bool {
-	tag := mem.PageNumber(a, p.cfg.RegionSize)
-	for i := range p.entries {
-		e := &p.entries[i]
-		if e.valid && e.tag == tag {
-			e.valid = false
-			p.nvalid--
-			p.stats.Invalidates++
-			return true
-		}
-	}
-	return false
-}
-
 // InvalidateRange drops every entry whose region overlaps r, returning the
-// count removed.
+// count removed. Called on TLB shootdown (e.g. after the OS promotes a
+// region), so no stale candidate can survive a promotion.
 func (p *PCC) InvalidateRange(r mem.Range) int {
 	n := 0
 	shift := p.cfg.RegionSize.Shift()

@@ -197,10 +197,11 @@ func TestDumpRegionReconstruction(t *testing.T) {
 func TestInvalidate(t *testing.T) {
 	p := small(4)
 	p.Record(addr2M(1))
-	if !p.Invalidate(addr2M(1) + 999) {
-		t.Fatal("invalidate by any address in region must hit")
+	inside := mem.Range{Start: addr2M(1) + 999, End: addr2M(1) + 1000}
+	if p.InvalidateRange(inside) != 1 {
+		t.Fatal("invalidating any address in a region must drop it")
 	}
-	if p.Invalidate(addr2M(1)) {
+	if p.InvalidateRange(inside) != 0 {
 		t.Fatal("second invalidate must miss")
 	}
 	if p.Len() != 0 {
@@ -240,7 +241,8 @@ func TestCapacityInvariantProperty(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			p.Record(addr2M(uint64(rng.Intn(32))))
 			if rng.Intn(50) == 0 {
-				p.Invalidate(addr2M(uint64(rng.Intn(32))))
+				base := addr2M(uint64(rng.Intn(32)))
+				p.InvalidateRange(mem.Range{Start: base, End: base + 1<<21})
 			}
 		}
 		if p.Len() > 8 {

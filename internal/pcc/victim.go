@@ -32,7 +32,6 @@ type VictimTracker struct {
 type Tracker interface {
 	Record(a mem.VirtAddr)
 	Dump() []Candidate
-	Invalidate(a mem.VirtAddr) bool
 	InvalidateRange(r mem.Range) int
 	Len() int
 	Regions() []mem.Region
@@ -116,20 +115,6 @@ func (v *VictimTracker) Dump() []Candidate {
 		}
 	}
 	return out
-}
-
-// Invalidate drops the entry for the region containing a.
-func (v *VictimTracker) Invalidate(a mem.VirtAddr) bool {
-	tag := mem.PageNumber(a, mem.Page2M)
-	for i := range v.entries {
-		e := &v.entries[i]
-		if e.valid && e.tag == tag {
-			e.valid = false
-			v.stats.Invalidates++
-			return true
-		}
-	}
-	return false
 }
 
 // InvalidateRange drops entries overlapping r.

@@ -64,10 +64,11 @@ func TestVictimTrackerInvalidate(t *testing.T) {
 	v := NewVictimTracker(4)
 	v.Record(addr2M(1))
 	v.Record(addr2M(2))
-	if !v.Invalidate(addr2M(1) + 0x1234) {
-		t.Fatal("invalidate must hit")
+	inside := mem.Range{Start: addr2M(1) + 0x1234, End: addr2M(1) + 0x1235}
+	if v.InvalidateRange(inside) != 1 {
+		t.Fatal("invalidating any address in a region must drop it")
 	}
-	if v.Invalidate(addr2M(1)) {
+	if v.InvalidateRange(inside) != 0 {
 		t.Fatal("second invalidate must miss")
 	}
 	n := v.InvalidateRange(mem.Range{Start: addr2M(0), End: addr2M(8)})

@@ -162,16 +162,6 @@ func (m *Memory) MovableFramesTotal() uint64 { return m.movableTotal }
 // PinnedFramesTotal returns the current pinned 4KB frame population.
 func (m *Memory) PinnedFramesTotal() uint64 { return m.pinnedTotal }
 
-// SpareFramesTotal returns the total spare 4KB frame capacity across all
-// non-huge blocks — the headroom churn and compaction compete for.
-func (m *Memory) SpareFramesTotal() uint64 {
-	var total uint64
-	for b := range m.blocks {
-		total += uint64(m.spare(b))
-	}
-	return total
-}
-
 // Stats returns a copy of the counters.
 func (m *Memory) Stats() Stats { return m.stats }
 

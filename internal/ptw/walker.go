@@ -356,6 +356,3 @@ func (w *Walker) Publish(s obs.Snapshot, prefix string) {
 	s.Add(prefix+".walks.1g", float64(w.stats.Walks1G))
 	s.Add(prefix+".cold_filtered", float64(w.stats.ColdFiltered))
 }
-
-// ResetStats zeroes the counters.
-func (w *Walker) ResetStats() { w.stats = WalkerStats{} }

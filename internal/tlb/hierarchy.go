@@ -13,10 +13,7 @@ type HierarchyConfig struct {
 	L1D4K Config // L1 D-TLB for 4KB pages
 	L1D2M Config // L1 D-TLB for 2MB pages
 	L1D1G Config // L1 D-TLB for 1GB pages
-	L2    Config // unified L2 TLB (4KB & 2MB)
-	// L2Holds1G controls whether the L2 also caches 1GB translations.
-	// Haswell's L2 STLB does not, which is the default (false).
-	L2Holds1G bool
+	L2    Config // unified L2 TLB (4KB & 2MB; Haswell's STLB holds no 1GB entries)
 }
 
 // DefaultHierarchyConfig returns the Table 2 hierarchy:
@@ -63,11 +60,10 @@ func (r Result) String() string {
 // where it hit. Fills are performed on the way back (L2 then L1), modelling
 // an inclusive fill path.
 type Hierarchy struct {
-	l1        [3]*TLB // indexed by sizeIndex
-	l2        *TLB
-	l2Holds1G bool
-	accesses  uint64
-	walks     uint64
+	l1       [3]*TLB // indexed by sizeIndex
+	l2       *TLB
+	accesses uint64
+	walks    uint64
 }
 
 // NewHierarchy builds the per-core hierarchy from cfg.
@@ -78,8 +74,7 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 			New(cfg.L1D2M),
 			New(cfg.L1D1G),
 		},
-		l2:        New(cfg.L2),
-		l2Holds1G: cfg.L2Holds1G,
+		l2: New(cfg.L2),
 	}
 }
 
@@ -98,12 +93,10 @@ func (h *Hierarchy) Access(a mem.VirtAddr, size mem.PageSize) Result {
 	if l1.lookup(tag) {
 		return HitL1
 	}
-	if si != 2 || h.l2Holds1G {
-		if h.l2.lookup(tag) {
-			// Fill into L1 on an L2 hit.
-			l1.insert(tag)
-			return HitL2
-		}
+	if si != 2 && h.l2.lookup(tag) {
+		// Fill into L1 on an L2 hit.
+		l1.insert(tag)
+		return HitL2
 	}
 	h.walks++
 	return Miss
@@ -132,7 +125,7 @@ func (h *Hierarchy) CountL1HitsIndexed(si int, n uint64) {
 func (h *Hierarchy) Fill(a mem.VirtAddr, size mem.PageSize) {
 	si := sizeIndex(size)
 	tag := pageTag(a, si)
-	if si != 2 || h.l2Holds1G {
+	if si != 2 {
 		h.l2.insert(tag)
 	}
 	h.l1[si].insert(tag)
@@ -145,7 +138,7 @@ func (h *Hierarchy) Present(a mem.VirtAddr, size mem.PageSize) bool {
 	if h.l1[sizeIndex(size)].Contains(vpn, size) {
 		return true
 	}
-	if size == mem.Page1G && !h.l2Holds1G {
+	if size == mem.Page1G {
 		return false
 	}
 	return h.l2.Contains(vpn, size)
@@ -223,14 +216,4 @@ func (h *Hierarchy) Publish(s obs.Snapshot, prefix string) {
 	h.l1[1].Publish(s, prefix+".l1d2m")
 	h.l1[2].Publish(s, prefix+".l1d1g")
 	h.l2.Publish(s, prefix+".l2")
-}
-
-// ResetStats clears all counters in every level and the hierarchy itself.
-func (h *Hierarchy) ResetStats() {
-	for _, t := range h.l1 {
-		t.ResetStats()
-	}
-	h.l2.ResetStats()
-	h.accesses = 0
-	h.walks = 0
 }

@@ -54,15 +54,22 @@ func (r *refTLB) insert(vpn mem.PageNum, size mem.PageSize) {
 	}
 }
 
-func (r *refTLB) invalidate(vpn mem.PageNum, size mem.PageSize) bool {
-	s := r.set(vpn)
-	for i, e := range r.data[s] {
-		if e.vpn == vpn && e.size == size {
-			r.data[s] = append(r.data[s][:i], r.data[s][i+1:]...)
-			return true
+// invalidateRange drops every entry whose page overlaps rg, keeping the
+// survivors' recency order, and returns how many it dropped.
+func (r *refTLB) invalidateRange(rg mem.Range) int {
+	n := 0
+	for s, set := range r.data {
+		kept := set[:0]
+		for _, e := range set {
+			if pageRange(e.vpn, e.size).Overlaps(rg) {
+				n++
+			} else {
+				kept = append(kept, e)
+			}
 		}
+		r.data[s] = kept
 	}
-	return false
+	return n
 }
 
 // TestTLBMatchesReferenceModel drives the production TLB and the reference
@@ -92,10 +99,11 @@ func TestTLBMatchesReferenceModel(t *testing.T) {
 				tl.Insert(vpn, size)
 				ref.insert(vpn, size)
 			case 3:
-				got := tl.InvalidatePage(vpn, size)
-				want := ref.invalidate(vpn, size)
+				r := pageRange(vpn, size)
+				got := tl.InvalidateRange(r)
+				want := ref.invalidateRange(r)
 				if got != want {
-					t.Fatalf("geom %+v op %d: Invalidate(%d,%v) = %v, ref %v",
+					t.Fatalf("geom %+v op %d: InvalidateRange(page %d,%v) = %v, ref %v",
 						geom, op, vpn, size, got, want)
 				}
 			}

@@ -107,21 +107,6 @@ func (t *soaTLB) fill(i int, vpn mem.PageNum, size mem.PageSize) {
 	t.mruVPN, t.mruSize = vpn, size
 }
 
-func (t *soaTLB) InvalidatePage(vpn mem.PageNum, size mem.PageSize) bool {
-	base := t.setIndex(vpn) * t.ways
-	for i := base; i < base+t.ways; i++ {
-		if t.vpns[i] == vpn && t.sizes[i] == size {
-			t.sizes[i] = 0
-			if vpn == t.mruVPN && size == t.mruSize {
-				t.mruSize = 0
-			}
-			t.stats.Invalidates++
-			return true
-		}
-	}
-	return false
-}
-
 func (t *soaTLB) InvalidateRange(r mem.Range) int {
 	n := 0
 	for i, size := range t.sizes {
@@ -181,18 +166,16 @@ func (t *soaTLB) SetState(s State) error {
 // soaHierarchy is the oracle for Hierarchy: the same Table 2 lookup and
 // fill order over soaTLBs.
 type soaHierarchy struct {
-	l1        [3]*soaTLB
-	l2        *soaTLB
-	l2Holds1G bool
-	accesses  uint64
-	walks     uint64
+	l1       [3]*soaTLB
+	l2       *soaTLB
+	accesses uint64
+	walks    uint64
 }
 
 func newSoaHierarchy(cfg HierarchyConfig) *soaHierarchy {
 	return &soaHierarchy{
-		l1:        [3]*soaTLB{newSoaTLB(cfg.L1D4K), newSoaTLB(cfg.L1D2M), newSoaTLB(cfg.L1D1G)},
-		l2:        newSoaTLB(cfg.L2),
-		l2Holds1G: cfg.L2Holds1G,
+		l1: [3]*soaTLB{newSoaTLB(cfg.L1D4K), newSoaTLB(cfg.L1D2M), newSoaTLB(cfg.L1D1G)},
+		l2: newSoaTLB(cfg.L2),
 	}
 }
 
@@ -203,11 +186,9 @@ func (h *soaHierarchy) Access(a mem.VirtAddr, size mem.PageSize) Result {
 	if l1.Lookup(vpn, size) {
 		return HitL1
 	}
-	if size != mem.Page1G || h.l2Holds1G {
-		if h.l2.Lookup(vpn, size) {
-			l1.Insert(vpn, size)
-			return HitL2
-		}
+	if size != mem.Page1G && h.l2.Lookup(vpn, size) {
+		l1.Insert(vpn, size)
+		return HitL2
 	}
 	h.walks++
 	return Miss
@@ -215,7 +196,7 @@ func (h *soaHierarchy) Access(a mem.VirtAddr, size mem.PageSize) Result {
 
 func (h *soaHierarchy) Fill(a mem.VirtAddr, size mem.PageSize) {
 	vpn := mem.PageNumber(a, size)
-	if size != mem.Page1G || h.l2Holds1G {
+	if size != mem.Page1G {
 		h.l2.Insert(vpn, size)
 	}
 	h.l1[sizeIndex(size)].Insert(vpn, size)

@@ -179,9 +179,6 @@ func (t *TLB) Sets() int { return t.sets }
 // Stats returns a copy of the counters.
 func (t *TLB) Stats() Stats { return t.stats }
 
-// ResetStats zeroes the counters but keeps contents.
-func (t *TLB) ResetStats() { t.stats = Stats{} }
-
 // setBase returns the index of the first way of tag's set.
 func (t *TLB) setBase(tag uint64) int {
 	vpn := tag >> classBits
@@ -299,25 +296,6 @@ func (t *TLB) Contains(vpn mem.PageNum, size mem.PageSize) bool {
 	tag := tagOf(vpn, size)
 	hit, _ := t.probe(t.setBase(tag), tag)
 	return hit >= 0
-}
-
-// InvalidatePage removes the translation for (vpn, size) if present,
-// returning whether an entry was dropped. This models a single-page
-// shootdown (INVLPG).
-func (t *TLB) InvalidatePage(vpn mem.PageNum, size mem.PageSize) bool {
-	tag := tagOf(vpn, size)
-	base := t.setBase(tag)
-	hit, _ := t.probe(base, tag)
-	if hit < 0 {
-		return false
-	}
-	t.tags[base+hit] &^= classMask
-	if tag == t.mruTag {
-		t.mruTag &^= classMask
-	}
-	t.fillTag = 0
-	t.stats.Invalidates++
-	return true
 }
 
 // InvalidateRange removes every entry whose page overlaps the virtual range,

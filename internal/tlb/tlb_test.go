@@ -106,20 +106,6 @@ func TestSetIndexing(t *testing.T) {
 	}
 }
 
-func TestInvalidatePage(t *testing.T) {
-	tl := New(Config{Entries: 8, Ways: 4})
-	tl.Insert(5, mem.Page2M)
-	if !tl.InvalidatePage(5, mem.Page2M) {
-		t.Fatal("invalidate must report drop")
-	}
-	if tl.InvalidatePage(5, mem.Page2M) {
-		t.Fatal("second invalidate must be a no-op")
-	}
-	if tl.Lookup(5, mem.Page2M) {
-		t.Error("invalidated entry must miss")
-	}
-}
-
 func TestInvalidateRange(t *testing.T) {
 	tl := New(Config{Entries: 16, Ways: 16})
 	// Insert 4KB pages 0..7 (addresses 0..0x8000).
@@ -135,6 +121,23 @@ func TestInvalidateRange(t *testing.T) {
 		if got := tl.Lookup(v, mem.Page4K); got != want {
 			t.Errorf("page %d residency = %v, want %v", v, got, want)
 		}
+	}
+}
+
+func TestInvalidatePage(t *testing.T) {
+	tl := New(Config{Entries: 8, Ways: 4})
+	tl.Insert(5, mem.Page2M)
+	// A single-page shootdown is a range covering exactly that page.
+	base := mem.VirtAddr(5 * uint64(mem.Page2M))
+	page := mem.Range{Start: base, End: base + mem.VirtAddr(mem.Page2M)}
+	if n := tl.InvalidateRange(page); n != 1 {
+		t.Fatalf("invalidate dropped %d, want 1", n)
+	}
+	if n := tl.InvalidateRange(page); n != 0 {
+		t.Fatalf("second invalidate dropped %d, want 0 (a no-op)", n)
+	}
+	if tl.Lookup(5, mem.Page2M) {
+		t.Error("invalidated entry must miss")
 	}
 }
 
@@ -289,9 +292,8 @@ func TestHierarchyMissRate(t *testing.T) {
 	if got := h.MissRate(); got != 0.5 {
 		t.Errorf("miss rate = %v, want 0.5", got)
 	}
-	h.ResetStats()
-	if h.MissRate() != 0 || h.Accesses() != 0 {
-		t.Error("reset must zero hierarchy counters")
+	if h = NewHierarchy(DefaultHierarchyConfig()); h.MissRate() != 0 || h.Accesses() != 0 {
+		t.Error("a fresh hierarchy must have zero counters")
 	}
 }
 
@@ -366,7 +368,7 @@ func TestOnEvictHookFires(t *testing.T) {
 		t.Errorf("evictions = %v, want [0]", evicted)
 	}
 	// Invalidation must NOT fire the hook (only capacity replacement).
-	tl.InvalidatePage(1, mem.Page4K)
+	tl.InvalidateRange(mem.Range{Start: 0x1000, End: 0x2000})
 	if len(evicted) != 1 {
 		t.Error("invalidate must not fire OnEvict")
 	}

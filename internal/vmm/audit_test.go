@@ -146,7 +146,7 @@ func TestEventTraceDisabledByDefault(t *testing.T) {
 	if m.Events() != nil {
 		t.Fatal("tracing must be off unless configured")
 	}
-	m.Note("k", "d") // must be a no-op, not a panic
+	m.Notef("k", "d") // must be a no-op, not a panic
 }
 
 func TestMetricsSnapshotIntegral(t *testing.T) {

@@ -88,17 +88,6 @@ type Config struct {
 	// machinery (policy ticks, pressure ticks, promotions, shootdowns)
 	// runs at deterministic epoch barriers in canonical order.
 	Shards int
-	// PTWMLPWidth models page-table-walk memory-level parallelism: up to
-	// Width consecutive walks on one core with no intervening TLB hit are
-	// treated as independent and overlapped, charging walks 2..Width only
-	// PTWMLPOverlap of their reference cost (Victima's observation that
-	// translation misses cluster and modern walkers overlap them). 0 or 1
-	// disables the model (every walk pays full cost — the historical
-	// behaviour all goldens pin).
-	PTWMLPWidth int
-	// PTWMLPOverlap is the fraction of walk cost charged to overlapped
-	// walks when PTWMLPWidth > 1.
-	PTWMLPOverlap float64
 	// EventLogSize enables the machine's event trace (promotions, demotions,
 	// shootdowns, compactions, policy dumps) with a ring bound of that many
 	// events. 0 disables tracing entirely (zero overhead); negative uses
@@ -145,12 +134,6 @@ type Core struct {
 	Cycles float64
 	// Accesses counts memory references simulated on this core.
 	Accesses uint64
-	// walkBurst counts consecutive page table walks with no intervening
-	// TLB hit, driving the opt-in PTW memory-level-parallelism model
-	// (Config.PTWMLPWidth). Always zero when the model is off. Every hit
-	// stores it, so it sits beside Cycles and Accesses, on the cache line
-	// the hit paths already write.
-	walkBurst int
 	// StallCycles is the subset of Cycles due to OS promotion machinery
 	// (fault-time huge allocation, shootdowns, visible async work).
 	StallCycles float64

@@ -76,44 +76,5 @@ func (m *Machine) Promote1G(p *Process, addr mem.VirtAddr) error {
 	return nil
 }
 
-// Demote1G splits a 1GB mapping back into 2MB mappings (the less drastic of
-// the two demotion paths; splitting straight to 4KB would model a swap-out).
-// Each constituent 2MB region gets a physical block; if blocks run out the
-// remainder falls back to 4KB pages.
-func (m *Machine) Demote1G(p *Process, addr mem.VirtAddr) error {
-	base := mem.PageBase(addr, mem.Page1G)
-	if _, ok := p.huge1G[base]; !ok {
-		return promoteErr(PromoteNotMapped, "not a 1GB mapping")
-	}
-	v := p.vmaOf(base)
-	if v == nil {
-		return promoteErr(PromoteVMABoundary, "outside VMAs")
-	}
-	r := mem.Region{Base: base, Size: mem.Page1G}
-	p.Table.Unmap(base, mem.Page1G)
-	delete(p.huge1G, base)
-	p.hugeBytes -= uint64(mem.Page1G)
-	m.phys.FreeGiga()
-
-	for b := base; b < r.End(); b += mem.VirtAddr(mem.Page2M) {
-		if _, ok := m.phys.AllocHuge(); ok {
-			p.Table.Map(b, mem.Page2M)
-			v.setRange(b, b+mem.VirtAddr(mem.Page2M), state2M)
-			p.huge2M[b] = m.accessCount
-			p.hugeBytes += uint64(mem.Page2M)
-		} else {
-			for a := b; a < b+mem.VirtAddr(mem.Page2M); a += mem.VirtAddr(mem.Page4K) {
-				p.Table.Map(a, mem.Page4K)
-			}
-			v.setRange(b, b+mem.VirtAddr(mem.Page2M), state4K)
-		}
-	}
-	p.Demotions++
-	m.chargeAll(m.cfg.Cost.PromoteFixed)
-	m.events.Recordf(m.accessCount, "demote1g", "proc=%s base=%#x", p.Name, uint64(base))
-	m.shootdownAll(m.accessCount, mem.Range{Start: base, End: r.End()})
-	return nil
-}
-
 // HugePages1G returns the number of live 1GB mappings in p.
 func (p *Process) HugePages1G() int { return len(p.huge1G) }

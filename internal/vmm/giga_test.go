@@ -128,32 +128,6 @@ func TestPromote1GNoWindow(t *testing.T) {
 	}
 }
 
-func TestDemote1G(t *testing.T) {
-	m := NewMachine(gigaConfig(), nil)
-	p := m.AddProcess("t", gigaVMA(1), 10)
-	base := p.Ranges()[0].Start
-	touchRegion(m, p, base, 64)
-	if err := m.Promote1G(p, base); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Demote1G(p, base); err != nil {
-		t.Fatal(err)
-	}
-	if p.HugePages1G() != 0 {
-		t.Error("1G mapping must be gone")
-	}
-	// The split lands on 2MB pages while physical blocks last.
-	if p.HugePages2M() == 0 {
-		t.Error("demotion should produce 2MB mappings when blocks exist")
-	}
-	if s, ok := p.StateOf(base); !ok || s == mem.Page1G {
-		t.Errorf("state = %v,%v", s, ok)
-	}
-	if err := m.Demote1G(p, base); err == nil {
-		t.Fatal("double demotion must refuse")
-	}
-}
-
 func TestPost1GAccessesUse1GTLB(t *testing.T) {
 	m := NewMachine(gigaConfig(), nil)
 	p := m.AddProcess("t", gigaVMA(1), 10)

@@ -19,12 +19,9 @@ import (
 // through stepFull. The configuration dimensions that change the
 // per-access body stay out of the hit paths:
 //
-//   - NUMA and PTW MLP live in stepFull only, read from executor fields:
-//     ex.numa is nil when NUMA is off, and walks overlap only when
-//     ex.mlpWidth is above 1. Table hits reuse the armed cost, which
-//     already folds the region's NUMA penalty in. Every hit breaks a walk
-//     burst by storing walkBurst = 0, which is a no-op with MLP off, since
-//     the burst then never grows.
+//   - NUMA lives in stepFull only, read from an executor field: ex.numa is
+//     nil when NUMA is off. Table hits reuse the armed cost, which already
+//     folds the region's NUMA penalty in.
 //   - The policy kind selects the fault dispatch when a machine is built
 //     (policyBase). The kernel re-reads the register line after every full
 //     step because a non-base policy's fault may have cleared it.
@@ -126,7 +123,6 @@ func (ex *executor) flushL0Hits(c *Core, si int, n uint64) {
 	ex.now += n
 	c.Accesses += n
 	c.TLB.CountL1HitsIndexed(si, n)
-	c.walkBurst = 0 // filter-served L1 hits break a walk burst
 }
 
 // stepFull is the full translation pipeline for one access: VMA lookup,
@@ -167,30 +163,15 @@ func (ex *executor) stepFull(c *Core, p *Process, addr mem.VirtAddr) {
 	baseCost := cost
 
 	switch c.TLB.Access(addr, size) {
-	case tlb.HitL1:
-		c.walkBurst = 0
+	case tlb.HitL1: // base cost only
 	case tlb.HitL2:
 		cost += ex.cL2Hit
 		if size == mem.Page2M {
 			v.noteUse2M(addr, ex.now)
 		}
-		c.walkBurst = 0
 	default: // tlb.Miss → page table walk
 		info := c.Walker.Walk(p.Table, addr)
-		walk := ex.cWalkBase + float64(info.Levels)*ex.cWalkRef
-		if w := ex.mlpWidth; w > 1 {
-			// PTW MLP model: consecutive walks with no intervening TLB
-			// hit are independent (no dependent loads between them in
-			// this access model), so the walker overlaps walks 2..w of a
-			// burst with the first, charging only the overlap fraction.
-			c.walkBurst++
-			if c.walkBurst > w {
-				c.walkBurst = 1
-			} else if c.walkBurst > 1 {
-				walk *= ex.mlpOverlap
-			}
-		}
-		cost += walk
+		cost += ex.cWalkBase + float64(info.Levels)*ex.cWalkRef
 		c.TLB.Fill(addr, size)
 		if size == mem.Page2M {
 			v.noteUse2M(addr, ex.now)

@@ -60,7 +60,7 @@ func TestLifecycleChurnRunsAndConserves(t *testing.T) {
 	// churn process or in the reaped tallies.
 	var live uint64
 	for _, p := range m.Procs() {
-		if p.IsChurn() {
+		if p.churn {
 			live += p.Promotions2M
 		}
 	}

@@ -3,7 +3,6 @@ package vmm
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"pccsim/internal/mem"
 	"pccsim/internal/obs"
@@ -407,59 +406,6 @@ func (m *Machine) InvalidateTranslations(p *Process, base mem.VirtAddr) {
 		c.TLB.Shootdown(r)
 		c.Walker.InvalidateRange(r)
 	}
-}
-
-// ColdHuge2M returns the promoted 2MB regions of p whose last L1-TLB miss
-// (the OS's liveness signal) is older than the given age in simulated
-// accesses — and which have been promoted for at least that long — ordered
-// oldest-first. These are the demotion candidates §3.3.3 describes: huge
-// pages whose data has gone cold.
-func (m *Machine) ColdHuge2M(p *Process, age uint64) []mem.VirtAddr {
-	now := m.accessCount
-	type cold struct {
-		base mem.VirtAddr
-		last uint64
-	}
-	var cs []cold
-	for base, promotedAt := range p.huge2M {
-		if now-promotedAt < age {
-			continue // too recent to judge
-		}
-		last := p.hugeLastUseAt(base)
-		if last == 0 {
-			// Never missed the L1 since promotion; age from the
-			// promotion instant.
-			last = promotedAt
-		}
-		if now-last < age {
-			continue
-		}
-		// A region still resident in any core's TLB is certainly live:
-		// hot 2MB mappings can stop missing entirely, which is the
-		// whole point of promoting them.
-		resident := false
-		for _, c := range m.cores {
-			if c.TLB.Present(base, mem.Page2M) {
-				resident = true
-				break
-			}
-		}
-		if !resident {
-			cs = append(cs, cold{base: base, last: last})
-		}
-	}
-	// Oldest last-use first; address as deterministic tie-break.
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].last != cs[j].last {
-			return cs[i].last < cs[j].last
-		}
-		return cs[i].base < cs[j].base
-	})
-	out := make([]mem.VirtAddr, len(cs))
-	for i, c := range cs {
-		out[i] = c.base
-	}
-	return out
 }
 
 func (m *Machine) String() string {

@@ -23,14 +23,10 @@ type PolicyAuditor interface {
 // nil is safe to pass to obs.Sink.Drain and to record into).
 func (m *Machine) Events() *obs.EventLog { return m.events }
 
-// Note records a custom event on the machine's trace at the current
+// Notef records a custom event on the machine's trace at the current
 // simulated instant. OS policies use it for decisions the machine core
-// cannot see (candidate dumps, sampling rounds). No-op when tracing is off.
-func (m *Machine) Note(kind, detail string) {
-	m.events.Record(m.accessCount, kind, detail)
-}
-
-// Notef is Note with fmt-style formatting, skipped entirely when off.
+// cannot see (candidate dumps, sampling rounds). Formatting is skipped
+// entirely when tracing is off.
 func (m *Machine) Notef(kind, format string, args ...interface{}) {
 	m.events.Recordf(m.accessCount, kind, format, args...)
 }

@@ -118,11 +118,10 @@ func oracleStream(rng *rand.Rand, ranges []mem.Range, n, runLen int) []trace.Acc
 // oracleSetup draws one random machine, policy and job set from seed. The
 // configurations cover 1–3 cores per job with threads switching per access
 // or in runs, one or two jobs (independent, or sharing a core), the three
-// NUMA placements, PTW MLP, the pressure model, lifecycle churn, tenant
-// quotas, the 1GB PCC, the victim tracker, the cold-miss filter off, and
-// four policies: none, a tick-time PCC promoter, a fault-time 2MB
-// allocator, and a base-fault-only tick promoter that keeps sharded
-// execution engaged.
+// NUMA placements, the pressure model, lifecycle churn, tenant quotas, the
+// 1GB PCC, the victim tracker, the cold-miss filter off, and four policies:
+// none, a tick-time PCC promoter, a fault-time 2MB allocator, and a
+// base-fault-only tick promoter that keeps sharded execution engaged.
 func oracleSetup(seed int64) (simSetup, string) {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := testConfig()
@@ -131,10 +130,6 @@ func oracleSetup(seed int64) (simSetup, string) {
 	cfg.FragFrac = []float64{0, 0.25, 0.5}[rng.Intn(3)]
 	cfg.EventLogSize = 128
 	desc := fmt.Sprintf("seed=%d tick=%d frag=%g", seed, cfg.PromotionInterval, cfg.FragFrac)
-	if rng.Intn(3) == 0 {
-		cfg.PTWMLPWidth, cfg.PTWMLPOverlap = 4, 0.5
-		desc += " mlp=4"
-	}
 	if pol := rng.Intn(4); pol > 0 {
 		cfg.NUMA = DefaultNUMAConfig()
 		cfg.NUMA.Policy = NUMAPolicy(pol - 1)
@@ -275,45 +270,58 @@ func (o oracleOutcome) diff(want oracleOutcome) string {
 }
 
 // TestRunMatchesReferencePipeline checks every production run path against
-// refRun on random configurations: Run serially and with four shards, and
-// StartRun/RunUntil stopped at random points before FinishRun. RunResult,
-// Metrics(), State() (less the TLB recency clocks, see stripVolatile) and
-// Audit() must all be identical.
+// refRun on random configurations (see checkRunMatchesReference).
 func TestRunMatchesReferencePipeline(t *testing.T) {
 	seeds := 24
 	if testing.Short() {
 		seeds = 6
 	}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		s, desc := oracleSetup(seed)
-		mRef, jobsRef := s.newMachine()
-		want := outcome(mRef, refRun(mRef, jobsRef...))
-		if len(want.audit) > 0 {
-			t.Fatalf("%s: reference run fails audit: %v", desc, want.audit)
+		checkRunMatchesReference(t, seed)
+	}
+}
+
+// FuzzRunMatchesReference runs the same comparison on any configuration
+// seed. The corpus in testdata/fuzz/FuzzRunMatchesReference replays under
+// plain go test.
+func FuzzRunMatchesReference(f *testing.F) {
+	f.Fuzz(checkRunMatchesReference)
+}
+
+// checkRunMatchesReference runs oracleSetup(seed) through refRun and then
+// through Run serially and with four shards, and through StartRun/RunUntil
+// stopped at random points before FinishRun. RunResult, Metrics(), State()
+// (less the TLB recency clocks, see stripVolatile) and Audit() must all be
+// identical.
+func checkRunMatchesReference(t *testing.T, seed int64) {
+	s, desc := oracleSetup(seed)
+	mRef, jobsRef := s.newMachine()
+	want := outcome(mRef, refRun(mRef, jobsRef...))
+	if len(want.audit) > 0 {
+		t.Fatalf("%s: reference run fails audit: %v", desc, want.audit)
+	}
+	for _, shards := range []int{1, 4} {
+		ss := s
+		ss.cfg.Shards = shards
+		m, jobs := ss.newMachine()
+		if d := outcome(m, m.Run(jobs...)).diff(want); d != "" {
+			t.Errorf("%s: Run at %d shards differs from the reference: %s", desc, shards, d)
 		}
-		for _, shards := range []int{1, 4} {
-			ss := s
-			ss.cfg.Shards = shards
-			m, jobs := ss.newMachine()
-			if d := outcome(m, m.Run(jobs...)).diff(want); d != "" {
-				t.Errorf("%s: Run at %d shards differs from the reference: %s", desc, shards, d)
-			}
+	}
+	m, jobs := s.newMachine()
+	if err := m.StartRun(jobs...); err != nil {
+		t.Fatalf("%s: StartRun: %v", desc, err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var stops []uint64
+	for stop := uint64(0); ; {
+		stop += 1 + uint64(rng.Intn(9_000))
+		if m.RunUntil(stop) {
+			break
 		}
-		m, jobs := s.newMachine()
-		if err := m.StartRun(jobs...); err != nil {
-			t.Fatalf("%s: StartRun: %v", desc, err)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		var stops []uint64
-		for stop := uint64(0); ; {
-			stop += 1 + uint64(rng.Intn(9_000))
-			if m.RunUntil(stop) {
-				break
-			}
-			stops = append(stops, stop)
-		}
-		if d := outcome(m, m.FinishRun()).diff(want); d != "" {
-			t.Errorf("%s: RunUntil stopped at %v differs from the reference: %s", desc, stops, d)
-		}
+		stops = append(stops, stop)
+	}
+	if d := outcome(m, m.FinishRun()).diff(want); d != "" {
+		t.Errorf("%s: RunUntil stopped at %v differs from the reference: %s", desc, stops, d)
 	}
 }

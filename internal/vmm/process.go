@@ -196,9 +196,6 @@ func (p *Process) regions2M() int {
 	return n
 }
 
-// IsChurn reports whether p is a machine-owned lifecycle (churn) process.
-func (p *Process) IsChurn() bool { return p.churn }
-
 // HugeBytes returns the bytes currently backed by huge pages.
 func (p *Process) HugeBytes() uint64 { return p.hugeBytes }
 

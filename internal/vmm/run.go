@@ -104,14 +104,12 @@ type executor struct {
 	baseAllocs uint64 // base-page allocations not yet applied to physmem
 
 	// Flattened per-machine constants (set once per executor).
-	cBase      float64    // Config.Cost.BaseCPA
-	cL2Hit     float64    // Config.Cost.L2TLBHit
-	cWalkBase  float64    // Config.Cost.WalkBase
-	cWalkRef   float64    // Config.Cost.WalkRef
-	mlpWidth   int        // Config.PTWMLPWidth; walks overlap only above 1
-	mlpOverlap float64    // Config.PTWMLPOverlap
-	coldOff    bool       // Config.DisableColdFilter
-	numa       *numaState // Machine.numa: nil when NUMA is off
+	cBase     float64    // Config.Cost.BaseCPA
+	cL2Hit    float64    // Config.Cost.L2TLBHit
+	cWalkBase float64    // Config.Cost.WalkBase
+	cWalkRef  float64    // Config.Cost.WalkRef
+	coldOff   bool       // Config.DisableColdFilter
+	numa      *numaState // Machine.numa: nil when NUMA is off
 
 	// effCPA is the running segment's base cycles-per-access (the process's
 	// BaseCPA or the config default), resolved once per segment in runSeg.
@@ -127,15 +125,13 @@ type executor struct {
 // flattened in.
 func (m *Machine) newExecutor() *executor {
 	return &executor{
-		m:          m,
-		cBase:      m.cfg.Cost.BaseCPA,
-		cL2Hit:     m.cfg.Cost.L2TLBHit,
-		cWalkBase:  m.cfg.Cost.WalkBase,
-		cWalkRef:   m.cfg.Cost.WalkRef,
-		mlpWidth:   m.cfg.PTWMLPWidth,
-		mlpOverlap: m.cfg.PTWMLPOverlap,
-		coldOff:    m.cfg.DisableColdFilter,
-		numa:       m.numa,
+		m:         m,
+		cBase:     m.cfg.Cost.BaseCPA,
+		cL2Hit:    m.cfg.Cost.L2TLBHit,
+		cWalkBase: m.cfg.Cost.WalkBase,
+		cWalkRef:  m.cfg.Cost.WalkRef,
+		coldOff:   m.cfg.DisableColdFilter,
+		numa:      m.numa,
 	}
 }
 

@@ -63,7 +63,6 @@ type CoreState struct {
 	Cycles      float64
 	Accesses    uint64
 	StallCycles float64
-	WalkBurst   int
 }
 
 // VMAState is the flat mapping/touch/liveness state of one VMA. Geometry
@@ -221,7 +220,6 @@ func (m *Machine) State() MachineState {
 			Cycles:      c.Cycles,
 			Accesses:    c.Accesses,
 			StallCycles: c.StallCycles,
-			WalkBurst:   c.walkBurst,
 		}
 		if c.PCC2M != nil {
 			st := c.PCC2M.State()
@@ -398,7 +396,6 @@ func (m *Machine) RestoreState(s MachineState) error {
 		c.Cycles = cs.Cycles
 		c.Accesses = cs.Accesses
 		c.StallCycles = cs.StallCycles
-		c.walkBurst = cs.WalkBurst
 		c.clearL0()
 	}
 

@@ -74,8 +74,6 @@ func (c Config) Validate() error {
 		{"Lifecycle.TouchFrac", count(c.Lifecycle.TouchFrac, 0, 1)},
 		{"Lifecycle.HugeRegions", atLeast(c.Lifecycle.HugeRegions, 0)},
 		{"Shards", count(c.Shards, 0, MaxCores)},
-		{"PTWMLPWidth", atLeast(c.PTWMLPWidth, 0)},
-		{"PTWMLPOverlap", count(c.PTWMLPOverlap, 0, 1)},
 		{"EventLogSize", count(max(c.EventLogSize, 0), 0, MaxEventLogSize)},
 	}
 	for _, ch := range checks {

@@ -69,8 +69,6 @@ func TestValidateNamesEachField(t *testing.T) {
 		{"Lifecycle.HugeRegions", func(c *Config) { c.Lifecycle.HugeRegions = -1 }},
 		{"Shards", func(c *Config) { c.Shards = -1 }},
 		{"Shards", func(c *Config) { c.Shards = MaxCores + 1 }},
-		{"PTWMLPWidth", func(c *Config) { c.PTWMLPWidth = -2 }},
-		{"PTWMLPOverlap", func(c *Config) { c.PTWMLPOverlap = nan }},
 		{"EventLogSize", func(c *Config) { c.EventLogSize = MaxEventLogSize + 1 }},
 	} {
 		cfg := DefaultConfig()
@@ -113,7 +111,7 @@ func TestValidateAcceptsDocumentedConfigs(t *testing.T) {
 func FuzzConfigValidate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, cores int8, l1Entries int16, l1Ways int8, pccEntries int16, physMiB uint16,
 		frag float64, interval uint32, numaNodes, numaPolicy int8, localShare float64,
-		churn, compact, watermark int16, pinned float64, shards, mlpWidth int8, mlpOverlap float64,
+		churn, compact, watermark int16, pinned float64, shards int8,
 		lifecycle bool, spawnProb float64) {
 		cfg := DefaultConfig()
 		cfg.Cores = int(cores)
@@ -132,7 +130,6 @@ func FuzzConfigValidate(f *testing.F) {
 			cfg.Lifecycle.SpawnProb = spawnProb
 		}
 		cfg.Shards = int(shards)
-		cfg.PTWMLPWidth, cfg.PTWMLPOverlap = int(mlpWidth), mlpOverlap
 		cfg.AuditEveryTick = true
 
 		if err := cfg.Validate(); err != nil {

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -59,6 +60,26 @@ const DefaultScale = 20
 
 // MaxScale is the largest graph scale a dataset can be built at.
 const MaxScale = 30
+
+// Validate refuses the spec fields Build would reject or quietly
+// reinterpret, naming the command-line flag that sets each one: an unknown
+// Dataset, a Scale outside 0..MaxScale (0 keeps the default), and a
+// SizeScale that is negative, NaN or infinite (0 keeps the app's default).
+// Build itself refuses an unknown Name.
+func (s Spec) Validate() error {
+	switch s.Dataset {
+	case "", DatasetKron, DatasetSocial, DatasetWeb:
+	default:
+		return fmt.Errorf("-dataset %q: want kron, social or web", s.Dataset)
+	}
+	if s.Scale < 0 || s.Scale > MaxScale {
+		return fmt.Errorf("-scale must be 1..%d (or 0 for the default), got %d", MaxScale, s.Scale)
+	}
+	if !(s.SizeScale >= 0) || math.IsInf(s.SizeScale, 1) {
+		return fmt.Errorf("-sizescale must be a finite scale >= 0 (0 for the app default), got %v", s.SizeScale)
+	}
+	return nil
+}
 
 // graphApp adapts GraphWorkload to the Workload interface.
 type graphApp struct {
