@@ -96,7 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed      = fs.Int64("seed", 0, "override fragmentation seed")
 		plots     = fs.String("plots", "", "also write SVG figures into this directory")
 		workers   = fs.Int("workers", 0, "parallel simulations per experiment (0 = GOMAXPROCS); output is identical at any setting")
-		mshards   = fs.Int("machine-shards", 0, "goroutines one simulated machine may use for independent job groups (0/1 = serial); output is identical at any setting")
 		traceMiB  = fs.Int64("tracecache", 512, "trace record/replay cache budget in MiB (0 disables); output is identical either way")
 		audit     = fs.Bool("audit", false, "verify machine invariants every policy tick and print the merged metrics snapshot")
 		events    = fs.String("events", "", "write the simulation event trace (promotions, PCC dumps, compactions, shootdowns) to this file")
@@ -166,8 +165,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *scale < 0 || *scale > workloads.MaxScale {
 		return refuse("-scale must be 1..%d (or 0 for each experiment's default), got %d", workloads.MaxScale, *scale)
 	}
-	if *traceMiB < 0 {
-		return refuse("-tracecache must be >= 0 MiB, got %d", *traceMiB)
+	if *traceMiB < 0 || *traceMiB > math.MaxInt64>>20 {
+		// The upper bound keeps the byte count (MiB << 20) from wrapping.
+		return refuse("-tracecache must be >= 0 and <= %d MiB, got %d", int64(math.MaxInt64>>20), *traceMiB)
 	}
 
 	// buildOptions assembles the experiment options for a given report
@@ -195,7 +195,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		o.PlotDir = *plots
 		o.Workers = *workers
-		o.MachineShards = *mshards
 		if *traceMiB == 0 {
 			o.TraceCache = -1 // disabled: always generate streams live
 		} else {

@@ -157,7 +157,8 @@ func TestRefusedInputs(t *testing.T) {
 		{[]string{"-serve", ":0", "-audit"}, "-audit"},
 		{[]string{"-quick", "-full"}, "-full"},
 		{[]string{"-exp", "fig1", "-tenants", "5"}, "-tenants"},
-		{[]string{"-exp", "fig1", "-machine-shards", "-1"}, "-machine-shards"},
+		{[]string{"-exp", "fig1", "-quick", "-tracecache", "8796093022208"}, "-tracecache"},
+		{[]string{"-exp", "fig1", "-quick", "-tracecache", "17592186044416"}, "-tracecache"},
 		{[]string{"-exp", "fig1", "-quota-skew", "lopsided"}, "-quota-skew"},
 	} {
 		var out, errOut strings.Builder

@@ -16,7 +16,7 @@ import (
 // mode): an application under one OS policy and machine, run once per
 // promotion budget and reported as raw counters. Options supply the
 // workload sizing, the machine's interval, memory and seed, and the run
-// plumbing (pool, shards, trace cache, audit, events, snapshot cuts).
+// plumbing (pool, trace cache, audit, events, snapshot cuts).
 // Validate's errors name the pccsim flag behind each field.
 type Cell struct {
 	// App is a registry application, an extension workload (phased,
@@ -77,7 +77,6 @@ var configFlags = map[string]string{
 	"Phys":                           "-phys",
 	"FragFrac":                       "-frag",
 	"PromotionInterval":              "-interval",
-	"Shards":                         "-machine-shards",
 	"Pressure.ChurnAllocFrames":      "-churn",
 	"Pressure.CompactBudgetFrames":   "-compact",
 	"Pressure.DemoteWatermarkBlocks": "-demote-wm",

@@ -60,13 +60,6 @@ type Options struct {
 	// byte-identical regardless of this setting; it only changes wall
 	// clock.
 	Workers int
-	// MachineShards is the vmm.Config.Shards value every simulated machine
-	// runs with: the goroutine budget one Run may use to execute
-	// independent job groups concurrently (0/1 = serial). Results are
-	// byte-identical at any value. Because each run may then occupy up to
-	// MachineShards OS threads, the grid pool divides its worker budget by
-	// this value so total concurrency stays near the Workers bound.
-	MachineShards int
 	// Audit arms the invariant auditor on every simulated machine: cross
 	// consistency of TLBs, page tables, PCC contents, physical-memory
 	// accounting, and policy ledgers is checked after every policy tick
@@ -110,7 +103,7 @@ type Options struct {
 
 // Validate refuses options no experiment can run with, before anything
 // runs: figtenant's selectors out of range, or a machine setting (interval,
-// physical memory, shards) vmm.Config.Validate refuses. Run calls it first.
+// physical memory) vmm.Config.Validate refuses. Run calls it first.
 // Errors name the pccsim flag that sets the field.
 func (o Options) Validate() error {
 	switch {
@@ -124,22 +117,10 @@ func (o Options) Validate() error {
 	return validateConfig(o.machineConfig(runCfg{kind: polPCC}))
 }
 
-// pool returns the run pool the options select. Its worker budget is the
-// Workers bound divided by the per-machine shard budget (rounded up), so
-// grid-level and machine-level parallelism compose without oversubscribing
-// the host: Workers bounds the total goroutines simulating, however they
-// are split between concurrent runs and shards within each run.
+// pool returns the run pool the options select: Workers bounds the
+// simulations running at once.
 func (o Options) pool() *RunPool {
-	return &RunPool{workers: gridWorkers(poolWorkers(o.Workers), o.MachineShards), Obs: o.Obs}
-}
-
-// gridWorkers splits a total worker budget between grid concurrency and
-// per-machine sharding: ceil(total/shards), floored at 1.
-func gridWorkers(total, shards int) int {
-	if shards <= 1 {
-		return total
-	}
-	return max((total+shards-1)/shards, 1)
+	return &RunPool{workers: poolWorkers(o.Workers), Obs: o.Obs}
 }
 
 // savePlot writes an SVG next to the textual report, logging rather than
@@ -278,7 +259,6 @@ func (o Options) machineConfig(rc runCfg) vmm.Config {
 	cfg.PCC2M.DisableDecay = rc.noDecay
 	cfg.PCC2M.Replacement = rc.replace
 	cfg.AuditEveryTick = o.Audit
-	cfg.Shards = o.MachineShards
 	if rc.pressureOn() {
 		// Net-positive churn: more frames arrive than leave each tick, so
 		// ambient activity steadily consumes migration headroom, and a

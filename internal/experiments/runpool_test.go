@@ -174,22 +174,3 @@ func TestRunPoolNoGoroutineLeak(t *testing.T) {
 	}
 	t.Errorf("goroutines: %d before, %d after", before, after)
 }
-
-// TestGridWorkers: the grid pool's worker budget divides by the per-machine
-// shard budget (rounded up, floored at one) so total simulation goroutines
-// stay near the Workers bound however they are split.
-func TestGridWorkers(t *testing.T) {
-	cases := []struct{ total, shards, want int }{
-		{8, 0, 8}, {8, 1, 8}, {8, 2, 4}, {8, 3, 3}, {8, 4, 2},
-		{8, 16, 1}, {1, 4, 1}, {3, 2, 2},
-	}
-	for _, c := range cases {
-		if got := gridWorkers(c.total, c.shards); got != c.want {
-			t.Errorf("gridWorkers(%d, %d) = %d, want %d", c.total, c.shards, got, c.want)
-		}
-	}
-	o := Options{Workers: 8, MachineShards: 4}
-	if got := o.pool().Workers(); got != 2 {
-		t.Errorf("pool workers = %d, want 2", got)
-	}
-}

@@ -119,6 +119,12 @@ func (r Region) String() string {
 	return fmt.Sprintf("[%#x +%s)", uint64(r.Base), r.Size)
 }
 
+// VirtAddrLimit bounds the simulated virtual address space: every address
+// lies below 2^48, the reach of the 4-level page table. The table indexes
+// only address bits 12-47, so an address at or above the limit would alias
+// one below it.
+const VirtAddrLimit VirtAddr = 1 << 48
+
 // Range is an arbitrary half-open virtual address range, used to describe
 // memory allocations (the simulated analogue of a VMA).
 type Range struct {

@@ -96,9 +96,8 @@ func NewRegistry() *Registry {
 var defaultRegistry = NewRegistry()
 
 // Default returns the process-global registry. Subsystems with no registry
-// plumbed in (e.g. the sharded runner's block prefetchers) publish health
-// gauges here; the pprof debug server's /healthz and the daemon's /healthz
-// expose its snapshot.
+// plumbed in may publish health gauges here; the pprof debug server's
+// /healthz and the daemon's /healthz expose its snapshot.
 func Default() *Registry { return defaultRegistry }
 
 // Counter returns the counter registered under name, creating it on first

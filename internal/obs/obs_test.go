@@ -210,8 +210,8 @@ func TestStartPprof(t *testing.T) {
 }
 
 // TestPprofHealthz: the debug server's /healthz reports liveness and the
-// Default registry's gauges, so long runs expose health metrics (prefetch
-// ring occupancy and friends) on the same port as the profiles.
+// Default registry's gauges, so long runs expose health metrics on the same
+// port as the profiles.
 func TestPprofHealthz(t *testing.T) {
 	Default().Gauge("test.healthz_gauge").Set(3)
 	addr, stop, err := StartPprof("127.0.0.1:0")

@@ -32,8 +32,8 @@ func StartPprof(addr string) (string, func(), error) {
 }
 
 // handleHealthz reports liveness plus the Default registry's snapshot, so a
-// long run's health gauges (prefetch ring occupancy, queue depths) are
-// visible on the same debug port as the profiles.
+// long run's health gauges are visible on the same debug port as the
+// profiles.
 func handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	body, err := json.Marshal(map[string]any{

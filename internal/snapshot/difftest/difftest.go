@@ -3,9 +3,11 @@
 // restore cycle at a seeded pseudo-random cut point (experiments'
 // Options.SnapshotCut), and checks the rendered reports are byte-identical
 // to the uninterrupted runs. Combined with the goldens matrix — worker
-// counts, machine shard counts, trace cache on/off — this pins the full
-// determinism contract: snapshot/resume is invisible at every layer the
-// repo promises byte-identical output across.
+// counts, trace cache on/off — this pins the full determinism contract:
+// snapshot/resume is invisible at every layer the repo promises
+// byte-identical output across. Every cut run resumes through
+// StartRun/RunUntil/FinishRun, so the sharded machine scheduler never runs
+// here; its equivalence is pinned in the vmm and ospolicy suites.
 package difftest
 
 import (

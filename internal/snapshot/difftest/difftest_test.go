@@ -16,13 +16,13 @@ import (
 const maxCut = 600_000
 
 // TestResumeEquivalenceAcrossGoldenMatrix is the headline suite: every
-// golden figure, at every workers × machine-shards × trace-cache
-// combination the goldens matrix pins, must render byte-identically when
-// every simulation inside it is checkpointed at a seeded random cut,
-// serialized, restored into a fresh machine, and resumed. The reference
-// bytes are the committed goldens themselves, so this composes with (rather
-// than re-derives) the existing determinism pins. The seed varies per
-// combination, scattering cut points differently each time.
+// golden figure, at every workers × trace-cache combination the goldens
+// matrix pins, must render byte-identically when every simulation inside it
+// is checkpointed at a seeded random cut, serialized, restored into a fresh
+// machine, and resumed. The reference bytes are the committed goldens
+// themselves, so this composes with (rather than re-derives) the existing
+// determinism pins. The seed varies per combination, scattering cut points
+// differently each time.
 func TestResumeEquivalenceAcrossGoldenMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full goldens matrix with checkpoint cycles takes minutes; skipped in -short mode")
@@ -40,17 +40,14 @@ func TestResumeEquivalenceAcrossGoldenMatrix(t *testing.T) {
 			}
 			seed := int64(1)
 			for _, w := range []int{1, 8} {
-				for _, shards := range []int{1, 4} {
-					for _, cache := range []int64{0, -1} {
-						o := experiments.QuickOptions(nil)
-						o.Workers = w
-						o.MachineShards = shards
-						o.TraceCache = cache
-						if err := difftest.CheckFigure(fig, o, want, seed, maxCut); err != nil {
-							t.Fatalf("%d workers, %d shards, cache %d: %v", w, shards, cache, err)
-						}
-						seed++
+				for _, cache := range []int64{0, -1} {
+					o := experiments.QuickOptions(nil)
+					o.Workers = w
+					o.TraceCache = cache
+					if err := difftest.CheckFigure(fig, o, want, seed, maxCut); err != nil {
+						t.Fatalf("%d workers, cache %d: %v", w, cache, err)
 					}
+					seed++
 				}
 			}
 		})

@@ -63,7 +63,7 @@ var deltaMask = [9]uint64{
 // and decode with a constant-stride loop. The decoder fills a whole block of
 // []Access at a time: writes apply as a bitmap pass only when the block has
 // any, and threads fill by run. Blocks are independently decodable (each
-// carries its absolute base address or its registers), so a prefetcher can
+// carries its absolute base address or its registers), so a consumer can
 // decode block N+1 while the simulator consumes block N.
 //
 // Multi-base blocks exist for graph kernels, which alternate between four or
@@ -171,8 +171,8 @@ type BlockSource interface {
 	// DecodeBlock decodes the next whole block into buf and returns the
 	// access count (0 when exhausted). buf should have room for
 	// BlockAccesses; shorter buffers are served by copy. Unlike NextBlock
-	// the result does not alias stream-internal storage, so a prefetcher
-	// may hand the filled buf to another goroutine and keep decoding.
+	// the result does not alias stream-internal storage: buf stays the
+	// caller's, to keep or hand on while the stream decodes the next block.
 	DecodeBlock(buf []Access) int
 }
 

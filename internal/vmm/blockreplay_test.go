@@ -12,7 +12,8 @@ import (
 // blockReplayRun is shardTestRun with the stream source parameterized: the
 // same four-job, three-group workload fed from materialized slices (the
 // NextBatch path) or from the columnar BlockRecording (the zero-copy
-// NextBlock path serially, the prefetch-decode path under shards).
+// NextBlock path serially, NextBatch decoding into the coordinator's pool
+// buffers under shards).
 func blockReplayRun(t *testing.T, shards int, kind string) string {
 	t.Helper()
 	cfg := testConfig()
@@ -45,9 +46,9 @@ func blockReplayRun(t *testing.T, shards int, kind string) string {
 }
 
 // TestBlockReplayRunEquivalence: feeding Run from a columnar replay — the
-// zero-copy in-place path, and the prefetch-decode path under shards — must
-// produce machine state bit-identical to materialized slices, at every shard
-// count. This is the invariant that lets the experiments' trace cache replay
+// zero-copy in-place path, and block decodes into pool buffers under
+// shards — must produce machine state bit-identical to materialized slices,
+// at every shard count. This is the invariant that lets the experiments' trace cache replay
 // streams without disturbing a golden.
 func TestBlockReplayRunEquivalence(t *testing.T) {
 	want := blockReplayRun(t, 1, "slice")

@@ -167,11 +167,15 @@ func (p *Process) setVMAs(ranges []mem.Range) {
 
 // validateRanges is the error-returning form of newProcess's alignment
 // panic, for API paths (tenants, exec, snapshot restore) that must reject
-// bad geometry gracefully.
+// bad geometry gracefully. It also refuses VMAs reaching past
+// mem.VirtAddrLimit, which the page table cannot tell from lower ones.
 func validateRanges(ranges []mem.Range) error {
 	for _, r := range ranges {
 		if r.End <= r.Start {
 			return fmt.Errorf("VMA %#x-%#x is empty or inverted", uint64(r.Start), uint64(r.End))
+		}
+		if r.End > mem.VirtAddrLimit {
+			return fmt.Errorf("VMA %#x-%#x ends past the %#x address-space limit", uint64(r.Start), uint64(r.End), uint64(mem.VirtAddrLimit))
 		}
 		if !mem.Aligned(r.Start, mem.Page4K) || !mem.Aligned(r.End, mem.Page4K) {
 			return fmt.Errorf("VMA %#x-%#x not page aligned", uint64(r.Start), uint64(r.End))

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"pccsim/internal/metrics"
-	"pccsim/internal/obs"
 	"pccsim/internal/trace"
 )
 
@@ -80,8 +79,8 @@ type liveJob struct {
 	*Job
 	stream trace.BatchStream
 	// block is non-nil when the job's stream hands out decoded columnar
-	// blocks in place (trace.BlockSource): Run then consumes those slices
-	// directly instead of copying through the machine's batch buffer.
+	// blocks in place (trace.BlockSource): RunUntil then consumes those
+	// slices directly instead of copying through the machine's batch buffer.
 	block    trace.BlockSource
 	accesses uint64
 	done     bool
@@ -277,99 +276,15 @@ func (m *Machine) shardGroups(live []*liveJob) ([]int, int) {
 
 // shardTask is one unit of work dispatched to a shard worker: a tick-free
 // segment of one job's stream starting at global clock start, or (fin) the
-// job's completion record. buf, when non-nil, is sent to freeTo after the
-// task is processed (the segment was the last one sliced from it) — the
-// shared pool for coordinator-filled buffers, or the owning job's prefetcher
-// for decoded columnar blocks.
+// job's completion record. buf, when non-nil, returns to the coordinator's
+// pool after the task is processed (the segment was the last one sliced
+// from it).
 type shardTask struct {
-	j      *liveJob
-	seg    []trace.Access
-	start  uint64
-	buf    []trace.Access
-	freeTo chan []trace.Access
-	fin    bool
-}
-
-// blockPrefetcher decodes a job's columnar block stream ahead of the
-// simulation on its own goroutine: DecodeBlock fills prefetcher-owned
-// buffers that travel coordinator → worker → back here, so block N+1 is
-// decoding while the shard worker simulates block N — and the decoded
-// accesses are consumed in place, never copied through a pool buffer.
-// Determinism is untouched: the decoded contents and their dispatch order
-// are exactly what a synchronous NextBatch drain would have produced; only
-// the wall-clock overlap differs.
-type blockPrefetcher struct {
-	out  chan []trace.Access // decoded blocks, in stream order
-	free chan []trace.Access // consumed buffers returning for reuse
-	cur  []trace.Access      // block the coordinator is currently slicing
-	pos  int
-	ring *obs.Gauge // decoded-blocks-queued occupancy of out
-	wg   sync.WaitGroup
-}
-
-// ringGauge is the Default-registry gauge all block prefetchers publish
-// their ring occupancy to (decoded blocks queued, summed across jobs): a
-// value pinned at 0 during a slow run means simulation is starved on
-// decode, a value pinned at prefetchDepth means decode is ahead and the
-// simulation itself is the bottleneck. Visible on -pprof's /healthz and the
-// daemon's /healthz.
-const ringGauge = "vmm.prefetch.ring_occupancy"
-
-// prefetchDepth is how many decoded blocks a prefetcher owns: one being
-// consumed, one queued, one being decoded (double-buffered from the
-// consumer's point of view).
-const prefetchDepth = 3
-
-// newBlockPrefetcher starts the decode goroutine for src. It exits when the
-// stream is exhausted (Run always drains every job) after closing out.
-func newBlockPrefetcher(src trace.BlockSource) *blockPrefetcher {
-	p := &blockPrefetcher{
-		out:  make(chan []trace.Access, prefetchDepth),
-		free: make(chan []trace.Access, prefetchDepth),
-	}
-	for i := 0; i < prefetchDepth; i++ {
-		p.free <- make([]trace.Access, trace.BlockAccesses)
-	}
-	p.ring = obs.Default().Gauge(ringGauge)
-	p.wg.Add(1)
-	go pprof.Do(context.Background(), pprof.Labels("pccsim", "block-prefetcher"), func(context.Context) {
-		defer p.wg.Done()
-		for buf := range p.free {
-			n := src.DecodeBlock(buf[:cap(buf)])
-			if n == 0 {
-				close(p.out)
-				return
-			}
-			p.out <- buf[:n]
-			p.ring.Add(1)
-		}
-	})
-	return p
-}
-
-// take returns up to max accesses of the prefetched stream in place. done
-// reports a released buffer: when take consumed the last access of the
-// current block, it returns the block's buffer, which the caller must send
-// to p.free after the returned segment has been fully processed.
-func (p *blockPrefetcher) take(max int) (seg, done []trace.Access) {
-	if p.pos >= len(p.cur) {
-		blk, ok := <-p.out
-		if !ok {
-			return nil, nil
-		}
-		p.ring.Add(-1)
-		p.cur, p.pos = blk, 0
-	}
-	seg = p.cur[p.pos:]
-	if len(seg) > max {
-		seg = seg[:max]
-	}
-	p.pos += len(seg)
-	if p.pos >= len(p.cur) {
-		done = p.cur[:cap(p.cur)]
-		p.cur, p.pos = nil, 0
-	}
-	return seg, done
+	j     *liveJob
+	seg   []trace.Access
+	start uint64
+	buf   []trace.Access
+	fin   bool
 }
 
 // runSharded executes the run's independent job groups on up to
@@ -418,7 +333,7 @@ func (m *Machine) runSharded(groupOf []int, groups int) {
 					ex.runSeg(t.j.Job, t.seg)
 				}
 				if t.buf != nil {
-					t.freeTo <- t.buf
+					pool <- t.buf
 				}
 				inflight.Done()
 			}
@@ -429,21 +344,11 @@ func (m *Machine) runSharded(groupOf []int, groups int) {
 		queues[w] <- t
 	}
 
-	// Jobs over columnar block streams decode on their own prefetch
-	// goroutine, overlapping decode with simulation; the rest are decoded
-	// synchronously here into pool buffers.
-	prefetch := make([]*blockPrefetcher, len(s.live))
-	for ji, j := range s.live {
-		if j.block != nil && !j.done {
-			prefetch[ji] = newBlockPrefetcher(j.block)
-		}
-	}
-
 	globalNow := m.accessCount
 	// dispatchSegs slices one decoded batch at tick boundaries and dispatches
 	// the segments to worker w, exactly as runBatch would have executed
-	// them; buf/freeTo ride on the final segment.
-	dispatchSegs := func(w int, j *liveJob, batch, buf []trace.Access, freeTo chan []trace.Access) {
+	// them; buf rides on the final segment.
+	dispatchSegs := func(w int, j *liveJob, batch, buf []trace.Access) {
 		for len(batch) > 0 {
 			seg := batch
 			if until := m.nextTick - globalNow; uint64(len(seg)) > until {
@@ -451,8 +356,8 @@ func (m *Machine) runSharded(groupOf []int, groups int) {
 			}
 			batch = batch[len(seg):]
 			t := shardTask{j: j, seg: seg, start: globalNow}
-			if len(batch) == 0 && buf != nil {
-				t.buf, t.freeTo = buf, freeTo
+			if len(batch) == 0 {
+				t.buf = buf
 			}
 			dispatch(w, t)
 			globalNow += uint64(len(seg))
@@ -472,24 +377,18 @@ func (m *Machine) runSharded(groupOf []int, groups int) {
 		if ji < 0 {
 			break
 		}
+		// Every job, block replays included, decodes into a pool buffer: a
+		// full turn is one whole block, which BlockReplayStream.NextBatch
+		// decodes straight into the buffer.
 		j, w := s.live[ji], groupOf[ji]%nw
-		var seg, buf []trace.Access
-		var freeTo chan []trace.Access
-		if pf := prefetch[ji]; pf != nil {
-			seg, buf = pf.take(want)
-			freeTo = pf.free
-		} else {
-			buf, freeTo = <-pool, pool
-			seg = buf[:j.stream.NextBatch(buf[:want])]
-		}
+		buf := <-pool
+		seg := buf[:j.stream.NextBatch(buf[:want])]
 		s.took(ji, len(seg))
 		if len(seg) > 0 {
-			dispatchSegs(w, j, seg, buf, freeTo)
+			dispatchSegs(w, j, seg, buf)
 			continue
 		}
-		if buf != nil {
-			freeTo <- buf
-		}
+		pool <- buf
 		// The completion record (finished flag, runtime = max cycles over
 		// the job's cores) must observe all of the group's prior work, so
 		// it runs on the group's worker, behind its queue.
@@ -499,14 +398,6 @@ func (m *Machine) runSharded(groupOf []int, groups int) {
 		close(q)
 	}
 	workers.Wait()
-	for _, pf := range prefetch {
-		if pf != nil {
-			// The decode goroutine has already closed out (its stream is
-			// exhausted — that is what completed the job); Wait just pins
-			// the lifecycle for the race detector and leak tests.
-			pf.wg.Wait()
-		}
-	}
 	for _, ex := range execs {
 		ex.flushAllocs()
 	}

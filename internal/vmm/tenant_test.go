@@ -23,6 +23,14 @@ func TestAddTenantValidation(t *testing.T) {
 			Ranges: []mem.Range{{Start: 1, End: 1 << 21}}}},
 		{"inverted range", testConfig, TenantConfig{Name: "t",
 			Ranges: []mem.Range{{Start: 1 << 21, End: 1 << 20}}}},
+		// The page table maps 2^48 bytes: a range above it would alias
+		// the one 2^48 below.
+		{"range above 2^48", testConfig, TenantConfig{Name: "t",
+			Ranges: []mem.Range{{Start: 1<<48 + 1<<21, End: 1<<48 + 1<<22}}}},
+		{"range crossing 2^48", testConfig, TenantConfig{Name: "t",
+			Ranges: []mem.Range{{Start: 1<<48 - 1<<21, End: 1<<48 + 1<<12}}}},
+		{"range at the top of the 64-bit space", testConfig, TenantConfig{Name: "t",
+			Ranges: []mem.Range{{Start: 0xffffffffffe00000, End: 0xfffffffffffff000}}}},
 		{"share above one", testConfig, TenantConfig{Name: "t", Ranges: ranges,
 			HugeShare: 1.5}},
 		{"negative share", testConfig, TenantConfig{Name: "t", Ranges: ranges,

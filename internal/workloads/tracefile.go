@@ -41,8 +41,9 @@ func (w *fileWorkload) Stream() trace.Stream {
 
 // TraceFile scans the trace at path once to derive its VMAs: every touched
 // 2MB region is covered, and regions separated by at most 16MB of untouched
-// space merge into one range. It fails on an unreadable or malformed file
-// and on a trace with no accesses.
+// space merge into one range. It fails on an unreadable or malformed file,
+// on a trace with no accesses, and on an access at or above
+// mem.VirtAddrLimit, which the simulated page table cannot map.
 func TraceFile(path string) (Workload, error) {
 	fs, err := trace.OpenFile(path)
 	if err != nil {
@@ -54,6 +55,9 @@ func TraceFile(path string) (Workload, error) {
 		a, ok := fs.Next()
 		if !ok {
 			break
+		}
+		if a.Addr >= mem.VirtAddrLimit {
+			return nil, fmt.Errorf("workloads: trace %s: access %#x is at or above the %#x address-space limit", path, uint64(a.Addr), uint64(mem.VirtAddrLimit))
 		}
 		regions[mem.PageBase(a.Addr, mem.Page2M)] = true
 	}

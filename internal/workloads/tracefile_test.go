@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -91,5 +92,37 @@ func TestTraceFileErrors(t *testing.T) {
 	}
 	if _, err := Build(Spec{Name: TracePrefix + filepath.Join(t.TempDir(), "missing.trc")}); err == nil {
 		t.Error("missing file: no error")
+	}
+}
+
+// TestTraceFileRefusesAddressesPastTheLimit: an access at or above
+// limit is refused with an error naming it, in both formats —
+// the top 4KB page of the 64-bit space (whose inferred VMA would end at 2^64
+// and wrap to 0) and an alias of a low address 2^48 above it (which the page
+// table would fold onto the low one) — while the last page below the limit
+// still loads.
+func TestTraceFileRefusesAddressesPastTheLimit(t *testing.T) {
+	const low, limit = mem.VirtAddr(0x200000), mem.VirtAddr(1 << 48)
+	for _, binary := range []bool{false, true} {
+		for _, tc := range []struct {
+			addrs []mem.VirtAddr
+			bad   mem.VirtAddr
+		}{
+			{[]mem.VirtAddr{0xfffffffffffff000}, 0xfffffffffffff000},
+			{[]mem.VirtAddr{low, low + 0x1000, limit + low, limit + low + 0x1000}, limit + low},
+			{[]mem.VirtAddr{low, limit}, limit},
+		} {
+			_, err := TraceFile(writeTrace(t, binary, tc.addrs...))
+			if want := fmt.Sprintf("%#x", uint64(tc.bad)); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("binary=%v %#x: err = %v, want one naming %s", binary, tc.addrs, err, want)
+			}
+		}
+		wl, err := TraceFile(writeTrace(t, binary, limit-0x1000))
+		if err != nil {
+			t.Fatalf("binary=%v: the last page below the limit: %v", binary, err)
+		}
+		if want := []mem.Range{{Start: limit - mem.VirtAddr(mem.Page2M), End: limit}}; !reflect.DeepEqual(wl.Ranges(), want) {
+			t.Errorf("binary=%v: ranges = %v, want %v", binary, wl.Ranges(), want)
+		}
 	}
 }
