@@ -434,8 +434,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		"tracecache_streams": recs,
 		"tracecache_blocks":  experiments.TraceCacheBlocks(),
 		"tracecache_bytes":   cacheBytes,
-		// Process-global health gauges (obs.Default).
-		"metrics": obs.Default().Snapshot(),
 	})
 }
 

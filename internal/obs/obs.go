@@ -92,14 +92,6 @@ func NewRegistry() *Registry {
 	}
 }
 
-// defaultRegistry backs Default.
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-global registry. Subsystems with no registry
-// plumbed in may publish health gauges here; the pprof debug server's
-// /healthz and the daemon's /healthz expose its snapshot.
-func Default() *Registry { return defaultRegistry }
-
 // Counter returns the counter registered under name, creating it on first
 // use. A name registered as a counter must not also be used as a gauge.
 func (r *Registry) Counter(name string) *Counter {

@@ -209,11 +209,9 @@ func TestStartPprof(t *testing.T) {
 	}
 }
 
-// TestPprofHealthz: the debug server's /healthz reports liveness and the
-// Default registry's gauges, so long runs expose health metrics on the same
-// port as the profiles.
+// TestPprofHealthz: the debug server's /healthz reports liveness on the
+// same port as the profiles.
 func TestPprofHealthz(t *testing.T) {
-	Default().Gauge("test.healthz_gauge").Set(3)
 	addr, stop, err := StartPprof("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -228,28 +226,12 @@ func TestPprofHealthz(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	var body struct {
-		Status  string             `json:"status"`
-		Metrics map[string]float64 `json:"metrics"`
+		Status string `json:"status"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
 	if body.Status != "ok" {
 		t.Errorf("status = %q, want ok", body.Status)
-	}
-	if body.Metrics["test.healthz_gauge"] != 3 {
-		t.Errorf("metrics = %v, want test.healthz_gauge=3", body.Metrics)
-	}
-}
-
-// TestDefaultRegistryIsStable: Default must hand back the same registry on
-// every call — publishers cache handles from it.
-func TestDefaultRegistryIsStable(t *testing.T) {
-	if Default() != Default() {
-		t.Fatal("Default returned distinct registries")
-	}
-	g := Default().Gauge("test.stable")
-	if g != Default().Gauge("test.stable") {
-		t.Fatal("gauge handle not stable across lookups")
 	}
 }

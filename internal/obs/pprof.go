@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -31,18 +30,8 @@ func StartPprof(addr string) (string, func(), error) {
 	return ln.Addr().String(), stop, nil
 }
 
-// handleHealthz reports liveness plus the Default registry's snapshot, so a
-// long run's health gauges are visible on the same debug port as the
-// profiles.
+// handleHealthz reports liveness on the same debug port as the profiles.
 func handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	body, err := json.Marshal(map[string]any{
-		"status":  "ok",
-		"metrics": Default().Snapshot(),
-	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Write(body) //nolint:errcheck // best-effort debug endpoint
+	w.Write([]byte(`{"status":"ok"}`)) //nolint:errcheck // best-effort debug endpoint
 }

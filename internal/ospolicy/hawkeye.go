@@ -5,6 +5,7 @@ import (
 
 	"pccsim/internal/mem"
 	"pccsim/internal/obs"
+	"pccsim/internal/ptw"
 	"pccsim/internal/reprand"
 	"pccsim/internal/vmm"
 )
@@ -82,6 +83,11 @@ type HawkEye struct {
 	// exact stream position.
 	rng     *reprand.Rand
 	regions map[regionKey]*hawkRegion
+	// extents, slots and chunks are sample's scratch (see flatten), kept
+	// across ticks only for their capacity.
+	extents []hawkExtent
+	slots   []hawkSlot
+	chunks  []int
 
 	ticks    uint64
 	promoted uint64
@@ -163,54 +169,108 @@ func (h *HawkEye) PublishMetrics(s obs.Snapshot) {
 	s.Add("ospolicy.regions_tracked", float64(len(h.regions)))
 }
 
+// hawkExtent is one VMA in a tick's flattened sampling space: the offsets
+// below end and at or above the previous extent's end land in it.
+type hawkExtent struct {
+	p   *vmm.Process
+	end uint64
+	// delta is the VMA start minus the extent's first offset, so an
+	// offset plus delta is its address.
+	delta uint64
+	// bias is subtracted from the 2MB region number of an address in the
+	// VMA to give the region's index in HawkEye.slots.
+	bias uint64
+}
+
+// hawkSlot is one 2MB region resolved for the rest of a tick: its ledger
+// entry and its PTE node (the zero Block when it has none). reg is nil until
+// the tick's first sample lands in the region.
+type hawkSlot struct {
+	reg   *hawkRegion
+	block ptw.Block
+}
+
 // sample draws SamplePages random base pages across all processes' VMAs,
-// testing and clearing their accessed bits.
+// testing and clearing their accessed bits. A region's ledger entry and PTE
+// node are looked up by the tick's first sample in it and reused by the
+// rest: sampling only clears accessed bits, so neither can change within
+// the tick.
 func (h *HawkEye) sample(m *vmm.Machine) {
-	procs := m.Procs()
-	if len(procs) == 0 {
-		return
-	}
-	// Flatten VMA extents for uniform sampling weighted by size.
-	type extent struct {
-		p *vmm.Process
-		r mem.Range
-	}
-	var extents []extent
-	var total uint64
-	for _, p := range procs {
-		for _, r := range p.Ranges() {
-			extents = append(extents, extent{p: p, r: r})
-			total += r.Len()
-		}
-	}
+	total := h.flatten(m.Procs())
 	if total == 0 {
 		return
 	}
+	exts, slots, chunks := h.extents, h.slots, h.chunks
 	for i := 0; i < h.cfg.SamplePages; i++ {
 		off := h.rng.Uint64() % total
-		var ext extent
-		rem := off
-		for _, e := range extents {
-			if rem < e.r.Len() {
-				ext = e
-				break
-			}
-			rem -= e.r.Len()
+		j := chunks[off>>21]
+		for off >= exts[j].end {
+			j++
 		}
-		addr := mem.PageBase(ext.r.Start+mem.VirtAddr(rem), mem.Page4K)
-		base := mem.PageBase(addr, mem.Page2M)
-		k := regionKey{pid: ext.p.ID, base: base}
-		reg := h.regions[k]
-		if reg == nil {
-			reg = &hawkRegion{proc: ext.p, base: base}
-			h.regions[k] = reg
+		e := &exts[j]
+		addr := mem.PageBase(mem.VirtAddr(off+e.delta), mem.Page4K)
+		s := &slots[uint64(addr)>>21-e.bias]
+		if s.reg == nil {
+			h.resolve(s, e.p, addr)
 		}
-		reg.samples++
-		if ext.p.Table.Accessed4K(addr) {
-			ext.p.Table.ClearAccessed4K(addr)
-			reg.hits++
+		s.reg.samples++
+		if e.p.Table.TestAndClearAccessedIn(s.block, addr) {
+			s.reg.hits++
 		}
 	}
+	// Nothing resolved outlives the tick (both pin processes).
+	clear(exts)
+	clear(slots)
+}
+
+// flatten lays every process's VMAs end to end into h.extents, so that
+// sampling is weighted by size, with one empty slot in h.slots per 2MB
+// region each VMA touches and, in h.chunks, the first extent ending past
+// each 2MB of offsets (where the search for an offset starts). It returns
+// the total size. The scratch slices keep their capacity across ticks.
+func (h *HawkEye) flatten(procs []*vmm.Process) uint64 {
+	h.extents = h.extents[:0]
+	var total, nslots uint64
+	for _, p := range procs {
+		for _, r := range p.Ranges() {
+			first, last := uint64(r.Start)>>21, (uint64(r.End)-1)>>21
+			h.extents = append(h.extents, hawkExtent{
+				p:     p,
+				end:   total + r.Len(),
+				delta: uint64(r.Start) - total,
+				bias:  first - nslots,
+			})
+			total += r.Len()
+			nslots += last - first + 1
+		}
+	}
+	// Every slot is empty: sample clears the ones it used.
+	if uint64(cap(h.slots)) < nslots {
+		h.slots = make([]hawkSlot, nslots)
+	}
+	h.slots = h.slots[:nslots]
+	h.chunks = h.chunks[:0]
+	j := 0
+	for c := uint64(0); c < total; c += 1 << 21 {
+		for h.extents[j].end <= c {
+			j++
+		}
+		h.chunks = append(h.chunks, j)
+	}
+	return total
+}
+
+// resolve fills the slot of the 2MB region containing addr: the region's
+// ledger entry, created on first sight, and its PTE node.
+func (h *HawkEye) resolve(s *hawkSlot, p *vmm.Process, addr mem.VirtAddr) {
+	base := mem.PageBase(addr, mem.Page2M)
+	k := regionKey{pid: p.ID, base: base}
+	reg := h.regions[k]
+	if reg == nil {
+		reg = &hawkRegion{proc: p, base: base}
+		h.regions[k] = reg
+	}
+	s.reg, s.block = reg, p.Table.LeafBlock(base)
 }
 
 // fold converts this interval's samples into coverage estimates (pages per

@@ -121,6 +121,28 @@ func index(a mem.VirtAddr, l Level) int {
 func (t *Table) Map(a mem.VirtAddr, size mem.PageSize) {
 	a = mem.PageBase(a, size)
 	leafLevel := leafFor(size)
+	n := &t.nodes[t.descend(a, size)]
+	i := index(a, leafLevel)
+	if n.present[i] && n.isLeaf[i] {
+		return // already mapped at this size
+	}
+	if n.children[i] != 0 {
+		// Collapsing: a finer-grained subtree existed (e.g. PTEs being
+		// replaced by one huge PMD entry). Drop it and adjust counts.
+		t.subtractSubtree(n.children[i], leafLevel-1)
+		n.children[i] = 0
+	}
+	n.present[i] = true
+	n.isLeaf[i] = true
+	n.accessed[i] = false
+	t.addCount(size, 1)
+}
+
+// descend walks from the root to the node holding a's entry at the level
+// where pages of the given size map, allocating missing intermediate nodes,
+// and returns that node's slot. It panics on a huge leaf above that level.
+func (t *Table) descend(a mem.VirtAddr, size mem.PageSize) int32 {
+	leafLevel := leafFor(size)
 	ni := int32(0)
 	for l := PGD; l > leafLevel; l-- {
 		i := index(a, l)
@@ -136,21 +158,26 @@ func (t *Table) Map(a mem.VirtAddr, size mem.PageSize) {
 		}
 		ni = n.children[i]
 	}
-	n := &t.nodes[ni]
-	i := index(a, leafLevel)
-	if n.present[i] && n.isLeaf[i] {
-		return // already mapped at this size
+	return ni
+}
+
+// MapRegion4K maps every unmapped 4KB page of the 2MB region containing a
+// in one descent, leaving the table exactly as a Map(page, mem.Page4K) per
+// page of the region in address order would: the same node slot, the same
+// counts, new entries' accessed bits false, mapped pages untouched.
+// Demotion calls it after unmapping the 2MB leaf.
+func (t *Table) MapRegion4K(a mem.VirtAddr) {
+	a = mem.PageBase(a, mem.Page2M)
+	n := &t.nodes[t.descend(a, mem.Page4K)]
+	for i := range n.present {
+		if n.present[i] && n.isLeaf[i] {
+			continue
+		}
+		n.present[i] = true
+		n.isLeaf[i] = true
+		n.accessed[i] = false
+		t.count4K++
 	}
-	if n.children[i] != 0 {
-		// Collapsing: a finer-grained subtree existed (e.g. PTEs being
-		// replaced by one huge PMD entry). Drop it and adjust counts.
-		t.subtractSubtree(n.children[i], leafLevel-1)
-		n.children[i] = 0
-	}
-	n.present[i] = true
-	n.isLeaf[i] = true
-	n.accessed[i] = false
-	t.addCount(size, 1)
 }
 
 // subtractSubtree removes the page counts contributed by the subtree rooted
@@ -183,7 +210,7 @@ func (t *Table) addCount(size mem.PageSize, delta uint64) {
 
 // Unmap removes the leaf mapping of the given size at a (aligned down). It
 // is a no-op if no such mapping exists. Used for demotion: unmap the 2MB
-// leaf, then Map the constituent 4KB pages.
+// leaf, then MapRegion4K the constituent 4KB pages.
 func (t *Table) Unmap(a mem.VirtAddr, size mem.PageSize) {
 	a = mem.PageBase(a, size)
 	leafLevel := leafFor(size)
@@ -322,34 +349,43 @@ func (t *Table) Walk(a mem.VirtAddr) WalkInfo {
 	return info
 }
 
-// Accessed4K reports whether the PTE for the 4KB page containing a has its
-// accessed bit set (software sampling path used by the HawkEye model).
-func (t *Table) Accessed4K(a mem.VirtAddr) bool {
+// Block is a handle to one PTE-level node, as LeafBlock returns it: the 512
+// 4KB entries of one 2MB region. The zero Block stands for "no PTE node".
+// A handle stays valid until the table's mappings next change (Map, Unmap,
+// MapRegion4K or SetState); accessed-bit updates leave it valid.
+type Block int32
+
+// LeafBlock returns the PTE-level node of the 2MB region containing a, or
+// the zero Block when the region has none (unmapped, or mapped by a huge
+// leaf). Software scanners resolve a region once with it and then probe its
+// pages with TestAndClearAccessedIn, instead of walking from the root per
+// page.
+func (t *Table) LeafBlock(a mem.VirtAddr) Block {
 	ni := int32(0)
 	for l := PGD; l > PTE; l-- {
 		n := &t.nodes[ni]
 		i := index(a, l)
 		if !n.present[i] || n.isLeaf[i] || n.children[i] == 0 {
-			return false
+			return 0
 		}
 		ni = n.children[i]
 	}
-	n := &t.nodes[ni]
-	i := index(a, PTE)
-	return n.present[i] && n.accessed[i]
+	return Block(ni)
 }
 
-// ClearAccessed4K clears the PTE accessed bit for the 4KB page containing a,
-// if mapped. Used by software scanners after sampling.
-func (t *Table) ClearAccessed4K(a mem.VirtAddr) {
-	ni := int32(0)
-	for l := PGD; l > PTE; l-- {
-		n := &t.nodes[ni]
-		i := index(a, l)
-		if !n.present[i] || n.isLeaf[i] || n.children[i] == 0 {
-			return
-		}
-		ni = n.children[i]
+// TestAndClearAccessedIn reports whether the PTE for the 4KB page containing
+// a is present with its accessed bit set, clearing the bit — the software
+// sampling probe of the HawkEye model. b must be LeafBlock of a's 2MB
+// region; the zero Block reads "not accessed".
+func (t *Table) TestAndClearAccessedIn(b Block, a mem.VirtAddr) bool {
+	if b == 0 {
+		return false
 	}
-	t.nodes[ni].accessed[index(a, PTE)] = false
+	n := &t.nodes[b]
+	i := index(a, PTE)
+	if !n.present[i] || !n.accessed[i] {
+		return false
+	}
+	n.accessed[i] = false
+	return true
 }

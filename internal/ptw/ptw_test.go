@@ -2,6 +2,7 @@ package ptw
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -176,25 +177,176 @@ func TestMappedSize(t *testing.T) {
 	}
 }
 
-func TestAccessed4KSampleAndClear(t *testing.T) {
+// TestTestAndClearAccessedSampleAndClear pins the software sampling probe:
+// a fresh mapping reads cold, a walk sets the PTE bit, the probe reports and
+// clears it, and a re-walk sets it again.
+func TestTestAndClearAccessedSampleAndClear(t *testing.T) {
 	tb := NewTable()
 	a := mem.VirtAddr(0x1000)
 	tb.Map(a, mem.Page4K)
-	if tb.Accessed4K(a) {
+	b := tb.LeafBlock(a)
+	if b == 0 {
+		t.Fatal("a 4KB-mapped region must have a PTE block")
+	}
+	if tb.TestAndClearAccessedIn(b, a) {
 		t.Fatal("fresh mapping must be cold")
 	}
 	tb.Walk(a)
-	if !tb.Accessed4K(a) {
+	if !tb.TestAndClearAccessedIn(b, a) {
 		t.Fatal("walk must set the PTE accessed bit")
 	}
-	tb.ClearAccessed4K(a)
-	if tb.Accessed4K(a) {
-		t.Fatal("clear must reset the bit")
+	if tb.TestAndClearAccessedIn(b, a) {
+		t.Fatal("the probe must clear the bit")
 	}
 	tb.Walk(a)
-	if !tb.Accessed4K(a) {
+	if !tb.TestAndClearAccessedIn(b, a) {
 		t.Fatal("re-walk must re-set the bit")
 	}
+}
+
+// TestLeafBlockWithoutPTENode: a region with no PTE node — unmapped, mapped
+// by a 2MB or 1GB leaf — has the zero Block, which reads "not accessed"; so
+// does an unmapped page inside a populated block, and a walk of a neighbour
+// does not set it.
+func TestLeafBlockWithoutPTENode(t *testing.T) {
+	tb := NewTable()
+	huge2M := mem.VirtAddr(4 << 21)
+	tb.Map(huge2M, mem.Page2M)
+	tb.Walk(huge2M)
+	huge1G := mem.VirtAddr(3 << 30)
+	tb.Map(huge1G, mem.Page1G)
+	tb.Walk(huge1G)
+	for _, a := range []mem.VirtAddr{9 << 21, 5 << 30, huge2M + 0x3000, huge1G + 7<<21} {
+		if b := tb.LeafBlock(a); b != 0 {
+			t.Errorf("LeafBlock(%#x) = %d, want the zero Block", uint64(a), b)
+		}
+		if tb.TestAndClearAccessedIn(0, a) {
+			t.Errorf("the zero Block must read not accessed at %#x", uint64(a))
+		}
+	}
+	page := mem.VirtAddr(7<<21 + 0x5000)
+	tb.Map(page, mem.Page4K)
+	tb.Walk(page)
+	hole := page + 0x1000
+	tb.Walk(hole)
+	if tb.TestAndClearAccessedIn(tb.LeafBlock(hole), hole) {
+		t.Error("an unmapped page must read not accessed")
+	}
+	if !tb.TestAndClearAccessedIn(tb.LeafBlock(page), page) {
+		t.Error("the mapped neighbour must read accessed")
+	}
+}
+
+// mapRegionPerPage is the definition MapRegion4K must match: one Map per
+// 4KB page of the region, in address order.
+func mapRegionPerPage(tb *Table, base mem.VirtAddr) {
+	for i := 0; i < 512; i++ {
+		tb.Map(base+mem.VirtAddr(i)<<12, mem.Page4K)
+	}
+}
+
+func cloneTable(t *testing.T, tb *Table) *Table {
+	t.Helper()
+	c := NewTable()
+	if err := c.SetState(tb.State()); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestMapRegion4KMatchesPerPageMap: on random tables — partly mapped
+// regions with accessed bits set, collapsed regions whose PTE node went to
+// the free list, huge leaves elsewhere — MapRegion4K leaves exactly the
+// TableState of 512 Map calls: the same node slot (free-list reuse after a
+// collapse included), the same counts, the same accessed bits.
+func TestMapRegion4KMatchesPerPageMap(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tb := NewTable()
+		region := func() mem.VirtAddr {
+			// Eight 2MB regions in two 1GB spans, so PUD and PMD nodes are
+			// shared and also created fresh.
+			return mem.VirtAddr(rng.Intn(2))<<30 + mem.VirtAddr(rng.Intn(8))<<21
+		}
+		for i := 0; i < 200; i++ {
+			r := region()
+			page := r + mem.VirtAddr(rng.Intn(512))<<12
+			size, mapped := tb.MappedSize(r)
+			huge := mapped && size == mem.Page2M
+			switch rng.Intn(5) {
+			case 0, 1:
+				if !huge {
+					tb.Map(page, mem.Page4K)
+					if rng.Intn(2) == 0 {
+						tb.Walk(page) // a mapped page with its accessed bit set
+					}
+				}
+			case 2:
+				tb.Map(r, mem.Page2M) // collapses any PTE node
+			case 3:
+				tb.Unmap(r, mem.Page2M)
+			case 4:
+				tb.Walk(page)
+			}
+		}
+		// Remap every region that is not huge (after unmapping half the
+		// huge ones, the demotion path), comparing against the reference.
+		for i := 0; i < 16; i++ {
+			r := mem.VirtAddr(i/8)<<30 + mem.VirtAddr(i%8)<<21
+			if size, ok := tb.MappedSize(r); ok && size == mem.Page2M {
+				if rng.Intn(2) == 0 {
+					continue
+				}
+				tb.Unmap(r, mem.Page2M)
+			}
+			want := cloneTable(t, tb)
+			mapRegionPerPage(want, r)
+			tb.MapRegion4K(r + mem.VirtAddr(rng.Intn(512))<<12)
+			if !reflect.DeepEqual(tb.State(), want.State()) {
+				t.Fatalf("seed %d region %#x: MapRegion4K state differs from 512 Map calls", seed, uint64(r))
+			}
+		}
+	}
+}
+
+// TestMapRegion4KReusesFreedSlot is the demotion sequence spelled out: a
+// collapse frees the region's PTE node, and the remap takes that slot back
+// from the free list, as the first per-page Map would.
+func TestMapRegion4KReusesFreedSlot(t *testing.T) {
+	tb := NewTable()
+	base := mem.VirtAddr(5 << 21)
+	mapRegionPerPage(tb, base)
+	slot := tb.LeafBlock(base)
+	tb.Map(base, mem.Page2M)
+	if len(tb.free) != 1 {
+		t.Fatalf("collapse left %d free slots, want 1", len(tb.free))
+	}
+	tb.Unmap(base, mem.Page2M)
+	want := cloneTable(t, tb)
+	mapRegionPerPage(want, base)
+	tb.MapRegion4K(base)
+	if got := tb.LeafBlock(base); got != slot {
+		t.Errorf("remap took slot %d, want the freed slot %d", got, slot)
+	}
+	if !reflect.DeepEqual(tb.State(), want.State()) {
+		t.Error("remap state differs from 512 Map calls")
+	}
+	if p4, p2, _ := tb.Counts(); p4 != 512 || p2 != 0 {
+		t.Errorf("counts = %d/%d, want 512/0", p4, p2)
+	}
+}
+
+// TestMapRegion4KConflictPanics: under a 1GB leaf the remap panics like
+// the first per-page Map.
+func TestMapRegion4KConflictPanics(t *testing.T) {
+	tb := NewTable()
+	tb.Map(0, mem.Page1G)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("remapping under a huge leaf must panic")
+		}
+	}()
+	tb.MapRegion4K(3 << 21)
 }
 
 func TestWalkerPWCSkipsLevels(t *testing.T) {

@@ -56,6 +56,15 @@ func New(seed int64) *Rand {
 	return &Rand{Rand: rand.New(c), src: c}
 }
 
+// Uint64 returns the next 64-bit value, as rand.Rand.Uint64 does over a
+// Source64, in one source step. It calls the counted source directly
+// instead of going through the embedded rand.Rand and the counting
+// wrapper's Source64 interface: the hot draw of HawkEye's page sampler.
+func (r *Rand) Uint64() uint64 {
+	r.src.steps++
+	return r.src.src.Uint64()
+}
+
 // Steps returns the number of source steps consumed so far.
 func (r *Rand) Steps() uint64 { return r.src.steps }
 

@@ -40,6 +40,32 @@ func TestStreamMatchesMathRand(t *testing.T) {
 	}
 }
 
+// TestUint64MatchesMathRandAndCountsOneStep pins the direct Uint64: the
+// same values as an unwrapped rand.New(rand.NewSource(seed)).Uint64(), one
+// source step per draw, and a stream that other draw kinds continue from
+// the right position.
+func TestUint64MatchesMathRandAndCountsOneStep(t *testing.T) {
+	for _, seed := range []int64{1, 99, -7} {
+		r := New(seed)
+		plain := rand.New(rand.NewSource(seed))
+		for i := 0; i < 2000; i++ {
+			before := r.Steps()
+			if got, want := r.Uint64(), plain.Uint64(); got != want {
+				t.Fatalf("seed %d draw %d: Uint64 %d != %d", seed, i, got, want)
+			}
+			if got := r.Steps() - before; got != 1 {
+				t.Fatalf("seed %d draw %d: Uint64 advanced Steps by %d, want 1", seed, i, got)
+			}
+		}
+		if got, want := r.Int63(), plain.Int63(); got != want {
+			t.Fatalf("seed %d: Int63 after Uint64 draws %d != %d", seed, got, want)
+		}
+		if got, want := r.Steps(), uint64(2001); got != want {
+			t.Fatalf("seed %d: Steps = %d, want %d", seed, got, want)
+		}
+	}
+}
+
 // TestSkipReproducesState is the checkpoint/restore contract: New(seed) +
 // Skip(steps) must continue the stream exactly where the original left off,
 // across every draw kind.

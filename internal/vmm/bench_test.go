@@ -198,3 +198,26 @@ func BenchmarkVmaOf(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDemote2M times splitting one 2MB mapping back into 4KB pages:
+// unmap, remap and shootdown. Each iteration first re-promotes the region
+// with the timer stopped, so every remap takes back the PTE node the
+// collapse returned to the free list.
+func BenchmarkDemote2M(b *testing.B) {
+	m := NewMachine(stepConfig(), nil)
+	p := m.AddProcess("bench", testVMA(4), 0)
+	base := p.Ranges()[0].Start
+	m.Run(&Job{Proc: p, Stream: seqStream(mem.Range{Start: base, End: base + mem.VirtAddr(mem.Page2M)}, 1)})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := m.Promote2M(p, base); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := m.Demote2M(p, base); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

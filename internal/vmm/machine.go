@@ -177,8 +177,14 @@ func (m *Machine) Policy() Policy { return m.policy }
 func (m *Machine) Now() uint64 { return m.accessCount }
 
 // AddProcess registers an address space built from the given VMAs. IDs come
-// from the machine's monotonic PID allocator and are never reused.
+// from the machine's monotonic PID allocator and are never reused. It panics
+// on VMAs validateRanges refuses (empty, inverted, unaligned, or ending past
+// mem.VirtAddrLimit), as NewMachine panics on a config Validate refuses;
+// AddTenant and ExecProcess return the same refusal as an error.
 func (m *Machine) AddProcess(name string, ranges []mem.Range, baseCPA float64) *Process {
+	if err := validateRanges(ranges); err != nil {
+		panic(fmt.Errorf("vmm: AddProcess %s: %w", name, err))
+	}
 	p := newProcess(m.nextPID, name, ranges, baseCPA)
 	m.nextPID++
 	m.procs = append(m.procs, p)
@@ -360,9 +366,7 @@ func (m *Machine) Demote2M(p *Process, addr mem.VirtAddr) error {
 	}
 	r := mem.Region{Base: base, Size: mem.Page2M}
 	p.Table.Unmap(base, mem.Page2M)
-	for a := base; a < r.End(); a += mem.VirtAddr(mem.Page4K) {
-		p.Table.Map(a, mem.Page4K)
-	}
+	p.Table.MapRegion4K(base)
 	v.setRange(base, r.End(), state4K)
 	delete(p.huge2M, base)
 	p.clearHugeLastUse(base)

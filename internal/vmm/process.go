@@ -165,10 +165,11 @@ func (p *Process) setVMAs(ranges []mem.Range) {
 	}
 }
 
-// validateRanges is the error-returning form of newProcess's alignment
-// panic, for API paths (tenants, exec, snapshot restore) that must reject
-// bad geometry gracefully. It also refuses VMAs reaching past
-// mem.VirtAddrLimit, which the page table cannot tell from lower ones.
+// validateRanges refuses VMA geometry an address space cannot hold: empty,
+// inverted or unaligned VMAs, and VMAs reaching past mem.VirtAddrLimit,
+// which the page table cannot tell from lower ones. AddProcess panics with
+// its error; the API paths that must reject bad geometry gracefully
+// (tenants, exec, snapshot restore) return it.
 func validateRanges(ranges []mem.Range) error {
 	for _, r := range ranges {
 		if r.End <= r.Start {

@@ -2,6 +2,7 @@ package vmm
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"pccsim/internal/mem"
@@ -588,5 +589,44 @@ func TestPromotionLogRecordsTrace(t *testing.T) {
 	log[0].Base = 0
 	if m.PromotionLog()[0].Base == 0 {
 		t.Error("PromotionLog must return a copy")
+	}
+}
+
+// TestAddProcessRefusesBadVMAs: AddProcess panics, naming itself, on every
+// VMA geometry AddTenant and ExecProcess refuse — above all on VMAs past
+// the 2^48 reach of the page table, which would alias the ones 2^48 below
+// — and still accepts the last 2MB below the limit.
+func TestAddProcessRefusesBadVMAs(t *testing.T) {
+	cases := []struct {
+		name   string
+		ranges []mem.Range
+	}{
+		{"above 2^48", []mem.Range{{Start: 1<<21 + 1<<48, End: 1<<22 + 1<<48}}},
+		{"aliasing pair", []mem.Range{{Start: 1 << 21, End: 1 << 22}, {Start: 1<<21 + 1<<48, End: 1<<22 + 1<<48}}},
+		{"crossing 2^48", []mem.Range{{Start: 1<<48 - 1<<21, End: 1<<48 + 1<<12}}},
+		{"unaligned", []mem.Range{{Start: 1, End: 1 << 21}}},
+		{"inverted", []mem.Range{{Start: 1 << 22, End: 1 << 21}}},
+		{"empty", []mem.Range{{Start: 1 << 21, End: 1 << 21}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := NewMachine(testConfig(), nil)
+			defer func() {
+				r := recover()
+				err, ok := r.(error)
+				if !ok || !strings.Contains(err.Error(), "AddProcess") {
+					t.Fatalf("AddProcess(%v) recovered %v, want its validation error", c.ranges, r)
+				}
+				if len(m.Procs()) != 0 {
+					t.Error("a refused process must not be registered")
+				}
+			}()
+			m.AddProcess("bad", c.ranges, 10)
+		})
+	}
+	m := NewMachine(testConfig(), nil)
+	top := mem.Range{Start: mem.VirtAddrLimit - 1<<21, End: mem.VirtAddrLimit}
+	if p := m.AddProcess("top", []mem.Range{top}, 10); p.Footprint() != 1<<21 {
+		t.Errorf("the last 2MB below the limit: footprint %d", p.Footprint())
 	}
 }

@@ -8,11 +8,11 @@
 #   scripts/benchdiff.sh <ref> [bench-regex] [packages...]
 #
 # Defaults: bench-regex
-# 'Step|RunStream|RunSharded|EmitChunk|Walk|TLBAccess|HierarchyThrash|PCCRecord|ReplayDecode|RecordColumnar'
+# 'Step|RunStream|RunSharded|EmitChunk|Walk|TLBAccess|HierarchyThrash|PCCRecord|ReplayDecode|RecordColumnar|HawkEyeTick|Demote2M'
 # ('Step' also matches Step2M, StepNUMA and StepMultiCore; 'RunSharded'
 # matches RunSharded1 and RunSharded8), packages ./internal/vmm
 # ./internal/workloads ./internal/tlb ./internal/ptw ./internal/pcc
-# ./internal/trace. Examples:
+# ./internal/trace ./internal/ospolicy. Examples:
 #
 #   scripts/benchdiff.sh HEAD~1
 #   scripts/benchdiff.sh 3efe74e 'RunStream' ./internal/vmm
@@ -37,9 +37,9 @@
 set -eu
 
 ref=${1:?usage: scripts/benchdiff.sh <ref> [bench-regex] [packages...]}
-regex=${2:-'Step|RunStream|RunSharded|EmitChunk|Walk|TLBAccess|HierarchyThrash|PCCRecord|ReplayDecode|RecordColumnar'}
+regex=${2:-'Step|RunStream|RunSharded|EmitChunk|Walk|TLBAccess|HierarchyThrash|PCCRecord|ReplayDecode|RecordColumnar|HawkEyeTick|Demote2M'}
 if [ $# -ge 2 ]; then shift 2; else shift $#; fi
-pkgs=${*:-"./internal/vmm ./internal/workloads ./internal/tlb ./internal/ptw ./internal/pcc ./internal/trace"}
+pkgs=${*:-"./internal/vmm ./internal/workloads ./internal/tlb ./internal/ptw ./internal/pcc ./internal/trace ./internal/ospolicy"}
 benchtime=${BENCHTIME:-2s}
 count=${COUNT:-5}
 [ "$count" -ge 5 ] 2>/dev/null || count=5
