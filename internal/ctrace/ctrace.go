@@ -104,7 +104,7 @@ func NewReplayPolicy(t *Trace) *ReplayPolicy {
 func (r *ReplayPolicy) Name() string { return "replay" }
 
 // BaseFaultOnly marks the fault path as base-pages-only, letting the
-// machine devirtualize it and shard independent jobs (vmm.BaseFaultOnly).
+// machine devirtualize it (vmm.BaseFaultOnly).
 func (r *ReplayPolicy) BaseFaultOnly() {}
 
 // OnFault implements vmm.Policy: base pages at fault time, as in the live

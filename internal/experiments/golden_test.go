@@ -15,9 +15,8 @@ var update = flag.Bool("update", false, "rewrite the golden files with the curre
 // Each figure runs at two worker counts, with the trace record/replay cache
 // both enabled and disabled; all four runs must produce identical output —
 // the determinism contracts the run pool and the trace cache document —
-// before being compared against testdata/<fig>_quick.golden. (The sharded
-// machine scheduler's equivalence at every shard count is pinned in the vmm
-// and ospolicy suites.) Regenerate after an intentional output change with:
+// before being compared against testdata/<fig>_quick.golden. Regenerate
+// after an intentional output change with:
 //
 //	go test ./internal/experiments -run Golden -update
 func TestGolden(t *testing.T) {

@@ -74,9 +74,6 @@ func (l *EventLog) Recordf(at uint64, kind, format string, args ...interface{}) 
 	l.Record(at, kind, fmt.Sprintf(format, args...))
 }
 
-// Enabled reports whether the log actually records (false for nil).
-func (l *EventLog) Enabled() bool { return l != nil }
-
 // Total returns how many events were ever recorded.
 func (l *EventLog) Total() uint64 {
 	if l == nil {

@@ -143,7 +143,7 @@ func (h *HawkEye) OnAddressSpaceTeardown(p *vmm.Process) {
 }
 
 // BaseFaultOnly marks the fault path as base-pages-only, letting the
-// machine devirtualize it and shard independent jobs (vmm.BaseFaultOnly).
+// machine devirtualize it (vmm.BaseFaultOnly).
 func (h *HawkEye) BaseFaultOnly() {}
 
 // OnFault implements vmm.Policy: HawkEye allocates base pages at fault time

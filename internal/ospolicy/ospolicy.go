@@ -29,7 +29,7 @@ type Baseline struct{}
 func (Baseline) Name() string { return "4KB" }
 
 // BaseFaultOnly marks the fault path as base-pages-only, letting the
-// machine devirtualize it and shard independent jobs (vmm.BaseFaultOnly).
+// machine devirtualize it (vmm.BaseFaultOnly).
 func (Baseline) BaseFaultOnly() {}
 
 // OnFault implements vmm.Policy: always base pages.

@@ -150,7 +150,7 @@ func (e *PCCEngine) Name() string {
 }
 
 // BaseFaultOnly marks the fault path as base-pages-only, letting the
-// machine devirtualize it and shard independent jobs (vmm.BaseFaultOnly).
+// machine devirtualize it (vmm.BaseFaultOnly).
 func (e *PCCEngine) BaseFaultOnly() {}
 
 // OnFault implements vmm.Policy: the PCC design keeps fault-time allocation

@@ -62,7 +62,7 @@ func TestAllocGigaCompactsMovable(t *testing.T) {
 	// must land in the other window's spare capacity.
 	m := New(Config{TotalBytes: 1024 << 21, MovableFillRatio: 0.25})
 	m.Fragment(0, rand.New(rand.NewSource(5))) // all movable, none unmovable
-	before := m.MovableFramesTotal()
+	before := m.movableTotal
 	migrated, ok := m.AllocGiga()
 	if !ok {
 		t.Fatal("movable window must be compactable")
@@ -74,9 +74,9 @@ func TestAllocGigaCompactsMovable(t *testing.T) {
 	if m.Stats().Compactions != 1 {
 		t.Errorf("compactions = %d", m.Stats().Compactions)
 	}
-	if m.MovableFramesTotal() != before {
+	if m.movableTotal != before {
 		t.Errorf("movable frames %d -> %d: compaction must conserve frames",
-			before, m.MovableFramesTotal())
+			before, m.movableTotal)
 	}
 	if msgs := m.Audit(); len(msgs) != 0 {
 		t.Fatalf("audit violations: %v", msgs)

@@ -156,12 +156,6 @@ func (m *Memory) Blocks() int { return len(m.blocks) }
 // FreeBlocks returns how many blocks are immediately huge-allocable.
 func (m *Memory) FreeBlocks() int { return m.freeBlocks }
 
-// MovableFramesTotal returns the current movable 4KB frame population.
-func (m *Memory) MovableFramesTotal() uint64 { return m.movableTotal }
-
-// PinnedFramesTotal returns the current pinned 4KB frame population.
-func (m *Memory) PinnedFramesTotal() uint64 { return m.pinnedTotal }
-
 // Stats returns a copy of the counters.
 func (m *Memory) Stats() Stats { return m.stats }
 

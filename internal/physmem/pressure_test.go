@@ -100,16 +100,16 @@ func TestAllocHugeFailsWhenFramesDontFit(t *testing.T) {
 func TestChurnConservesLedger(t *testing.T) {
 	m := New(Config{TotalBytes: 64 << 21, MovableFillRatio: 0.5})
 	m.Fragment(0.3, rand.New(rand.NewSource(9)))
-	seedMov, seedPin := m.MovableFramesTotal(), m.PinnedFramesTotal()
+	seedMov, seedPin := m.movableTotal, m.pinnedTotal
 	rng := rand.New(rand.NewSource(10))
 	for i := 0; i < 50; i++ {
 		m.Churn(rng, 40, 20, 0.1)
 	}
 	st := m.Stats()
-	if got, want := m.MovableFramesTotal(), seedMov+st.ChurnAllocFrames-st.ChurnFreeFrames; got != want {
+	if got, want := m.movableTotal, seedMov+st.ChurnAllocFrames-st.ChurnFreeFrames; got != want {
 		t.Errorf("movable frames = %d, ledger accounts for %d", got, want)
 	}
-	if got, want := m.PinnedFramesTotal(), seedPin+st.ChurnPinnedFrames; got != want {
+	if got, want := m.pinnedTotal, seedPin+st.ChurnPinnedFrames; got != want {
 		t.Errorf("pinned frames = %d, ledger accounts for %d", got, want)
 	}
 	if st.ChurnPinnedFrames == 0 {

@@ -52,7 +52,7 @@ func TestPropertyChurnConservation(t *testing.T) {
 		blocks := 8 + rng.Intn(128)
 		m := New(Config{TotalBytes: uint64(blocks) << 21, MovableFillRatio: rng.Float64()})
 		m.Fragment(rng.Float64()*0.9, rand.New(rand.NewSource(int64(trial))))
-		seedMov, seedPin := m.MovableFramesTotal(), m.PinnedFramesTotal()
+		seedMov, seedPin := m.movableTotal, m.pinnedTotal
 		opRNG := rand.New(rand.NewSource(int64(trial) * 7))
 		live := 0
 		for step := 0; step < 100; step++ {
@@ -72,10 +72,10 @@ func TestPropertyChurnConservation(t *testing.T) {
 				}
 			}
 			st := m.Stats()
-			if got, want := m.MovableFramesTotal(), seedMov+st.ChurnAllocFrames-st.ChurnFreeFrames; got != want {
+			if got, want := m.movableTotal, seedMov+st.ChurnAllocFrames-st.ChurnFreeFrames; got != want {
 				t.Fatalf("trial %d step %d: movable=%d, ledger=%d", trial, step, got, want)
 			}
-			if got, want := m.PinnedFramesTotal(), seedPin+st.ChurnPinnedFrames; got != want {
+			if got, want := m.pinnedTotal, seedPin+st.ChurnPinnedFrames; got != want {
 				t.Fatalf("trial %d step %d: pinned=%d, ledger=%d", trial, step, got, want)
 			}
 		}

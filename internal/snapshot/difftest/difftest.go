@@ -6,8 +6,7 @@
 // counts, trace cache on/off — this pins the full determinism contract:
 // snapshot/resume is invisible at every layer the repo promises
 // byte-identical output across. Every cut run resumes through
-// StartRun/RunUntil/FinishRun, so the sharded machine scheduler never runs
-// here; its equivalence is pinned in the vmm and ospolicy suites.
+// StartRun/RunUntil/FinishRun.
 package difftest
 
 import (

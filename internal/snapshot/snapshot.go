@@ -42,7 +42,7 @@ import (
 // version: the format carries complete simulator state whose meaning shifts
 // with the simulator itself, so cross-version restore is refused rather than
 // silently misinterpreted.
-const Version = 1
+const Version = 2
 
 var magic = [8]byte{'P', 'C', 'C', 'S', 'N', 'A', 'P', 0}
 

@@ -334,17 +334,6 @@ func (t *TLB) Flush() {
 	t.fillTag = 0
 }
 
-// Occupancy returns the number of valid entries (useful in tests).
-func (t *TLB) Occupancy() int {
-	n := 0
-	for _, tag := range t.tags {
-		if tag&classMask != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // VisitValid calls fn for every valid entry without perturbing LRU state or
 // statistics. The invariant auditor and property tests use this to check
 // that no stale translation survives a shootdown.

@@ -173,6 +173,8 @@ type BlockSource interface {
 	// BlockAccesses; shorter buffers are served by copy. Unlike NextBlock
 	// the result does not alias stream-internal storage: buf stays the
 	// caller's, to keep or hand on while the stream decodes the next block.
+	// The simulator itself never calls it; the benchmark harness's stream
+	// wrapper does.
 	DecodeBlock(buf []Access) int
 }
 

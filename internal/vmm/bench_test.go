@@ -129,17 +129,13 @@ func BenchmarkRunStream(b *testing.B) {
 	m.Run(&Job{Proc: p, Stream: trace.Sequential(r.Start, uint64(r.Len()), 64, uint64(b.N))})
 }
 
-// benchmarkRunSharded measures wall clock for eight independent single-core
-// jobs (eight processes, eight cores) at a given shard budget. Shards=1 is
-// the serial scheduler; Shards=8 runs every group on its own goroutine with
-// epoch barriers at policy ticks. Results are byte-identical either way (see
-// TestShardEquivalence); only wall clock may differ, by up to the host's
-// core count. ns/op is ns per simulated access across all jobs.
-func benchmarkRunSharded(b *testing.B, shards int) {
+// BenchmarkRunMultiJob measures wall clock for eight independent
+// single-core jobs (eight processes, eight cores) round-robined by the
+// scheduler. ns/op is ns per simulated access across all jobs.
+func BenchmarkRunMultiJob(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Phys = physmem.Config{TotalBytes: 1024 << 21, MovableFillRatio: 0.5}
 	cfg.Cores = 8
-	cfg.Shards = shards
 	cfg.PromotionInterval = 500_000
 	m := NewMachine(cfg, nil)
 	perJob := uint64(b.N/8) + 1
@@ -159,18 +155,12 @@ func benchmarkRunSharded(b *testing.B, shards int) {
 			Cores:  []int{i},
 		})
 	}
-	// Warm first-touch faults serially so the timed run measures execution.
+	// Warm first-touch faults so the timed run measures execution.
 	m.Run(warm...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	m.Run(jobs...)
 }
-
-// BenchmarkRunSharded1 is the 8-job workload on the serial scheduler.
-func BenchmarkRunSharded1(b *testing.B) { benchmarkRunSharded(b, 1) }
-
-// BenchmarkRunSharded8 is the same workload with an 8-goroutine shard budget.
-func BenchmarkRunSharded8(b *testing.B) { benchmarkRunSharded(b, 8) }
 
 // BenchmarkVmaOf measures the VMA lookup alone on a 24-VMA address space with
 // run-based locality (the pattern real streams exhibit: long runs inside one

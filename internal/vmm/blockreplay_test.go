@@ -9,16 +9,17 @@ import (
 	"pccsim/internal/trace"
 )
 
-// blockReplayRun is shardTestRun with the stream source parameterized: the
-// same four-job, three-group workload fed from materialized slices (the
-// NextBatch path) or from the columnar BlockRecording (the zero-copy
-// NextBlock path serially, NextBatch decoding into the coordinator's pool
-// buffers under shards).
-func blockReplayRun(t *testing.T, shards int, kind string) string {
+// blockReplayRun builds a 4-core machine with four jobs (two single-core
+// jobs, a multi-core job with a duplicate core entry, and a single-core job
+// on that job's core 3) under tick promotions, feeds them from materialized
+// slices (the NextBatch path) or from the columnar BlockRecording (the
+// zero-copy NextBlock path), and fingerprints the finished run. Streams
+// have different lengths so completions interleave with ticks differently
+// per job.
+func blockReplayRun(t *testing.T, kind string) string {
 	t.Helper()
 	cfg := testConfig()
 	cfg.Cores = 4
-	cfg.Shards = shards
 	cfg.FragFrac = 0.25
 	cfg.PromotionInterval = 5_000
 	m := NewMachine(cfg, &tickPromotePolicy{})
@@ -42,36 +43,29 @@ func blockReplayRun(t *testing.T, shards int, kind string) string {
 		jobs = append(jobs, &Job{Proc: p, Stream: st, Cores: cores[i]})
 	}
 	res := m.Run(jobs...)
-	return shardFingerprint(m, res)
+	return runFingerprint(m, res)
 }
 
 // TestBlockReplayRunEquivalence: feeding Run from a columnar replay — the
-// zero-copy in-place path, and block decodes into pool buffers under
-// shards — must produce machine state bit-identical to materialized slices,
-// at every shard count. This is the invariant that lets the experiments' trace cache replay
-// streams without disturbing a golden.
+// zero-copy in-place path — must produce machine state bit-identical to
+// materialized slices. This is the invariant that lets the experiments'
+// trace cache replay streams without disturbing a golden.
 func TestBlockReplayRunEquivalence(t *testing.T) {
-	want := blockReplayRun(t, 1, "slice")
-	for _, shards := range []int{1, 4} {
-		for _, kind := range []string{"slice", "columnar"} {
-			if got := blockReplayRun(t, shards, kind); got != want {
-				t.Errorf("shards=%d kind=%s diverges from serial slice run:\nwant:\n%s\ngot:\n%s",
-					shards, kind, want, got)
-			}
-		}
+	want := blockReplayRun(t, "slice")
+	if got := blockReplayRun(t, "columnar"); got != want {
+		t.Errorf("columnar replay diverges from the slice run:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
 
 // TestBlockReplayPartiallyConsumed: a columnar replay that was partially
 // drained before Run (a restored snapshot fast-forwards streams this way)
 // must continue from its cursor — mid-block — and still match a slice of the
-// remaining accesses, serially and under shards.
+// remaining accesses.
 func TestBlockReplayPartiallyConsumed(t *testing.T) {
 	const skip = trace.BlockAccesses + 700 // lands mid-block
-	run := func(shards int, mk func(acc []trace.Access) trace.Stream) string {
+	run := func(mk func(acc []trace.Access) trace.Stream) string {
 		cfg := testConfig()
 		cfg.Cores = 2
-		cfg.Shards = shards
 		cfg.PromotionInterval = 5_000
 		m := NewMachine(cfg, &tickPromotePolicy{})
 		var jobs []*Job
@@ -84,24 +78,21 @@ func TestBlockReplayPartiallyConsumed(t *testing.T) {
 			})
 		}
 		res := m.Run(jobs...)
-		return shardFingerprint(m, res)
+		return runFingerprint(m, res)
 	}
-	want := run(1, func(acc []trace.Access) trace.Stream {
+	want := run(func(acc []trace.Access) trace.Stream {
 		return trace.Slice(acc[skip:])
 	})
-	for _, shards := range []int{1, 2} {
-		got := run(shards, func(acc []trace.Access) trace.Stream {
-			rs := trace.RecordBlocks(trace.Slice(acc), 0).Replay()
-			buf := make([]trace.Access, skip)
-			if n := rs.NextBatch(buf); n != skip {
-				t.Fatalf("fast-forward consumed %d accesses, want %d", n, skip)
-			}
-			return rs
-		})
-		if got != want {
-			t.Errorf("shards=%d: partially-consumed columnar replay diverges:\nwant:\n%s\ngot:\n%s",
-				shards, want, got)
+	got := run(func(acc []trace.Access) trace.Stream {
+		rs := trace.RecordBlocks(trace.Slice(acc), 0).Replay()
+		buf := make([]trace.Access, skip)
+		if n := rs.NextBatch(buf); n != skip {
+			t.Fatalf("fast-forward consumed %d accesses, want %d", n, skip)
 		}
+		return rs
+	})
+	if got != want {
+		t.Errorf("partially-consumed columnar replay diverges:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
 

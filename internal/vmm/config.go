@@ -77,16 +77,9 @@ type Config struct {
 	// machine-owned background processes at tick boundaries, driven by a
 	// dedicated deterministic RNG stream. The zero value disables it.
 	Lifecycle LifecycleConfig
-	// Shards bounds the number of OS threads (goroutines) one Run may use
-	// to execute independent job groups concurrently. 0 or 1 keeps the
-	// historical serial loop. Sharding only engages when the job set
-	// splits into at least two groups sharing no cores and no processes,
-	// the NUMA model is off (its first-touch placement map is written on
-	// the access path), and the policy's fault path is base-pages-only
-	// (see BaseFaultOnly); otherwise Run silently falls back to serial.
-	// Output is byte-identical at every Shards value: cross-group
-	// machinery (policy ticks, pressure ticks, promotions, shootdowns)
-	// runs at deterministic epoch barriers in canonical order.
+	// Shards is ignored: every run executes on the calling goroutine.
+	// Validate still bounds it to [0, MaxCores]; the field stays only until
+	// the benchmark harness stops assigning it.
 	Shards int
 	// EventLogSize enables the machine's event trace (promotions, demotions,
 	// shootdowns, compactions, policy dumps) with a ring bound of that many

@@ -25,8 +25,8 @@ import (
 //   - The policy kind selects the fault dispatch when a machine is built
 //     (policyBase). The kernel re-reads the register line after every full
 //     step because a non-base policy's fault may have cleared it.
-//   - Pressure and lifecycle churn run only at policy-tick epoch barriers,
-//     which are segment boundaries, so they never appear in the body.
+//   - Pressure and lifecycle churn run only at policy ticks, which are
+//     segment boundaries, so they never appear in the body.
 //   - Multi-core jobs split each segment into runs of accesses that land on
 //     one core (runSeg), and each run goes through the same kernel. A run
 //     flushes its deferred hits and writes its register line back before
@@ -36,9 +36,8 @@ import (
 // All integer bookkeeping for a hit run is deferred and flushed before the
 // next full step (or run end), and the per-4KB touched bits of table-served
 // accesses are folded into deferred contiguous-range flushes
-// (executor.touch) the same way the deferred allocation counters work —
-// while Cycles stays a per-access float add in original order so
-// accumulated runtimes are bit-identical.
+// (executor.touch) — while Cycles stays a per-access float add in original
+// order so accumulated runtimes are bit-identical.
 
 // noVPN is the register-line sentinel: no valid 4KB page number reaches it
 // (virtual addresses are < 2^48, so VPNs are < 2^36), which turns the

@@ -23,11 +23,10 @@ import (
 // and NUMA placement ledgers forget the PID. Machine.Audit cross-checks
 // that no ledger survives a dead PID.
 //
-// Everything runs at tick barriers in canonical order (pressure tick, then
-// lifecycle tick, then the OS policy tick), identically in the serial and
-// sharded executors, so results stay byte-identical at every worker, shard
-// and trace-cache setting and the whole mechanism stays off the per-access
-// hot path.
+// Everything runs at tick boundaries in canonical order (pressure tick,
+// then lifecycle tick, then the OS policy tick), so results stay
+// byte-identical at every worker and trace-cache setting and the whole
+// mechanism stays off the per-access hot path.
 
 // churnVABase is where churn address spaces live: far above any workload
 // VMA so churn never aliases tenant addresses.
@@ -140,8 +139,8 @@ func (m *Machine) lifecycleRand() *rand.Rand {
 
 // lifecycleTick runs one tick of lifecycle churn: maybe exit, maybe exec,
 // maybe spawn — in that fixed order so the draw sequence is deterministic.
-// Runs only at tick barriers (after the pressure tick, before the OS policy
-// tick), where no executor is in flight.
+// Runs only at policy ticks (after the pressure tick, before the OS policy
+// tick), between kernel segments.
 func (m *Machine) lifecycleTick() {
 	lc := m.cfg.Lifecycle
 	if !lc.Enable {

@@ -70,41 +70,6 @@ func TestLifecycleChurnRunsAndConserves(t *testing.T) {
 	}
 }
 
-// TestLifecycleDeterministicAcrossShards pins the barrier contract: churn
-// mutates the process table only between epochs, so a sharded run must be
-// bit-identical to the serial one — same spawns, same RNG stream, same
-// results.
-func TestLifecycleDeterministicAcrossShards(t *testing.T) {
-	run := func(shards int) (RunResult, MachineState, LifecycleStats) {
-		cfg := lifecycleConfig()
-		cfg.Cores = 4
-		cfg.Shards = shards
-		m := NewMachine(cfg, nil)
-		var jobs []*Job
-		for i := 0; i < 4; i++ {
-			p := m.AddProcess("t", testVMA(2), 10)
-			p.Name = p.Name + string(rune('a'+i))
-			jobs = append(jobs, &Job{Proc: p, Stream: seqStream(p.Ranges()[0], 4), Cores: []int{i}})
-		}
-		res := m.Run(jobs...)
-		return res, m.State(), m.LifecycleStats()
-	}
-	wantRes, wantState, wantLS := run(1)
-	if wantLS.Spawns == 0 {
-		t.Fatal("churn must fire for the comparison to mean anything")
-	}
-	gotRes, gotState, gotLS := run(4)
-	if !reflect.DeepEqual(gotRes, wantRes) {
-		t.Errorf("sharded RunResult diverged:\ngot  %+v\nwant %+v", gotRes, wantRes)
-	}
-	if gotLS != wantLS {
-		t.Errorf("lifecycle stats diverged: %+v vs %+v", gotLS, wantLS)
-	}
-	if !reflect.DeepEqual(gotState, wantState) {
-		t.Error("sharded final state diverged")
-	}
-}
-
 // TestLifecycleCheckpointResume: the lifecycle RNG position, churn process
 // address spaces, and reaped tallies must all survive a checkpoint cut at
 // arbitrary points — including cuts with live churn processes mid-flight.

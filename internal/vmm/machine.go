@@ -40,8 +40,7 @@ type Machine struct {
 
 	// policyBase records, once at construction, whether the policy's
 	// fault path is base-pages-only (nil policy or BaseFaultOnly marker):
-	// the fault path then skips the OnFault interface call entirely, and
-	// Run may shard independent job groups across goroutines.
+	// the fault path then skips the OnFault interface call entirely.
 	policyBase bool
 
 	// numa is nil unless Config.NUMA enables multi-node modeling.
@@ -194,9 +193,7 @@ func (m *Machine) AddProcess(name string, ranges []mem.Range, baseCPA float64) *
 // fault services a first-touch page fault at addr on the given core,
 // consulting the policy for a huge allocation, and charges the fault cost.
 // It runs on the executor because the fault timestamp is the access clock
-// (ex.now) and the base-page allocation is deferred into the executor's
-// counter; the huge path — which mutates cross-core state — is only
-// reachable under non-base-fault policies, which Run never shards.
+// (ex.now).
 func (ex *executor) fault(c *Core, p *Process, addr mem.VirtAddr) {
 	m := ex.m
 	p.Faults++
@@ -244,7 +241,7 @@ func (ex *executor) fault(c *Core, p *Process, addr mem.VirtAddr) {
 	if v := p.vmaOf(addr); v != nil {
 		v.setRange(base, base+mem.VirtAddr(mem.Page4K), state4K)
 	}
-	ex.baseAllocs++
+	m.phys.AllocBase(1)
 }
 
 func (m *Machine) overHugeBudget(p *Process) bool {

@@ -52,7 +52,6 @@ func refRun(m *Machine, jobs ...*Job) RunResult {
 				if ex.now >= m.nextTick {
 					m.nextTick += m.cfg.PromotionInterval
 					m.accessCount = ex.now
-					ex.flushAllocs()
 					m.pressureTick()
 					m.lifecycleTick()
 					if m.policy != nil {
@@ -66,7 +65,6 @@ func refRun(m *Machine, jobs ...*Job) RunResult {
 		}
 	}
 	m.accessCount = ex.now
-	ex.flushAllocs()
 	if m.cfg.AuditEveryTick {
 		m.auditNow("at end of run")
 	}
@@ -121,7 +119,7 @@ func oracleStream(rng *rand.Rand, ranges []mem.Range, n, runLen int) []trace.Acc
 // NUMA placements, the pressure model, lifecycle churn, tenant quotas, the
 // 1GB PCC, the victim tracker, the cold-miss filter off, and four policies:
 // none, a tick-time PCC promoter, a fault-time 2MB allocator, and a
-// base-fault-only tick promoter that keeps sharded execution engaged.
+// base-fault-only tick promoter.
 func oracleSetup(seed int64) (simSetup, string) {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := testConfig()
@@ -289,10 +287,9 @@ func FuzzRunMatchesReference(f *testing.F) {
 }
 
 // checkRunMatchesReference runs oracleSetup(seed) through refRun and then
-// through Run serially and with four shards, and through StartRun/RunUntil
-// stopped at random points before FinishRun. RunResult, Metrics(), State()
-// (less the TLB recency clocks, see stripVolatile) and Audit() must all be
-// identical.
+// through Run, and through StartRun/RunUntil stopped at random points before
+// FinishRun. RunResult, Metrics(), State() (less the TLB recency clocks, see
+// stripVolatile) and Audit() must all be identical.
 func checkRunMatchesReference(t *testing.T, seed int64) {
 	s, desc := oracleSetup(seed)
 	mRef, jobsRef := s.newMachine()
@@ -300,15 +297,11 @@ func checkRunMatchesReference(t *testing.T, seed int64) {
 	if len(want.audit) > 0 {
 		t.Fatalf("%s: reference run fails audit: %v", desc, want.audit)
 	}
-	for _, shards := range []int{1, 4} {
-		ss := s
-		ss.cfg.Shards = shards
-		m, jobs := ss.newMachine()
-		if d := outcome(m, m.Run(jobs...)).diff(want); d != "" {
-			t.Errorf("%s: Run at %d shards differs from the reference: %s", desc, shards, d)
-		}
-	}
 	m, jobs := s.newMachine()
+	if d := outcome(m, m.Run(jobs...)).diff(want); d != "" {
+		t.Errorf("%s: Run differs from the reference: %s", desc, d)
+	}
+	m, jobs = s.newMachine()
 	if err := m.StartRun(jobs...); err != nil {
 		t.Fatalf("%s: StartRun: %v", desc, err)
 	}

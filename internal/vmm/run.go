@@ -1,11 +1,6 @@
 package vmm
 
 import (
-	"context"
-	"runtime/pprof"
-	"strconv"
-	"sync"
-
 	"pccsim/internal/metrics"
 	"pccsim/internal/trace"
 )
@@ -24,11 +19,8 @@ type Job struct {
 const jobSlice = 4096
 
 // BaseFaultOnly marks policies whose OnFault always returns mem.Page4K and
-// has no side effects. The machine uses it two ways: the fault path skips
-// the interface call entirely (the dispatch is resolved once per machine),
-// and Run may execute independent job groups on separate OS threads, since
-// no per-access fault can ever allocate huge pages or trigger a cross-core
-// shootdown — all cross-core machinery then happens at tick barriers.
+// has no side effects: the fault path then skips the interface call
+// entirely (the dispatch is resolved once per machine).
 type BaseFaultOnly interface {
 	BaseFaultOnly()
 }
@@ -86,21 +78,14 @@ type liveJob struct {
 	done     bool
 }
 
-// executor owns the per-access mutable state of one execution lane: the
-// global access clock position, the deferred base-page allocation counter,
-// the deferred touched-bit run, and a flattened copy of the cost model so
-// the kernel never chases the config pointer. A run owns one executor
-// (sched.ex); the sharded coordinator hands it to its first worker and
-// gives every other worker goroutine its own, setting now per dispatched
-// segment so every access observes exactly the clock value the serial
-// interleaving would have given it. Deferred allocations are pure
-// commutative counters and are flushed into physmem at every
-// synchronization point; deferred touches flush at every segment end and
+// executor owns the per-access mutable state of a run: the global access
+// clock position, the deferred touched-bit run, and a flattened copy of the
+// cost model so the kernel never chases the config pointer. A run owns one
+// executor (sched.ex). Deferred touches flush at every segment end and
 // before any fault.
 type executor struct {
-	m          *Machine
-	now        uint64 // global simulated-access clock (pre-increment)
-	baseAllocs uint64 // base-page allocations not yet applied to physmem
+	m   *Machine
+	now uint64 // global simulated-access clock (pre-increment)
 
 	// Flattened per-machine constants (set once per executor).
 	cBase     float64    // Config.Cost.BaseCPA
@@ -120,7 +105,7 @@ type executor struct {
 	tLo, tHi uint64
 }
 
-// newExecutor builds an execution lane with the machine's cost model
+// newExecutor builds a run's executor with the machine's cost model
 // flattened in.
 func (m *Machine) newExecutor() *executor {
 	return &executor{
@@ -134,16 +119,7 @@ func (m *Machine) newExecutor() *executor {
 	}
 }
 
-// flushAllocs applies the deferred base-page allocation count to physmem.
-func (ex *executor) flushAllocs() {
-	if ex.baseAllocs > 0 {
-		ex.m.phys.AllocBase(ex.baseAllocs)
-		ex.baseAllocs = 0
-	}
-}
-
 // Run drives the machine until every job's stream is exhausted: StartRun,
-// then the sharded coordinator when the jobs split into independent groups,
 // then FinishRun. On a machine restored from a mid-run state it resumes the
 // checkpointed run (see StartRun). It panics where StartRun would return an
 // error, including when a run is already in progress. State accumulates
@@ -153,18 +129,9 @@ func (ex *executor) flushAllocs() {
 // body is a plain loop over a buffer, with the promotion-tick check hoisted
 // to batch-segment boundaries. Access order — and therefore every result —
 // is identical to the historical one-Next-per-access loop.
-//
-// When Config.Shards > 1 and the job set splits into independent groups
-// (sharing no cores and no processes) under a base-fault-only policy with
-// NUMA off, the groups execute on separate goroutines between policy ticks;
-// all cross-group machinery runs at deterministic epoch barriers, so the
-// output stays byte-identical at every shard count.
 func (m *Machine) Run(jobs ...*Job) RunResult {
 	if err := m.StartRun(jobs...); err != nil {
 		panic(err)
-	}
-	if groupOf, groups := m.shardGroups(m.sched.live); groups > 1 {
-		m.runSharded(groupOf, groups)
 	}
 	return m.FinishRun()
 }
@@ -211,198 +178,12 @@ func (m *Machine) collectResult(live []*liveJob) RunResult {
 const serialChunk = 512
 
 // batch returns the machine's reusable batch-drain buffer, allocating it on
-// first use (block-source jobs and sharded runs never need it).
+// first use (block-source jobs never need it).
 func (m *Machine) batch() []trace.Access {
 	if m.batchBuf == nil {
 		m.batchBuf = make([]trace.Access, jobSlice)
 	}
 	return m.batchBuf
-}
-
-// shardGroups partitions the jobs into independent groups (union-find over
-// shared cores and shared processes) and reports whether sharded execution
-// is both enabled and worthwhile. A group count of 1 means "run serial" —
-// either sharding is off, a gate fails, or everything is connected.
-func (m *Machine) shardGroups(live []*liveJob) ([]int, int) {
-	if m.cfg.Shards <= 1 || len(live) < 2 || m.numa != nil || !m.policyBase {
-		return nil, 1
-	}
-	parent := make([]int, len(live))
-	for i := range parent {
-		parent[i] = i
-	}
-	find := func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-	coreOwner := map[int]int{}
-	procOwner := map[*Process]int{}
-	for i, j := range live {
-		for _, c := range j.Cores {
-			if o, ok := coreOwner[c]; ok {
-				union(i, o)
-			} else {
-				coreOwner[c] = i
-			}
-		}
-		if o, ok := procOwner[j.Proc]; ok {
-			union(i, o)
-		} else {
-			procOwner[j.Proc] = i
-		}
-	}
-	groupOf := make([]int, len(live))
-	next := 0
-	id := map[int]int{}
-	for i := range live {
-		r := find(i)
-		g, ok := id[r]
-		if !ok {
-			g = next
-			id[r] = g
-			next++
-		}
-		groupOf[i] = g
-	}
-	if next < 2 {
-		return nil, 1
-	}
-	return groupOf, next
-}
-
-// shardTask is one unit of work dispatched to a shard worker: a tick-free
-// segment of one job's stream starting at global clock start, or (fin) the
-// job's completion record. buf, when non-nil, returns to the coordinator's
-// pool after the task is processed (the segment was the last one sliced
-// from it).
-type shardTask struct {
-	j     *liveJob
-	seg   []trace.Access
-	start uint64
-	buf   []trace.Access
-	fin   bool
-}
-
-// runSharded executes the run's independent job groups on up to
-// Config.Shards worker goroutines. The coordinator steps the same sched
-// cursor RunUntil does — the same round-robin, the same batch boundaries,
-// the same tick segmentation — but instead of executing each segment it
-// dispatches it, tagged with its global clock position, to the worker
-// owning the job's group. Each group's segments execute in dispatch order on
-// a single worker, and distinct groups share no mutable state between
-// barriers, so every access observes exactly the state and clock it would
-// have observed serially. At each policy tick the coordinator waits for all
-// in-flight work (the epoch barrier), syncs the clock, flushes deferred
-// allocation counters, and runs the tick machinery — promotions, demotions,
-// pressure, shootdowns — alone, in canonical order. Output is therefore
-// byte-identical to the serial run.
-func (m *Machine) runSharded(groupOf []int, groups int) {
-	s := m.sched
-	nw := min(m.cfg.Shards, groups)
-
-	pool := make(chan []trace.Access, nw*2+2)
-	for i := 0; i < cap(pool); i++ {
-		pool <- make([]trace.Access, jobSlice)
-	}
-	var inflight sync.WaitGroup // dispatched-but-unfinished tasks (the barrier)
-	var workers sync.WaitGroup  // worker goroutine lifecycle
-	execs := make([]*executor, nw)
-	queues := make([]chan shardTask, nw)
-	for w := 0; w < nw; w++ {
-		// The first worker runs on the run's own executor, which carries
-		// any deferred allocations a restored run resumed with.
-		ex := s.ex
-		if w > 0 {
-			ex = m.newExecutor()
-		}
-		execs[w] = ex
-		q := make(chan shardTask, 64)
-		queues[w] = q
-		workers.Add(1)
-		go pprof.Do(context.Background(), pprof.Labels("pccsim", "shard-worker", "worker", strconv.Itoa(w)), func(context.Context) {
-			defer workers.Done()
-			for t := range q {
-				if t.fin {
-					m.complete(t.j.Job)
-				} else {
-					ex.now = t.start
-					ex.runSeg(t.j.Job, t.seg)
-				}
-				if t.buf != nil {
-					pool <- t.buf
-				}
-				inflight.Done()
-			}
-		})
-	}
-	dispatch := func(w int, t shardTask) {
-		inflight.Add(1)
-		queues[w] <- t
-	}
-
-	globalNow := m.accessCount
-	// dispatchSegs slices one decoded batch at tick boundaries and dispatches
-	// the segments to worker w, exactly as runBatch would have executed
-	// them; buf rides on the final segment.
-	dispatchSegs := func(w int, j *liveJob, batch, buf []trace.Access) {
-		for len(batch) > 0 {
-			seg := batch
-			if until := m.nextTick - globalNow; uint64(len(seg)) > until {
-				seg = seg[:until]
-			}
-			batch = batch[len(seg):]
-			t := shardTask{j: j, seg: seg, start: globalNow}
-			if len(batch) == 0 {
-				t.buf = buf
-			}
-			dispatch(w, t)
-			globalNow += uint64(len(seg))
-			if globalNow >= m.nextTick {
-				inflight.Wait()
-				for _, ex := range execs {
-					ex.flushAllocs()
-				}
-				m.accessCount = globalNow
-				m.tick()
-			}
-		}
-	}
-
-	for {
-		ji, want := s.next(globalNow, runForever)
-		if ji < 0 {
-			break
-		}
-		// Every job, block replays included, decodes into a pool buffer: a
-		// full turn is one whole block, which BlockReplayStream.NextBatch
-		// decodes straight into the buffer.
-		j, w := s.live[ji], groupOf[ji]%nw
-		buf := <-pool
-		seg := buf[:j.stream.NextBatch(buf[:want])]
-		s.took(ji, len(seg))
-		if len(seg) > 0 {
-			dispatchSegs(w, j, seg, buf)
-			continue
-		}
-		pool <- buf
-		// The completion record (finished flag, runtime = max cycles over
-		// the job's cores) must observe all of the group's prior work, so
-		// it runs on the group's worker, behind its queue.
-		dispatch(w, shardTask{j: j, fin: true})
-	}
-	for _, q := range queues {
-		close(q)
-	}
-	workers.Wait()
-	for _, ex := range execs {
-		ex.flushAllocs()
-	}
-	s.ex.now = globalNow
-	m.accessCount = globalNow
 }
 
 // runBatch simulates one batch of accesses for j, firing policy ticks at
@@ -419,15 +200,14 @@ func (m *Machine) runBatch(ex *executor, j *Job, batch []trace.Access) {
 		batch = batch[len(seg):]
 		if ex.now >= m.nextTick {
 			m.accessCount = ex.now
-			ex.flushAllocs()
 			m.tick()
 		}
 	}
 }
 
-// tick runs the policy-tick machinery at an epoch barrier, in canonical
-// order: the pressure model, lifecycle churn, the OS policy, then the
-// audit. The caller has synced the clock and flushed deferred allocations.
+// tick runs the policy-tick machinery in canonical order: the pressure
+// model, lifecycle churn, the OS policy, then the audit. The caller has
+// synced the clock.
 func (m *Machine) tick() {
 	m.nextTick += m.cfg.PromotionInterval
 	m.pressureTick()

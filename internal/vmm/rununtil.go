@@ -10,15 +10,12 @@ import (
 // resumable pieces: the caller advances the machine to chosen points on the
 // global access clock, may capture a full State() between any two calls, and
 // a restored machine picks the run back up mid-stream. Run itself is
-// StartRun, then (for independent job groups) the sharded coordinator, then
-// FinishRun.
+// StartRun then FinishRun.
 //
 // One cursor, sched, drives every run: RunUntil executes the turns it hands
-// out and the sharded coordinator dispatches them, so both follow the same
-// round-robin order, the same jobSlice quantum and the same tick firing
-// points, and their output is byte-identical. Stopping early only shortens
-// a turn; BatchStream's prefix guarantee means the access sequence is
-// unchanged.
+// out in round-robin order, with the jobSlice quantum and the tick firing
+// points of an uninterrupted run. Stopping early only shortens a turn;
+// BatchStream's prefix guarantee means the access sequence is unchanged.
 
 // runForever is a stopAt no clock reaches: RunUntil(runForever) drains.
 const runForever = ^uint64(0)
@@ -123,7 +120,6 @@ func (m *Machine) StartRun(jobs ...*Job) error {
 		}
 		s.jobIdx = ps.JobIdx
 		s.sliceLeft = ps.SliceLeft
-		s.ex.baseAllocs = ps.PendingAllocs
 		m.pendingSched = nil
 	}
 	m.sched = s
@@ -194,7 +190,6 @@ func (m *Machine) FinishRun() RunResult {
 		panic("vmm: FinishRun without StartRun")
 	}
 	m.RunUntil(runForever)
-	s.ex.flushAllocs()
 	if m.cfg.AuditEveryTick {
 		m.auditNow("at end of run")
 	}

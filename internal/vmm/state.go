@@ -36,8 +36,8 @@ import (
 //   - Each process's lastVMA lookup cache, which only memoizes a pure
 //     function of the access address.
 //
-// Everything else — including the TLB recency clocks, PCC insertion ticks
-// and pending deferred base-page allocations — is carried exactly.
+// Everything else — including the TLB recency clocks and PCC insertion
+// ticks — is carried exactly.
 
 // StatefulPolicy is implemented by OS policies that accumulate state across
 // ticks (candidate ledgers, sampling RNGs, scan cursors). PolicyState
@@ -133,15 +133,13 @@ type NUMARegionCount struct {
 
 // SchedState is the interruptible runner's position (see RunUntil): which
 // job the round-robin is on, how much of its slice remains, how many
-// accesses each job's stream has consumed, which jobs have completed, and
-// the deferred base-page allocations not yet flushed into physmem. Nil when
-// no run is in progress.
+// accesses each job's stream has consumed, and which jobs have completed.
+// Nil when no run is in progress.
 type SchedState struct {
-	JobIdx        int
-	SliceLeft     int
-	PendingAllocs uint64
-	Consumed      []uint64
-	Done          []bool
+	JobIdx    int
+	SliceLeft int
+	Consumed  []uint64
+	Done      []bool
 }
 
 // MachineState is the full serializable state of a Machine mid- or post-run.
@@ -262,11 +260,10 @@ func (m *Machine) State() MachineState {
 	}
 	if sc := m.sched; sc != nil {
 		ss := &SchedState{
-			JobIdx:        sc.jobIdx,
-			SliceLeft:     sc.sliceLeft,
-			PendingAllocs: sc.ex.baseAllocs,
-			Consumed:      make([]uint64, len(sc.live)),
-			Done:          make([]bool, len(sc.live)),
+			JobIdx:    sc.jobIdx,
+			SliceLeft: sc.sliceLeft,
+			Consumed:  make([]uint64, len(sc.live)),
+			Done:      make([]bool, len(sc.live)),
 		}
 		for i, lj := range sc.live {
 			ss.Consumed[i] = lj.accesses

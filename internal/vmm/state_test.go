@@ -273,10 +273,9 @@ func TestCheckpointResumeMultiJob(t *testing.T) {
 	})
 }
 
-// twoIndependentJobs is a nil-policy setup with one job per core: at
-// Shards > 1 its two jobs run in separate shard groups. Job a has 5120
-// accesses and job b 6144; a's last access is access 9216 of the run, and
-// the run ends at 11264.
+// twoIndependentJobs is a nil-policy setup with one job per core. Job a
+// has 5120 accesses and job b 6144; a's last access is access 9216 of the
+// run, and the run ends at 11264.
 func twoIndependentJobs(cfg Config) simSetup {
 	cfg.Cores = 2
 	return simSetup{
@@ -293,23 +292,18 @@ func twoIndependentJobs(cfg Config) simSetup {
 }
 
 // TestRunResumesRestoredRun: Run on a machine restored mid-run resumes at
-// the staged scheduler position, serially and through the sharded
-// coordinator, instead of replaying the streams from their start.
+// the staged scheduler position instead of replaying the streams from their
+// start.
 func TestRunResumesRestoredRun(t *testing.T) {
 	run := func(m *Machine, jobs []*Job) RunResult { return m.Run(jobs...) }
-	for _, shards := range []int{1, 4} {
-		cfg := testConfig()
-		cfg.PromotionInterval = 2_000
-		cfg.Shards = shards
-		// The first access, a tick edge, the rotation quantum and its
-		// neighbours, the shorter job's last access, and the exact end.
-		checkResumeVia(t, twoIndependentJobs(cfg), []uint64{
-			1, 2_000, 4_095, 4_096, 4_097, 9_216, 11_264,
-		}, run)
-		pcfg := pressureConfig()
-		pcfg.Shards = shards
-		checkResumeVia(t, twoIndependentJobs(pcfg), []uint64{6_100}, run)
-	}
+	cfg := testConfig()
+	cfg.PromotionInterval = 2_000
+	// The first access, a tick edge, the rotation quantum and its
+	// neighbours, the shorter job's last access, and the exact end.
+	checkResumeVia(t, twoIndependentJobs(cfg), []uint64{
+		1, 2_000, 4_095, 4_096, 4_097, 9_216, 11_264,
+	}, run)
+	checkResumeVia(t, twoIndependentJobs(pressureConfig()), []uint64{6_100}, run)
 }
 
 // TestRefusedStartRunKeepsRestoredPosition: a StartRun refused on a restored

@@ -2,6 +2,8 @@ package vmm
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -383,6 +385,89 @@ func (f *funcPolicy) OnFault(m *Machine, p *Process, a mem.VirtAddr) mem.PageSiz
 func (f *funcPolicy) Tick(m *Machine) {
 	if f.tick != nil {
 		f.tick(m)
+	}
+}
+
+// tickPromotePolicy is base-fault-only but performs cross-core machinery at
+// every tick: it promotes each process's next 2MB region, which shoots down
+// translations on every core.
+type tickPromotePolicy struct{ n int }
+
+func (p *tickPromotePolicy) Name() string { return "tick-promote" }
+func (p *tickPromotePolicy) OnFault(*Machine, *Process, mem.VirtAddr) mem.PageSize {
+	return mem.Page4K
+}
+func (p *tickPromotePolicy) BaseFaultOnly() {}
+func (p *tickPromotePolicy) Tick(m *Machine) {
+	for _, proc := range m.Procs() {
+		r := proc.Ranges()[0]
+		if base := r.Start + mem.VirtAddr(p.n)<<21; base < r.End {
+			// Best-effort: fragmented blocks may refuse.
+			_ = m.Promote2M(proc, base)
+		}
+	}
+	p.n++
+}
+
+// runFingerprint collects everything observable about a finished run so
+// equivalence checks compare complete machine state, not just headline
+// numbers.
+func runFingerprint(m *Machine, res RunResult) string {
+	s := fmt.Sprintf("res=%+v\n", res)
+	for i, c := range m.Cores() {
+		s += fmt.Sprintf("core%d cycles=%v acc=%d stall=%v tlb=%d/%d/%d walker=%+v\n",
+			i, c.Cycles, c.Accesses, c.StallCycles,
+			c.TLB.Accesses(), c.TLB.L1Misses(), c.TLB.Walks(), c.Walker.Stats())
+		if c.PCC2M != nil {
+			s += fmt.Sprintf("core%d pcc=%+v\n", i, c.PCC2M.Stats())
+		}
+	}
+	for _, p := range m.Procs() {
+		s += fmt.Sprintf("proc %s rt=%v faults=%d promo=%d huge=%d touched=%d bloat=%d\n",
+			p.Name, p.RuntimeCycles, p.Faults, p.Promotions2M,
+			p.HugePages2M(), p.TouchedBytes(), p.BloatBytes())
+	}
+	return s
+}
+
+// goroutineProbe is a base-fault-only policy whose Tick samples the
+// process's goroutine count.
+type goroutineProbe struct{ samples []int }
+
+func (p *goroutineProbe) Name() string { return "goroutine-probe" }
+func (p *goroutineProbe) OnFault(*Machine, *Process, mem.VirtAddr) mem.PageSize {
+	return mem.Page4K
+}
+func (p *goroutineProbe) BaseFaultOnly() {}
+func (p *goroutineProbe) Tick(*Machine) {
+	p.samples = append(p.samples, runtime.NumGoroutine())
+}
+
+// TestRunStaysOnCallingGoroutine: Config.Shards is ignored, so even two
+// independent single-core jobs under a base-fault-only policy at Shards 4
+// run on the caller's goroutine. No policy tick may see a goroutine that
+// was not alive before Run.
+func TestRunStaysOnCallingGoroutine(t *testing.T) {
+	cfg := testConfig()
+	cfg.Cores = 2
+	cfg.Shards = 4
+	cfg.PromotionInterval = 1_000
+	probe := &goroutineProbe{}
+	m := NewMachine(cfg, probe)
+	var jobs []*Job
+	for i := 0; i < 2; i++ {
+		p := m.AddProcess(fmt.Sprintf("p%d", i), testVMA(2), 10)
+		jobs = append(jobs, &Job{Proc: p, Stream: trace.Slice(mixedStream(p.Ranges()[0], 2)), Cores: []int{i}})
+	}
+	before := runtime.NumGoroutine()
+	m.Run(jobs...)
+	if len(probe.samples) == 0 {
+		t.Fatal("no policy tick fired")
+	}
+	for i, n := range probe.samples {
+		if n != before {
+			t.Errorf("tick %d saw %d goroutines, want %d (the count before Run)", i, n, before)
+		}
 	}
 }
 

@@ -8,9 +8,9 @@
 #   scripts/benchdiff.sh <ref> [bench-regex] [packages...]
 #
 # Defaults: bench-regex
-# 'Step|RunStream|RunSharded|EmitChunk|Walk|TLBAccess|HierarchyThrash|PCCRecord|ReplayDecode|RecordColumnar|HawkEyeTick|Demote2M'
-# ('Step' also matches Step2M, StepNUMA and StepMultiCore; 'RunSharded'
-# matches RunSharded1 and RunSharded8), packages ./internal/vmm
+# 'Step|RunStream|RunMultiJob|EmitChunk|Walk|TLBAccess|HierarchyThrash|PCCRecord|ReplayDecode|RecordColumnar|HawkEyeTick|Demote2M'
+# ('Step' also matches Step2M, StepNUMA and StepMultiCore; 'RunMultiJob'
+# is eight independent jobs on one scheduler), packages ./internal/vmm
 # ./internal/workloads ./internal/tlb ./internal/ptw ./internal/pcc
 # ./internal/trace ./internal/ospolicy. Examples:
 #
@@ -37,7 +37,7 @@
 set -eu
 
 ref=${1:?usage: scripts/benchdiff.sh <ref> [bench-regex] [packages...]}
-regex=${2:-'Step|RunStream|RunSharded|EmitChunk|Walk|TLBAccess|HierarchyThrash|PCCRecord|ReplayDecode|RecordColumnar|HawkEyeTick|Demote2M'}
+regex=${2:-'Step|RunStream|RunMultiJob|EmitChunk|Walk|TLBAccess|HierarchyThrash|PCCRecord|ReplayDecode|RecordColumnar|HawkEyeTick|Demote2M'}
 if [ $# -ge 2 ]; then shift 2; else shift $#; fi
 pkgs=${*:-"./internal/vmm ./internal/workloads ./internal/tlb ./internal/ptw ./internal/pcc ./internal/trace ./internal/ospolicy"}
 benchtime=${BENCHTIME:-2s}
