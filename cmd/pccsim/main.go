@@ -27,6 +27,17 @@
 //	pccsim -app PR -policy pcc -frag 0.9 -churn 2048 -compact 512 -demote-wm 8
 //	pccsim -app trace:app.trc -policy hawkeye
 //
+// The paper's two-step method (§4) is a cell pair: -record writes the run's
+// promotion candidate trace, and -policy replay:<file> performs those
+// promotions on a machine without PCC hardware that ticks every
+// interval/100 accesses. -char characterizes the cell's stream instead of
+// simulating it: its Fig. 2 reuse classes and columnar block shape as '#'
+// lines, then the per-page reuse distances as TSV:
+//
+//	pccsim -app BFS -scale 12 -interval 20000 -record bfs.jsonl
+//	pccsim -app BFS -scale 12 -interval 20000 -policy replay:bfs.jsonl
+//	pccsim -app BFS -scale 17 -char > bfs_reuse.tsv
+//
 // Daemon mode: -serve addr runs a long-lived HTTP server accepting
 // experiment grids (POST /jobs) and streaming progress; with -checkpoint it
 // saves completed work on SIGTERM and, restarted with -restore, finishes
@@ -59,23 +70,27 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// The three modes; a flag's mode mask lists those it has an effect in.
+// The four modes; a flag's mode mask lists those it has an effect in.
 const (
 	modeExp = 1 << iota
 	modeCell
+	modeChar
 	modeServe
 )
 
-var modeNames = map[int]string{modeExp: "-exp runs", modeCell: "-app cells", modeServe: "-serve"}
+var modeNames = map[int]string{modeExp: "-exp runs", modeCell: "-app cells", modeChar: "-char", modeServe: "-serve"}
 
 // flagModes restricts flags to the modes they act in; flags not listed
-// size and run every mode's simulations.
+// size every mode's workloads.
 var flagModes = map[string]int{
 	"exp": modeExp, "serve": modeServe, "checkpoint": modeServe, "restore": modeServe,
+	"interval": modeExp | modeCell | modeServe, "seed": modeExp | modeCell | modeServe,
+	"workers": modeExp | modeCell | modeServe, "tracecache": modeExp | modeCell | modeServe,
 	"full": modeExp | modeServe, "plots": modeExp | modeServe, "tenants": modeExp | modeServe,
 	"churn-procs": modeExp | modeServe, "quota-skew": modeExp | modeServe,
 	"audit": modeExp | modeCell, "events": modeExp | modeCell, "pprof": modeExp | modeCell,
-	"app": modeCell, "dataset": modeCell, "sorted": modeCell, "policy": modeCell, "budgets": modeCell,
+	"app": modeCell | modeChar, "dataset": modeCell | modeChar, "sorted": modeCell | modeChar, "char": modeChar,
+	"policy": modeCell, "budgets": modeCell, "record": modeCell,
 	"frag": modeCell, "threads": modeCell, "phys": modeCell, "pcc": modeCell, "demote": modeCell,
 	"victim": modeCell, "1g": modeCell, "churn": modeCell, "compact": modeCell, "demote-wm": modeCell,
 	"numa": modeCell,
@@ -114,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&cell.App, "app", "", "run one custom cell of this workload: a registry app, phased, bigtable, sparse, or trace:<file>")
 	fs.StringVar((*string)(&cell.Dataset), "dataset", "kron", "cell graph dataset (kron|social|web)")
 	fs.BoolVar(&cell.Sorted, "sorted", false, "cell graph input with degree-based grouping")
-	fs.StringVar(&cell.Policy, "policy", "pcc", "cell OS policy: base|ideal|pcc|pcc-rr|hawkeye|linux")
+	fs.StringVar(&cell.Policy, "policy", "pcc", "cell OS policy: base|ideal|pcc|pcc-rr|hawkeye|linux|replay:<file> (replays a -record trace, ticking every interval/100)")
 	fs.Float64Var(&cell.Frag, "frag", 0, "cell fragmented fraction of physical memory")
 	fs.IntVar(&cell.Threads, "threads", 1, "cell simulated cores")
 	fs.IntVar(&cell.PCCEntries, "pcc", 128, "cell 2MB PCC entries")
@@ -125,6 +140,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cell.Compact, "compact", 0, "cell dynamic pressure: kcompactd migration budget per tick in 4KB frames")
 	fs.IntVar(&cell.DemoteWM, "demote-wm", 0, "cell dynamic pressure: free-block watermark that triggers 2MB demotion")
 	fs.StringVar(&cell.NUMA, "numa", "", "cell 2-node NUMA placement: bind|interleave|local-first (default: one node)")
+	fs.StringVar(&cell.Record, "record", "", "write the cell run's promotion candidate trace to this file (one budget only)")
+	fs.BoolVar(&cell.Char, "char", false, "characterize the cell's stream instead of simulating it: reuse classes and block shape as # lines, then per-page reuse TSV")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -142,6 +159,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case *serveAddr != "":
 		mode = modeServe
+	case cell.App != "" && cell.Char:
+		mode = modeChar
 	case cell.App != "":
 		mode = modeCell
 	}
@@ -240,7 +259,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// waste the minutes the earlier entries take.
 	var selected []string
 	switch {
-	case mode == modeCell:
+	case mode == modeCell || mode == modeChar:
 		for _, b := range strings.Split(*budgets, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(b), 64)
 			if err != nil {
@@ -300,7 +319,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		o.Audit = *audit
 	}
 
-	if mode == modeCell {
+	if mode == modeCell || mode == modeChar {
 		if err := experiments.RunCell(o, cell); err != nil {
 			fmt.Fprintf(stderr, "pccsim: %s: %v\n", cell.App, err)
 			return 1

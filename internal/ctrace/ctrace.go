@@ -12,6 +12,7 @@ package ctrace
 
 import (
 	"bufio"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -71,8 +72,11 @@ func (t *Trace) Save(path string) error {
 	if err != nil {
 		return fmt.Errorf("ctrace: %w", err)
 	}
-	defer f.Close()
-	return t.Write(f)
+	err = t.Write(f)
+	if cerr := f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("ctrace: %w", cerr)
+	}
+	return err
 }
 
 // Load reads a trace from a file.
@@ -132,6 +136,30 @@ func (r *ReplayPolicy) Tick(m *vmm.Machine) {
 
 // Remaining reports how many events have not fired yet (diagnostics).
 func (r *ReplayPolicy) Remaining() int { return len(r.trace.Events) - r.next }
+
+func init() { gob.Register(ReplayState{}) }
+
+// ReplayState is ReplayPolicy's serializable cross-tick state: the index of
+// the next event to fire. The trace itself is construction input.
+type ReplayState struct {
+	Next int
+}
+
+// PolicyState implements vmm.StatefulPolicy.
+func (r *ReplayPolicy) PolicyState() any { return ReplayState{Next: r.next} }
+
+// RestorePolicyState implements vmm.StatefulPolicy.
+func (r *ReplayPolicy) RestorePolicyState(_ *vmm.Machine, st any) error {
+	s, ok := st.(ReplayState)
+	if !ok {
+		return fmt.Errorf("ctrace: replay cannot restore state of type %T", st)
+	}
+	if s.Next < 0 || s.Next > len(r.trace.Events) {
+		return fmt.Errorf("ctrace: replay cursor %d outside a %d-event trace", s.Next, len(r.trace.Events))
+	}
+	r.next = s.Next
+	return nil
+}
 
 func procByID(m *vmm.Machine, id int) *vmm.Process {
 	for _, p := range m.Procs() {

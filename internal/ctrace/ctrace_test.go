@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"pccsim/internal/mem"
 	"pccsim/internal/ospolicy"
 	"pccsim/internal/physmem"
+	"pccsim/internal/snapshot"
+	"pccsim/internal/tlb"
 	"pccsim/internal/trace"
 	"pccsim/internal/vmm"
+	"pccsim/internal/workloads"
 )
 
 func testVMA(nRegions int) []mem.Range {
@@ -139,4 +143,94 @@ func TestReplaySkipsUnknownProcess(t *testing.T) {
 	if p.HugePages2M() != 0 {
 		t.Error("nothing should have been promoted")
 	}
+}
+
+// TestReplayResumesExactly checkpoints a replay at several cuts, restores
+// each into a fresh machine, and requires the finished run to equal the
+// uncut one: RunResult, Metrics() and State(), less the TLB recency clocks
+// (see stateSansTLB). The replayed machine is short of memory, so some
+// promotions fail; a resumed replay that lost its cursor would fire the
+// events it had already used again and fail more.
+func TestReplayResumesExactly(t *testing.T) {
+	wl, err := workloads.Build(workloads.Spec{Name: "BFS", Scale: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// build returns a fresh machine running wl under policy, and its job.
+	build := func(cfg vmm.Config, policy vmm.Policy) (*vmm.Machine, *vmm.Job) {
+		m := vmm.NewMachine(cfg, policy)
+		p := m.AddProcess(wl.Name(), wl.Ranges(), wl.BaseCPA())
+		st := wl.Stream()
+		t.Cleanup(func() { workloads.CloseStream(st) })
+		return m, &vmm.Job{Proc: p, Stream: st, Cores: []int{0}}
+	}
+
+	// Step one: the live PCC run records the candidate trace.
+	live := vmm.DefaultConfig()
+	live.PromotionInterval = 20_000
+	engine := ospolicy.NewPCCEngine(ospolicy.DefaultPCCEngineConfig())
+	m, job := build(live, engine)
+	engine.Bind(0, job.Proc)
+	m.Run(job)
+	tr := FromMachine(m)
+	if len(tr.Events) != 5 {
+		t.Fatalf("recorded %d events, want 5", len(tr.Events))
+	}
+
+	cfg := vmm.DefaultConfig()
+	cfg.EnablePCC = false
+	cfg.Phys = physmem.Config{TotalBytes: 64 << 20}
+	cfg.FragFrac = 0.9
+	cfg.PromotionInterval = 200
+	want, job := build(cfg, NewReplayPolicy(tr))
+	wantRes := want.Run(job)
+	if wantRes.Promotions == 0 || want.PromotionFailures == 0 {
+		t.Fatalf("the uncut replay must both promote (%d) and fail to (%d)", wantRes.Promotions, want.PromotionFailures)
+	}
+
+	for _, cut := range []uint64{50_000, 200_000, 400_000} {
+		first, job := build(cfg, NewReplayPolicy(tr))
+		if err := first.StartRun(job); err != nil {
+			t.Fatal(err)
+		}
+		first.RunUntil(cut)
+		data, err := snapshot.EncodeBytes(snapshot.Capture(first, "replay"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := snapshot.DecodeBytes(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, job := build(cfg, NewReplayPolicy(tr))
+		if err := snapshot.Restore(got, snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.StartRun(job); err != nil {
+			t.Fatal(err)
+		}
+		if res := got.FinishRun(); !reflect.DeepEqual(res, wantRes) {
+			t.Errorf("cut %d: result diverged:\ngot  %+v\nwant %+v", cut, res, wantRes)
+		}
+		if got.PromotionFailures != want.PromotionFailures {
+			t.Errorf("cut %d: %d promotion failures, uncut run %d", cut, got.PromotionFailures, want.PromotionFailures)
+		}
+		if !reflect.DeepEqual(got.Metrics(), want.Metrics()) {
+			t.Errorf("cut %d: metrics diverged", cut)
+		}
+		if !reflect.DeepEqual(stateSansTLB(got), stateSansTLB(want)) {
+			t.Errorf("cut %d: state diverged", cut)
+		}
+	}
+}
+
+// stateSansTLB is m.State() without the TLB hierarchies, whose recency
+// clocks a restored run advances differently (vmm's state.go says why no
+// output observes them).
+func stateSansTLB(m *vmm.Machine) vmm.MachineState {
+	st := m.State()
+	for i := range st.Cores {
+		st.Cores[i].TLB = tlb.HierarchyState{}
+	}
+	return st
 }

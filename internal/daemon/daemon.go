@@ -270,7 +270,7 @@ func (s *Server) runJob(j *job) {
 		if j.seed != 0 {
 			o.Seed = j.seed
 		}
-		if err := experiments.Run(name, o); err != nil {
+		if err := runExperiment(name, o); err != nil {
 			j.mu.Lock()
 			j.failure = fmt.Sprintf("%s: %v", name, err)
 			j.mu.Unlock()
@@ -290,6 +290,19 @@ func (s *Server) runJob(j *job) {
 		})
 	}
 	j.emit(Event{Type: "done", Job: j.id, ElapsedMS: time.Since(start).Milliseconds()})
+}
+
+// runExperiment runs one experiment of a job. A panic, which is a violated
+// invariant inside a simulation, becomes the experiment's error: the job
+// fails with the panic text, while the daemon, its other jobs and the
+// shutdown checkpoint carry on.
+func runExperiment(name string, o experiments.Options) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return experiments.Run(name, o)
 }
 
 // Shutdown stops accepting jobs, waits for running jobs to reach an

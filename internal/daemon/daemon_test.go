@@ -253,6 +253,41 @@ func TestFailedJob(t *testing.T) {
 	}
 }
 
+// TestPanickingJobFails submits a job whose experiment panics, as a violated
+// invariant inside a simulation would. The job must end failed with the
+// panic text on its failed event, and the daemon must keep serving: health
+// checks answer and the next job completes.
+func TestPanickingJobFails(t *testing.T) {
+	// Registered before the server starts and removed after it stops, so
+	// no server goroutine reads the registry while it changes.
+	experiments.Registry["zz-daemon-panic"] = func(experiments.Options) error { panic("boom") }
+	defer delete(experiments.Registry, "zz-daemon-panic")
+	s := newTestServer(t, Config{})
+	defer s.Shutdown()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	bad, err := s.Submit(submitRequest{Experiments: []string{"zz-daemon-panic", "zz-daemon-quick"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, bad, "failed")
+	bad.mu.Lock()
+	last := bad.events[len(bad.events)-1]
+	bad.mu.Unlock()
+	if last.Type != "failed" || last.Experiment != "zz-daemon-panic" || !strings.Contains(last.Err, "boom") {
+		t.Fatalf("failed event does not carry the panic: %+v", last)
+	}
+	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("healthz after a panicking job: %d", code)
+	}
+	next, err := s.Submit(submitRequest{Experiments: []string{"zz-daemon-quick"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, next, "done")
+}
+
 // TestTerminalStateCarriesItsEvent is the regression test for the
 // terminal-event race: runJob used to publish a terminal state and append
 // that state's event under two separate acquisitions of the job lock, so a

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"strings"
 
+	"pccsim/internal/ctrace"
 	"pccsim/internal/mem"
 	"pccsim/internal/ospolicy"
 	"pccsim/internal/trace"
@@ -14,7 +16,8 @@ import (
 
 // Cell is one custom simulation beyond the paper's figures (pccsim's -app
 // mode): an application under one OS policy and machine, run once per
-// promotion budget and reported as raw counters. Options supply the
+// promotion budget and reported as raw counters, or, with Char, the
+// characterization of the application's stream. Options supply the
 // workload sizing, the machine's interval, memory and seed, and the run
 // plumbing (pool, trace cache, audit, events, snapshot cuts).
 // Validate's errors name the pccsim flag behind each field.
@@ -25,7 +28,10 @@ type Cell struct {
 	// Dataset and Sorted select a graph application's input ("" = kron).
 	Dataset workloads.GraphDataset
 	Sorted  bool
-	// Policy is base, ideal, pcc, pcc-rr, hawkeye or linux.
+	// Policy is base, ideal, pcc, pcc-rr, hawkeye, linux, or
+	// "replay:<path>": the paper's §4 step two, which performs the
+	// promotions of a recorded candidate trace (see Record) on a machine
+	// without PCC hardware that ticks every Interval/100 accesses.
 	Policy string
 	// Budgets are the promotion budgets to run, in percent of the
 	// footprint, where 0 and 100 both mean unlimited. Empty runs once,
@@ -48,6 +54,13 @@ type Cell struct {
 	// NUMA names an ext-numa placement on two nodes: bind, interleave or
 	// local-first ("" = one node).
 	NUMA string
+	// Record, when set, is the file the finished run's promotion candidate
+	// trace (ctrace.FromMachine) is written to: the paper's §4 step one. It
+	// needs a single budget.
+	Record string
+	// Char characterizes the application's stream instead of simulating
+	// it (see characterize); the policy and machine fields are unused.
+	Char bool
 }
 
 // cellPolicies maps Cell.Policy names to the run configuration each selects.
@@ -93,10 +106,12 @@ func validateConfig(cfg vmm.Config) error {
 	return err
 }
 
-// cellPlan is a validated cell: its workload, a fresh-stream source, one
-// run configuration per budget, and the machine settings the cell adds.
+// cellPlan is a validated cell: its workload (and the spec that built it,
+// zero for an extension workload), a fresh-stream source, one run
+// configuration per budget, and the machine settings the cell adds.
 type cellPlan struct {
 	wl     workloads.Workload
+	spec   workloads.Spec
 	stream func() trace.Stream
 	runs   []runCfg
 	tweak  func(*vmm.Config)
@@ -111,8 +126,18 @@ func (c Cell) Validate(o Options) error {
 func (c Cell) plan(o Options) (cellPlan, error) {
 	var p cellPlan
 	base, ok := cellPolicies[c.Policy]
+	if path, replay := strings.CutPrefix(c.Policy, "replay:"); replay {
+		if o.Interval < 100 {
+			return p, fmt.Errorf("-interval %d: replay ticks every interval/100 accesses, so it must be at least 100", o.Interval)
+		}
+		tr, err := ctrace.Load(path)
+		if err != nil {
+			return p, fmt.Errorf("-policy %s: %w", c.Policy, err)
+		}
+		base, ok = runCfg{kind: polReplay, replay: tr}, true
+	}
 	if !ok {
-		return p, fmt.Errorf("-policy %q: want base, ideal, pcc, pcc-rr, hawkeye or linux", c.Policy)
+		return p, fmt.Errorf("-policy %q: want base, ideal, pcc, pcc-rr, hawkeye, linux or replay:<file>", c.Policy)
 	}
 	placement := numaPlacements[c.NUMA]
 	if placement == nil && c.NUMA != "" {
@@ -131,6 +156,9 @@ func (c Cell) plan(o Options) (cellPlan, error) {
 	budgets := c.Budgets
 	if len(budgets) == 0 {
 		budgets = []float64{0}
+	}
+	if c.Record != "" && len(budgets) > 1 {
+		return p, fmt.Errorf("-record writes one run's trace, but -budgets lists %d", len(budgets))
 	}
 	for _, b := range budgets {
 		if !(b >= 0 && b <= 100) {
@@ -161,24 +189,36 @@ func (c Cell) plan(o Options) (cellPlan, error) {
 	if err != nil {
 		return p, fmt.Errorf("-app %s: %w", c.App, err)
 	}
-	p.wl, p.stream = wl, func() trace.Stream { return o.streamFor(spec, wl) }
+	p.wl, p.spec, p.stream = wl, spec, func() trace.Stream { return o.streamFor(spec, wl) }
 	return p, nil
 }
 
 // RunCell validates c, simulates each of its budgets on o's run pool, and
 // writes one block of raw counters per budget to o.Out, in budget order.
-// Each run publishes under the name cell/<app>/<policy>/b<budget>.
+// Each run publishes under the name cell/<app>/<policy>/b<budget>. With
+// Char it writes the stream's characterization instead.
 func RunCell(o Options, c Cell) error {
 	p, err := c.plan(o)
 	if err != nil {
 		return err
+	}
+	if c.Char {
+		return o.characterize(p)
 	}
 	tasks := make([]Task[string], len(p.runs))
 	for i, rc := range p.runs {
 		name := fmt.Sprintf("cell/%s/%s/b%g", c.App, c.Policy, rc.budgetPct)
 		tasks[i] = Task[string]{Name: name, Run: func() (string, error) {
 			m, res := o.simulate(name, o.soloBuild(rc, p.wl, p.stream, p.tweak))
-			return c.report(p.wl, rc, m, res), nil
+			block := c.report(p.wl, rc, m, res)
+			if c.Record != "" {
+				tr := ctrace.FromMachine(m)
+				if err := tr.Save(c.Record); err != nil {
+					return "", err
+				}
+				block += fmt.Sprintf("recorded %d candidate promotions to %s\n", len(tr.Events), c.Record)
+			}
+			return block, nil
 		}}
 	}
 	blocks, err := RunAll(o.pool(), tasks)
@@ -204,6 +244,10 @@ func (c Cell) report(wl workloads.Workload, rc runCfg, m *vmm.Machine, res vmm.R
 	line("L1 miss rate", "%.3f%%", 100*res.L1MissRate)
 	line("huge pages", "%d (2MB), %d (1GB)", res.HugePages2M, res.HugePages1G)
 	line("promotions", "%d   demotions %d", res.Promotions, res.Demotions)
+	if rp, ok := m.Policy().(*ctrace.ReplayPolicy); ok {
+		n := len(rc.replay.Events)
+		line("replay", "replayed %d of %d events", n-rp.Remaining(), n)
+	}
 	line("stall cycles", "%.4g   background %.4g", res.StallCycles, res.BackgroundCycles)
 	line("phys", "%v", m.Phys())
 	if rc.pressureOn() {
@@ -214,4 +258,37 @@ func (c Cell) report(wl workloads.Workload, rc runCfg, m *vmm.Machine, res vmm.R
 	}
 	line("bloat", "%s (touched %s)", mem.HumanBytes(p.BloatBytes()), mem.HumanBytes(p.TouchedBytes()))
 	return b.String()
+}
+
+// characterize writes the stream characterization of p's workload to o.Out:
+// as '#' lines, the Fig. 2 reuse classes of its steady-state stream (the
+// initialization pass left out) and the columnar block shape of its full
+// stream, the one the trace cache records; then one TSV row per page.
+func (o Options) characterize(p cellPlan) error {
+	steady := p.wl
+	if p.spec.Name != "" {
+		s := p.spec
+		s.SkipInit = true
+		var err error
+		if steady, err = workloads.Build(s); err != nil {
+			return err
+		}
+	}
+	prof := profileReuse(steady)
+	st := p.wl.Stream()
+	shape := trace.MeasureBlocks(st)
+	workloads.CloseStream(st)
+
+	w := bufio.NewWriter(o.Out)
+	fmt.Fprintf(w, "# app=%s accesses=%d pages=%d threshold=%d\n",
+		p.wl.Name(), prof.accesses, len(prof.pages), trace.ClassifyThreshold)
+	for _, c := range reuseClasses {
+		fmt.Fprintf(w, "# class %-14s pages=%-10d accesses=%d\n", c, prof.sum.Pages[c], prof.sum.Accesses[c])
+	}
+	fmt.Fprintf(w, "# %s: %s\n", p.wl.Name(), shape)
+	fmt.Fprintln(w, "page\tdist4k\tdist2m\taccesses\tclass")
+	for _, r := range prof.pages {
+		fmt.Fprintf(w, "%d\t%.1f\t%.1f\t%d\t%s\n", r.Page, r.Dist4K, r.Dist2M, r.Accesses, r.Class)
+	}
+	return w.Flush()
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"pccsim/internal/metrics"
-	"pccsim/internal/trace"
 	"pccsim/internal/workloads"
 )
 
@@ -27,11 +26,7 @@ func ExtChar(o Options) ([]ExtCharRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		an := trace.NewReuseAnalyzer()
-		cs := wl.Stream()
-		an.Drain(cs)
-		workloads.CloseStream(cs)
-		sum := trace.Summarize(an.Results())
+		sum := profileReuse(wl).sum
 		row := ExtCharRow{App: app}
 		tp, ta := float64(sum.TotalPages()), float64(sum.TotalAccesses())
 		for c := 0; c < 3; c++ {

@@ -19,25 +19,43 @@ type Fig2Result struct {
 	TotalAccesses uint64
 }
 
+// reuseClasses lists the Fig. 2 access classes in report order.
+var reuseClasses = []trace.PageClass{trace.TLBFriendly, trace.HUB, trace.LowReuse}
+
+// reuseProfile is the Fig. 2 reuse analysis of one stream: every page's
+// reuse distances and class, in page order, their per-class totals, and the
+// accesses analyzed.
+type reuseProfile struct {
+	pages    []trace.PageReuse
+	sum      trace.Summary
+	accesses uint64
+}
+
+// profileReuse runs the reuse analysis over a fresh stream of wl. Callers
+// build wl with SkipInit: the characterization measures the kernel's
+// steady-state access pattern, and the one-shot load pass would add a
+// single enormous gap to every page's reuse average and drown the signal.
+func profileReuse(wl workloads.Workload) reuseProfile {
+	an := trace.NewReuseAnalyzer()
+	s := wl.Stream()
+	defer workloads.CloseStream(s)
+	n := an.Drain(s)
+	pages := an.Results()
+	return reuseProfile{pages: pages, sum: trace.Summarize(pages), accesses: n}
+}
+
 // Fig2 reproduces the Figure 2 characterization: run BFS on the Kronecker
 // network, measure every 4KB page's reuse distance and its 2MB region's
 // reuse distance, and classify pages into TLB-friendly / HUB / low-reuse.
 func Fig2(o Options, maxSample int) (*Fig2Result, error) {
-	// SkipInit: the characterization measures the kernel's steady-state
-	// access pattern; the one-shot load pass would add a single enormous
-	// gap to every page's reuse average and drown the signal.
 	wl, err := workloads.Build(workloads.Spec{
 		Name: "BFS", Dataset: workloads.DatasetKron, Scale: o.Scale, SkipInit: true,
 	})
 	if err != nil {
 		return nil, err
 	}
-	an := trace.NewReuseAnalyzer()
-	s := wl.Stream()
-	defer workloads.CloseStream(s)
-	n := an.Drain(s)
-	results := an.Results()
-	sum := trace.Summarize(results)
+	prof := profileReuse(wl)
+	results, sum := prof.pages, prof.sum
 
 	if maxSample <= 0 {
 		maxSample = 2000
@@ -49,8 +67,7 @@ func Fig2(o Options, maxSample int) (*Fig2Result, error) {
 	}
 
 	t := metrics.NewTable("Class", "Pages", "Pages%", "Accesses", "Accesses%")
-	classes := []trace.PageClass{trace.TLBFriendly, trace.HUB, trace.LowReuse}
-	for _, c := range classes {
+	for _, c := range reuseClasses {
 		t.AddRowf(c.String(),
 			sum.Pages[c],
 			metrics.Pct(float64(sum.Pages[c])/float64(sum.TotalPages())),
@@ -70,7 +87,7 @@ func Fig2(o Options, maxSample int) (*Fig2Result, error) {
 			YLabel:    "2MB region reuse distance",
 			Threshold: trace.ClassifyThreshold,
 		}
-		for _, cls := range classes {
+		for _, cls := range reuseClasses {
 			sc := plot.ScatterClass{Name: cls.String()}
 			for _, pr := range sample {
 				if pr.Class == cls {
@@ -82,5 +99,5 @@ func Fig2(o Options, maxSample int) (*Fig2Result, error) {
 		}
 		o.savePlot("fig2_scatter", chart.SVG())
 	}
-	return &Fig2Result{Summary: sum, Sample: sample, TotalAccesses: n}, nil
+	return &Fig2Result{Summary: sum, Sample: sample, TotalAccesses: prof.accesses}, nil
 }

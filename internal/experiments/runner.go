@@ -9,6 +9,7 @@ import (
 	"io"
 	"slices"
 
+	"pccsim/internal/ctrace"
 	"pccsim/internal/metrics"
 	"pccsim/internal/obs"
 	"pccsim/internal/ospolicy"
@@ -187,6 +188,7 @@ const (
 	polPCC
 	polHawkEye
 	polLinux
+	polReplay
 )
 
 func (k policyKind) String() string {
@@ -201,6 +203,8 @@ func (k policyKind) String() string {
 		return "HawkEye"
 	case polLinux:
 		return "Linux-THP"
+	case polReplay:
+		return "Replay"
 	}
 	return "?"
 }
@@ -219,8 +223,9 @@ type runCfg struct {
 	victim     bool // use the L2-eviction victim tracker instead of the PCC
 	replace    pcc.ReplacementPolicy
 	interval   uint64
-	minFreq    uint32 // PCC engine: minimum walk frequency to promote (0 = default)
-	giga       bool   // PCC engine: also promote 1GB regions (§3.2.3)
+	minFreq    uint32        // PCC engine: minimum walk frequency to promote (0 = default)
+	giga       bool          // PCC engine: also promote 1GB regions (§3.2.3)
+	replay     *ctrace.Trace // polReplay: the recorded candidate trace
 	// Dynamic pressure knobs (see vmm.PressureConfig); the pressure model is
 	// enabled when any of them is non-zero. Baseline runs always execute
 	// pressure-free (see baselineOf).
@@ -248,6 +253,11 @@ func (o Options) machineConfig(rc runCfg) vmm.Config {
 	cfg.PromotionInterval = o.Interval
 	if rc.interval > 0 {
 		cfg.PromotionInterval = rc.interval
+	}
+	if rc.kind == polReplay {
+		// The replayed machine ticks 100 times as often as the recorded
+		// one, so recorded promotions land close to their recorded instants.
+		cfg.PromotionInterval /= 100
 	}
 	cfg.EnablePCC = rc.kind == polPCC
 	cfg.Enable1G = rc.kind == polPCC && rc.giga
@@ -300,6 +310,8 @@ func policyFor(rc runCfg) (vmm.Policy, *ospolicy.PCCEngine) {
 		return ospolicy.NewHawkEye(ospolicy.DefaultHawkEyeConfig()), nil
 	case polLinux:
 		return ospolicy.NewLinuxTHP(ospolicy.DefaultLinuxTHPConfig()), nil
+	case polReplay:
+		return ctrace.NewReplayPolicy(rc.replay), nil
 	}
 	return ospolicy.Baseline{}, nil
 }

@@ -92,37 +92,44 @@ func (c *traceCache) stream(key string, budget int64, live func() trace.Stream) 
 		c.inflight[key] = done
 		remaining := budget - c.bytes
 		c.mu.Unlock()
-
-		var rec *trace.BlockRecording
-		if remaining > 0 {
-			st := live()
-			rec = trace.RecordBlocks(st, remaining)
-			// A capped recording leaves the stream partially drained;
-			// either way the producer goroutine must be released.
-			workloads.CloseStream(st)
+		if rec := c.record(key, done, budget, remaining, live); rec != nil {
+			return rec.Replay()
 		}
+		return live()
+	}
+}
 
+// record records key's stream via live() while holding its inflight slot
+// done, and returns nil when the encoding overflows remaining. Its deferred
+// epilogue releases the slot in the critical section that admits the
+// recording, so the woken waiters find it cached. It also runs when live()
+// or the recording panics: the key is then served live, and a recovered
+// panic cannot leave later requests for it waiting forever.
+func (c *traceCache) record(key string, done chan struct{}, budget, remaining int64, live func() trace.Stream) (rec *trace.BlockRecording) {
+	defer func() {
 		c.mu.Lock()
+		defer c.mu.Unlock()
 		delete(c.inflight, key)
 		close(done)
-		if rec == nil {
+		if rec == nil || c.bytes+int64(rec.Size()) > budget {
+			// Over budget, or another key was admitted while this one
+			// recorded: the key becomes uncacheable, but a finished
+			// recording still serves this request, since it equals the
+			// live stream.
 			c.tooBig[key] = true
-			c.mu.Unlock()
-			return live()
-		}
-		if c.bytes+int64(rec.Size()) > budget {
-			// Another key was admitted while this one recorded. The key
-			// becomes uncacheable, but this request still replays the
-			// finished recording, which equals the live stream.
-			c.tooBig[key] = true
-			c.mu.Unlock()
-			return rec.Replay()
+			return
 		}
 		c.recs[key] = rec
 		c.bytes += int64(rec.Size())
-		c.mu.Unlock()
-		return rec.Replay()
+	}()
+	if remaining > 0 {
+		st := live()
+		// A capped or panicked recording leaves the stream partially
+		// drained; either way the producer goroutine must be released.
+		defer workloads.CloseStream(st)
+		rec = trace.RecordBlocks(st, remaining)
 	}
+	return rec
 }
 
 // traceCacheBytes resolves the Options.TraceCache setting: 0 selects the

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"pccsim/internal/mem"
 	"pccsim/internal/obs"
@@ -147,6 +148,44 @@ func TestTraceCacheBudgetIsHard(t *testing.T) {
 		if want := trace.Collect(mk(base)(), n+1); !reflect.DeepEqual(got[i], want) {
 			t.Errorf("stream %d: got %d accesses, not the live stream's %d", i, len(got[i]), len(want))
 		}
+	}
+}
+
+// panicStream is a stream whose producer panics after n accesses.
+type panicStream struct{ n int }
+
+func (p *panicStream) Next() (trace.Access, bool) {
+	if p.n == 0 {
+		panic("producer failed")
+	}
+	p.n--
+	return trace.Access{Addr: mem.VirtAddr(p.n) << 12}, true
+}
+
+// TestTraceCacheSurvivesRecordingPanic: a stream that panics while the
+// cache records it must not keep its key's inflight slot. After the panic
+// is recovered, a second request for the key is served and completes.
+func TestTraceCacheSurvivesRecordingPanic(t *testing.T) {
+	c := newTraceCache()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the recording did not panic")
+			}
+		}()
+		c.stream("k", 1<<30, func() trace.Stream { return &panicStream{n: 10} })
+	}()
+	got := make(chan int)
+	go func() {
+		got <- drainCount(c.stream("k", 1<<30, func() trace.Stream { return trace.Sequential(0, 1<<30, 64, 100) }))
+	}()
+	select {
+	case n := <-got:
+		if n != 100 {
+			t.Errorf("second request streamed %d accesses, want 100", n)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("second request for the key blocked after the first recording panicked")
 	}
 }
 

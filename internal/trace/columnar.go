@@ -204,16 +204,7 @@ func RecordBlocks(s Stream, maxBytes int64) *BlockRecording {
 	block := make([]Access, BlockAccesses)
 	enc := blockEncoder{stage: make([]byte, chunkBytes)}
 	for {
-		// Fill a whole block before encoding, so every block except the
-		// final one holds exactly BlockAccesses even over chunky producers.
-		n := 0
-		for n < BlockAccesses {
-			k := bs.NextBatch(block[n:])
-			if k == 0 {
-				break
-			}
-			n += k
-		}
+		n := fillBlock(bs, block)
 		if n == 0 {
 			enc.flush(r)
 			return r
@@ -225,6 +216,38 @@ func RecordBlocks(s Stream, maxBytes int64) *BlockRecording {
 			return nil
 		}
 	}
+}
+
+// MeasureBlocks drains s through the block encoder and returns the Stats
+// of the recording RecordBlocks(s, 0) would build, holding one encoded
+// block at a time instead of the recording. It does not close s.
+func MeasureBlocks(s Stream) BlockStats {
+	bs := Batched(s)
+	block := make([]Access, BlockAccesses)
+	enc := blockEncoder{stage: make([]byte, maxBlockBytes)}
+	var cur BlockRecording // the block just encoded
+	var st BlockStats
+	for n := fillBlock(bs, block); n > 0; n = fillBlock(bs, block) {
+		enc.used, cur.blocks = 0, cur.blocks[:0]
+		enc.encode(block[:n], &cur)
+		st.add(cur.blocks[0])
+	}
+	return st
+}
+
+// fillBlock reads up to a whole block of bs into block and returns the
+// count, so every block except the final one holds exactly BlockAccesses
+// even over chunky producers.
+func fillBlock(bs BatchStream, block []Access) int {
+	n := 0
+	for n < BlockAccesses {
+		k := bs.NextBatch(block[n:])
+		if k == 0 {
+			break
+		}
+		n += k
+	}
+	return n
 }
 
 // blockEncoder is RecordBlocks' state across blocks: the staging buffer
@@ -1016,8 +1039,8 @@ func (rs *BlockReplayStream) DecodeBlock(buf []Access) int {
 // produce one.
 func (rs *BlockReplayStream) Err() error { return rs.err }
 
-// BlockStats summarizes a recording's encoded shape (cmd/pcctrace and
-// cmd/tracechar surface it).
+// BlockStats summarizes a recording's encoded shape (pccsim -char prints
+// it).
 type BlockStats struct {
 	Blocks         int
 	Accesses       uint64
@@ -1040,60 +1063,66 @@ type BlockStats struct {
 
 // Stats scans the recording and reports its encoded shape.
 func (r *BlockRecording) Stats() BlockStats {
-	st := BlockStats{Blocks: len(r.blocks), Accesses: r.count, Bytes: r.size}
-	if r.count > 0 {
-		st.BytesPerAccess = float64(r.size) / float64(r.count)
-	}
+	var st BlockStats
 	for _, ref := range r.blocks {
-		data := ref.data
-		_, off, err := peekBlockCount(data, 0)
-		if err != nil || off >= len(data) {
-			break // unreachable on recordings we built or validated
-		}
-		flags := data[off]
-		off++
-		if flags&flagWrites != 0 {
-			st.WriteBlocks++
-		}
-		if flags&flagThreads == 0 {
-			st.SingleThreadBlocks++
-		}
-		// A single-base block has one delta per access but the first,
-		// behind its base address; a multi-base block has one per access,
-		// behind its four registers.
-		nd, bases := int(ref.count)-1, 1
-		if flags&flagMultiBase != 0 {
-			nd, bases = int(ref.count), baseRegs
-			st.MultiBaseBlocks++
-			st.MultiBaseDeltas += uint64(nd)
-		}
-		for k := 0; k < bases && err == nil; k++ {
-			_, off, err = uvarintAt(data, off)
-		}
-		if err != nil {
-			break
-		}
-		if flags&flagUniform != 0 {
-			// Uniform blocks carry one width byte and no control column.
-			if nd > 0 && off < len(data) {
-				if w := int(data[off]); w >= 1 && w <= 8 {
-					st.DeltaBytes[w-1] += uint64(nd)
-				}
-			}
-			continue
-		}
-		// Delta widths are read straight off the control column.
-		if off+(nd+1)/2 > len(data) {
-			break
-		}
-		ctrl := data[off : off+(nd+1)/2]
-		for i := 0; i < nd; i++ {
-			if w := int(ctrl[i>>1]>>((i&1)*4)) & 0xf; w < len(st.DeltaBytes) {
-				st.DeltaBytes[w]++
-			}
-		}
+		st.add(ref)
 	}
 	return st
+}
+
+// add counts one encoded block into st.
+func (st *BlockStats) add(ref blockRef) {
+	st.Blocks++
+	st.Accesses += uint64(ref.count)
+	st.Bytes += len(ref.data)
+	st.BytesPerAccess = float64(st.Bytes) / float64(st.Accesses)
+	data := ref.data
+	_, off, err := peekBlockCount(data, 0)
+	if err != nil || off >= len(data) {
+		return // unreachable on recordings we built or validated
+	}
+	flags := data[off]
+	off++
+	if flags&flagWrites != 0 {
+		st.WriteBlocks++
+	}
+	if flags&flagThreads == 0 {
+		st.SingleThreadBlocks++
+	}
+	// A single-base block has one delta per access but the first, behind
+	// its base address; a multi-base block has one per access, behind its
+	// four registers.
+	nd, bases := int(ref.count)-1, 1
+	if flags&flagMultiBase != 0 {
+		nd, bases = int(ref.count), baseRegs
+		st.MultiBaseBlocks++
+		st.MultiBaseDeltas += uint64(nd)
+	}
+	for k := 0; k < bases && err == nil; k++ {
+		_, off, err = uvarintAt(data, off)
+	}
+	if err != nil {
+		return
+	}
+	if flags&flagUniform != 0 {
+		// Uniform blocks carry one width byte and no control column.
+		if nd > 0 && off < len(data) {
+			if w := int(data[off]); w >= 1 && w <= 8 {
+				st.DeltaBytes[w-1] += uint64(nd)
+			}
+		}
+		return
+	}
+	// Delta widths are read straight off the control column.
+	if off+(nd+1)/2 > len(data) {
+		return
+	}
+	ctrl := data[off : off+(nd+1)/2]
+	for i := 0; i < nd; i++ {
+		if w := int(ctrl[i>>1]>>((i&1)*4)) & 0xf; w < len(st.DeltaBytes) {
+			st.DeltaBytes[w]++
+		}
+	}
 }
 
 // String renders the stats as the one-per-line table the CLI tools print.

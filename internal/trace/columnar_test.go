@@ -296,7 +296,24 @@ func TestColumnarTypedErrors(t *testing.T) {
 	}
 }
 
-// TestColumnarStats sanity-checks the shape report the CLI tools print.
+// TestMeasureBlocksMatchesStats: measuring a stream block by block reports
+// exactly the Stats of its full recording, for single-base, uniform,
+// multi-base and multi-thread blocks alike.
+func TestMeasureBlocksMatchesStats(t *testing.T) {
+	for name, accs := range map[string][]Access{
+		"mix":        columnarMix(2*BlockAccesses + 100),
+		"sequential": Collect(Sequential(0, 1<<22, 64, 10_000), 10_000),
+		"csr":        csrAccesses(3*BlockAccesses + 100),
+		"empty":      nil,
+	} {
+		want := RecordBlocks(Slice(accs), 0).Stats()
+		if got := MeasureBlocks(Slice(accs)); got != want {
+			t.Errorf("%s: MeasureBlocks = %+v, recording's Stats = %+v", name, got, want)
+		}
+	}
+}
+
+// TestColumnarStats sanity-checks the shape report pccsim -char prints.
 func TestColumnarStats(t *testing.T) {
 	accs := columnarMix(2*BlockAccesses + 100)
 	rec := RecordBlocks(Slice(accs), 0)

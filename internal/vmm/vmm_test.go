@@ -430,9 +430,13 @@ func runFingerprint(m *Machine, res RunResult) string {
 	return s
 }
 
-// goroutineProbe is a base-fault-only policy whose Tick samples the
-// process's goroutine count.
-type goroutineProbe struct{ samples []int }
+// goroutineProbe is a base-fault-only policy whose Tick records every live
+// goroutine that is not in before.
+type goroutineProbe struct {
+	before map[string]bool
+	ticks  int
+	extra  []string
+}
 
 func (p *goroutineProbe) Name() string { return "goroutine-probe" }
 func (p *goroutineProbe) OnFault(*Machine, *Process, mem.VirtAddr) mem.PageSize {
@@ -440,7 +444,32 @@ func (p *goroutineProbe) OnFault(*Machine, *Process, mem.VirtAddr) mem.PageSize 
 }
 func (p *goroutineProbe) BaseFaultOnly() {}
 func (p *goroutineProbe) Tick(*Machine) {
-	p.samples = append(p.samples, runtime.NumGoroutine())
+	p.ticks++
+	for id := range goroutineIDs() {
+		if !p.before[id] {
+			p.extra = append(p.extra, id)
+		}
+	}
+}
+
+// goroutineIDs returns the IDs of the live goroutines, read off the
+// "goroutine N [" headers of a full stack dump.
+func goroutineIDs() map[string]bool {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	ids := map[string]bool{}
+	for _, line := range strings.Split(string(buf[:n]), "\n") {
+		if rest, ok := strings.CutPrefix(line, "goroutine "); ok {
+			if id, _, ok := strings.Cut(rest, " "); ok {
+				ids[id] = true
+			}
+		}
+	}
+	return ids
 }
 
 // TestRunStaysOnCallingGoroutine: Config.Shards is ignored, so even two
@@ -459,15 +488,13 @@ func TestRunStaysOnCallingGoroutine(t *testing.T) {
 		p := m.AddProcess(fmt.Sprintf("p%d", i), testVMA(2), 10)
 		jobs = append(jobs, &Job{Proc: p, Stream: trace.Slice(mixedStream(p.Ranges()[0], 2)), Cores: []int{i}})
 	}
-	before := runtime.NumGoroutine()
+	probe.before = goroutineIDs()
 	m.Run(jobs...)
-	if len(probe.samples) == 0 {
+	if probe.ticks == 0 {
 		t.Fatal("no policy tick fired")
 	}
-	for i, n := range probe.samples {
-		if n != before {
-			t.Errorf("tick %d saw %d goroutines, want %d (the count before Run)", i, n, before)
-		}
+	if len(probe.extra) > 0 {
+		t.Errorf("policy ticks saw goroutines started during Run: %v", probe.extra)
 	}
 }
 

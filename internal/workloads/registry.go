@@ -2,7 +2,6 @@ package workloads
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -63,9 +62,8 @@ const MaxScale = 30
 
 // Validate refuses the spec fields Build would reject or quietly
 // reinterpret, naming the command-line flag that sets each one: an unknown
-// Dataset, a Scale outside 0..MaxScale (0 keeps the default), and a
-// SizeScale that is negative, NaN or infinite (0 keeps the app's default).
-// Build itself refuses an unknown Name.
+// Dataset, and a Scale outside 0..MaxScale (0 keeps the default). Build
+// itself refuses an unknown Name.
 func (s Spec) Validate() error {
 	switch s.Dataset {
 	case "", DatasetKron, DatasetSocial, DatasetWeb:
@@ -74,9 +72,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Scale < 0 || s.Scale > MaxScale {
 		return fmt.Errorf("-scale must be 1..%d (or 0 for the default), got %d", MaxScale, s.Scale)
-	}
-	if !(s.SizeScale >= 0) || math.IsInf(s.SizeScale, 1) {
-		return fmt.Errorf("-sizescale must be a finite scale >= 0 (0 for the app default), got %v", s.SizeScale)
 	}
 	return nil
 }
