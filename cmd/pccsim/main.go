@@ -107,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		full      = fs.Bool("full", false, "all three graph datasets (paper's 6-dataset geomean)")
 		scale     = fs.Int("scale", 0, "override graph scale (2^scale vertices)")
 		interval  = fs.Uint64("interval", 0, "override promotion interval (accesses)")
-		accesses  = fs.Uint64("accesses", 0, "override synthetic app stream length")
+		accesses  = fs.Uint64("accesses", 0, "override the synthetic apps' access count after their initialization pass (a cell reads it only for canneal, omnetpp, xalancbmk, dedup and mcf)")
 		seed      = fs.Int64("seed", 0, "override fragmentation seed")
 		plots     = fs.String("plots", "", "also write SVG figures into this directory")
 		workers   = fs.Int("workers", 0, "parallel simulations per experiment (0 = GOMAXPROCS); output is identical at any setting")

@@ -378,6 +378,19 @@ func TestCharSummary(t *testing.T) {
 	}
 }
 
+// TestAccessesCountsAfterInitPass pins what -accesses sets: the accesses a
+// synthetic app streams after its initialization pass. mcf's pass is
+// 704,512 accesses, and -char keeps a synthetic app's pass in both its
+// reuse header and its block line.
+func TestAccessesCountsAfterInitPass(t *testing.T) {
+	s := charOutput(t, "-app", "mcf", "-accesses", "200000")
+	for _, want := range []string{"# app=mcf accesses=904512 ", "# mcf: blocks=221 accesses=904512 "} {
+		if !strings.Contains(s, want) {
+			t.Errorf("-app mcf -accesses 200000 -char lacks %q:\n%.600s", want, s)
+		}
+	}
+}
+
 // TestCharBlockStats: -char reports the columnar block shape of the cell's
 // full stream on one # line, and a graph kernel's stream takes the
 // multi-base layout.

@@ -261,9 +261,11 @@ func (c Cell) report(wl workloads.Workload, rc runCfg, m *vmm.Machine, res vmm.R
 }
 
 // characterize writes the stream characterization of p's workload to o.Out:
-// as '#' lines, the Fig. 2 reuse classes of its steady-state stream (the
-// initialization pass left out) and the columnar block shape of its full
-// stream, the one the trace cache records; then one TSV row per page.
+// as '#' lines, the Fig. 2 reuse classes of its stream built with SkipInit
+// (a graph kernel's initialization pass left out; a synthetic app keeps
+// its own, since only the graph kernels read SkipInit) and the columnar
+// block shape of its full stream, the one the trace cache records; then
+// one TSV row per page.
 func (o Options) characterize(p cellPlan) error {
 	steady := p.wl
 	if p.spec.Name != "" {

@@ -48,8 +48,7 @@ func ExtVirt(o Options) (*ExtVirtResult, error) {
 	}
 
 	run := func(promote func(m *virt.Machine, base mem.VirtAddr) error) *virt.Machine {
-		cfg := virt.DefaultConfig()
-		m := virt.NewMachine(cfg, vmas)
+		m := virt.NewMachine()
 		// Warm-up: fault everything in and let the guest PCC rank.
 		m.Run(trace.Limit(mkStream(11), uint64(accesses/4)))
 		if promote != nil {

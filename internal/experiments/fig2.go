@@ -32,9 +32,11 @@ type reuseProfile struct {
 }
 
 // profileReuse runs the reuse analysis over a fresh stream of wl. Callers
-// build wl with SkipInit: the characterization measures the kernel's
-// steady-state access pattern, and the one-shot load pass would add a
-// single enormous gap to every page's reuse average and drown the signal.
+// build wl with SkipInit: for a graph kernel the characterization then
+// measures its steady-state access pattern, as the one-shot load pass
+// would add a single enormous gap to every page's reuse average and drown
+// the signal. The synthetic apps ignore SkipInit, so their profiles include
+// their initialization pass.
 func profileReuse(wl workloads.Workload) reuseProfile {
 	an := trace.NewReuseAnalyzer()
 	s := wl.Stream()

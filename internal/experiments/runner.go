@@ -30,7 +30,9 @@ type Options struct {
 	Out io.Writer
 	// Scale is the graph scale (2^Scale vertices).
 	Scale int
-	// SynthAccesses is the synthetic apps' stream length.
+	// SynthAccesses is the synthetic apps' access count after their
+	// initialization pass (workloads.SynthParams.Accesses); the extension
+	// workloads derive their stream lengths from it.
 	SynthAccesses uint64
 	// SynthSizeScale scales the synthetic apps' footprints.
 	SynthSizeScale float64

@@ -3,6 +3,7 @@ package experiments
 import (
 	"pccsim/internal/mem"
 	"pccsim/internal/metrics"
+	"pccsim/internal/pcc"
 	"pccsim/internal/vmm"
 	"pccsim/internal/workloads"
 )
@@ -43,7 +44,7 @@ func Table2(o Options) (vmm.Config, error) {
 	t.AddRow("Memory", mem.HumanBytes(cfg.Phys.TotalBytes))
 	t.AddRow("2MB PCC", itoa(cfg.PCC2M.Entries)+" entries, fully associative, "+
 		itoa(cfg.PCC2M.CounterBits)+"-bit counters, "+cfg.PCC2M.Replacement.String())
-	t.AddRow("1GB PCC", itoa(cfg.PCC1G.Entries)+" entries, fully associative")
+	t.AddRow("1GB PCC", itoa(pcc.DefaultConfig1G().Entries)+" entries, fully associative")
 	t.AddRow("Promotion interval", utoa(cfg.PromotionInterval)+" simulated accesses")
 	t.AddRow("Promotions/interval", "up to 128 (regions_to_promote)")
 	o.printf("Table 2 — evaluation system parameters\n\n%s", t.String())

@@ -112,9 +112,6 @@ func (r Region) Contains(a VirtAddr) bool {
 // End returns the first address past the region.
 func (r Region) End() VirtAddr { return r.Base + VirtAddr(uint64(r.Size)) }
 
-// Num returns the region's page number at its own granularity (the PCC tag).
-func (r Region) Num() PageNum { return PageNumber(r.Base, r.Size) }
-
 func (r Region) String() string {
 	return fmt.Sprintf("[%#x +%s)", uint64(r.Base), r.Size)
 }

@@ -118,13 +118,6 @@ func TestRegionOf(t *testing.T) {
 	}
 }
 
-func TestRegionNum(t *testing.T) {
-	r := RegionOf(0x40000000, Page2M) // 1GB boundary
-	if got := r.Num(); got != PageNum(0x40000000>>21) {
-		t.Errorf("Num = %d", got)
-	}
-}
-
 func TestRegionContainsProperty(t *testing.T) {
 	f := func(raw uint64, delta uint32) bool {
 		a := VirtAddr(raw % (1 << 47))

@@ -9,59 +9,43 @@ import (
 	"strings"
 )
 
-// CostModel prices simulator events in CPU cycles. The defaults are
-// calibrated to a Haswell-class Xeon (the paper's E5-2667 v3): translation
-// overheads reproduce the paper's speedup bands (geomean ~1.3x for
-// all-2MB over all-4KB on TLB-sensitive irregular workloads).
-type CostModel struct {
-	// BaseCPA is the base cost per memory access in cycles, covering all
-	// non-translation work (core pipeline + cache hierarchy). Lower values
-	// model more memory-bound, TLB-sensitive code. Per-workload overrides
-	// come from the workload registry.
-	BaseCPA float64
+// The cost model prices simulator events in CPU cycles. It is calibrated
+// to a Haswell-class Xeon (the paper's E5-2667 v3): translation overheads
+// reproduce the paper's speedup bands (geomean ~1.3x for all-2MB over
+// all-4KB on TLB-sensitive irregular workloads).
+const (
+	// BaseCPA is the default base cost per memory access in cycles,
+	// covering all non-translation work (core pipeline + cache hierarchy).
+	// Lower values model more memory-bound, TLB-sensitive code. Per-workload
+	// overrides come from the workload registry.
+	BaseCPA float64 = 18
 	// L2TLBHit is the added latency when L1 TLB misses but L2 hits.
-	L2TLBHit float64
+	L2TLBHit float64 = 7
 	// WalkRef is the cost of one page-table memory reference during a
 	// walk (page-table lines are often cache resident; this is a blended
 	// cost).
-	WalkRef float64
+	WalkRef float64 = 26
 	// WalkBase is the fixed cost of engaging the walker.
-	WalkBase float64
+	WalkBase float64 = 8
 	// PromoteFixed is the OS-side fixed cost per promotion visible to the
 	// application (syscall, locking, shootdown IPIs).
-	PromoteFixed float64
+	PromoteFixed float64 = 6000
 	// PromoteCopyPer4K is the cycles to migrate/copy one 4KB page during
 	// promotion (512 of them per 2MB promotion when data must move).
-	PromoteCopyPer4K float64
+	PromoteCopyPer4K float64 = 250
 	// CompactPer4K is the cycles per 4KB frame migrated by compaction to
 	// free a physical block (asynchronous/background pricing).
-	CompactPer4K float64
+	CompactPer4K float64 = 300
 	// DirectCompactStall is the fixed synchronous stall when a fault-time
 	// huge allocation must run direct compaction (lock contention,
 	// scanning, retries — the latency spikes §2.1 describes).
-	DirectCompactStall float64
+	DirectCompactStall float64 = 1_500_000
 	// FaultBase is the page fault service cost for a 4KB first touch.
-	FaultBase float64
+	FaultBase float64 = 500
 	// FaultHugeZero is the additional fault-time cost to zero a 2MB page
 	// (512x the data of a 4KB fault) for synchronous THP allocation.
-	FaultHugeZero float64
-}
-
-// DefaultCostModel returns the calibrated model.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		BaseCPA:            18,
-		L2TLBHit:           7,
-		WalkRef:            26,
-		WalkBase:           8,
-		PromoteFixed:       6000,
-		PromoteCopyPer4K:   250,
-		CompactPer4K:       300,
-		DirectCompactStall: 1_500_000,
-		FaultBase:          500,
-		FaultHugeZero:      25000,
-	}
-}
+	FaultHugeZero float64 = 25000
+)
 
 // Rate returns num/den, guarding division by zero — the shared helper for
 // per-access rates (PTW rate, L1 miss rate).

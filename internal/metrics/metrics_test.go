@@ -113,17 +113,16 @@ func TestPct(t *testing.T) {
 }
 
 func TestDefaultCostModelSanity(t *testing.T) {
-	c := DefaultCostModel()
-	if c.BaseCPA <= 0 || c.WalkRef <= 0 || c.FaultBase <= 0 {
+	if BaseCPA <= 0 || WalkRef <= 0 || FaultBase <= 0 {
 		t.Error("cost model must be positive")
 	}
 	// A full 4-level walk must cost more than an L2 TLB hit.
-	if c.WalkBase+4*c.WalkRef <= c.L2TLBHit {
+	if WalkBase+4*WalkRef <= L2TLBHit {
 		t.Error("walk must cost more than an L2 hit")
 	}
 	// Direct compaction must dominate a huge fault's zeroing cost — the
 	// latency-spike behaviour Linux exhibits under fragmentation.
-	if c.DirectCompactStall <= c.FaultHugeZero {
+	if DirectCompactStall <= FaultHugeZero {
 		t.Error("direct compaction must dwarf zeroing")
 	}
 }

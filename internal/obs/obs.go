@@ -155,23 +155,6 @@ func (s Snapshot) Merge(o Snapshot) Snapshot {
 	return s
 }
 
-// Diff returns s minus prev, omitting metrics that did not change. Useful
-// for per-interval deltas ("what moved during this promotion round").
-func (s Snapshot) Diff(prev Snapshot) Snapshot {
-	out := Snapshot{}
-	for k, v := range s {
-		if d := v - prev[k]; d != 0 {
-			out[k] = d
-		}
-	}
-	for k, v := range prev {
-		if _, ok := s[k]; !ok && v != 0 {
-			out[k] = -v
-		}
-	}
-	return out
-}
-
 // Names returns the metric names in sorted order.
 func (s Snapshot) Names() []string {
 	names := make([]string, 0, len(s))

@@ -163,11 +163,10 @@ func TestHawkEyeSamplerMatchesReference(t *testing.T) {
 		if err := ref.RestorePolicyState(mr, ref.PolicyState()); err != nil {
 			t.Fatal(err)
 		}
-		ranges := drawVMAs(rng, 3<<30)
-		if err := mf.ExecProcess(pf[0], ranges); err != nil {
+		if err := mf.ExecProcess(pf[0]); err != nil {
 			t.Fatal(err)
 		}
-		if err := mr.ExecProcess(pr[0], ranges); err != nil {
+		if err := mr.ExecProcess(pr[0]); err != nil {
 			t.Fatal(err)
 		}
 		run(20_000)

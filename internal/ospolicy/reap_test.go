@@ -91,7 +91,7 @@ func TestPCCEngineAuditFlagsDeadPIDLedgers(t *testing.T) {
 // mappings that no longer exist and must go.
 func TestPCCEngineExecResetsIdleTracker(t *testing.T) {
 	engine, m, p := engineWithIdleState(t)
-	if err := m.ExecProcess(p, nil); err != nil {
+	if err := m.ExecProcess(p); err != nil {
 		t.Fatal(err)
 	}
 	if engine.coreProc[0] != p {

@@ -25,8 +25,8 @@ func TestVictimTrackerRecordAndDump(t *testing.T) {
 	if len(dump) != 2 {
 		t.Fatalf("dump len = %d", len(dump))
 	}
-	if dump[0].Region.Num() != 1 {
-		t.Errorf("hottest region = %d, want 1", dump[0].Region.Num())
+	if regionNum(dump[0].Region) != 1 {
+		t.Errorf("hottest region = %d, want 1", regionNum(dump[0].Region))
 	}
 	if dump[0].Freq != 4 { // first Record inserts with freq 0
 		t.Errorf("freq = %d", dump[0].Freq)
@@ -53,7 +53,7 @@ func TestVictimTrackerLRUReplacement(t *testing.T) {
 
 func peekVictim(v *VictimTracker, region uint64) (uint32, bool) {
 	for _, c := range v.Dump() {
-		if c.Region.Num() == mem.PageNum(region) {
+		if regionNum(c.Region) == mem.PageNum(region) {
 			return c.Freq, true
 		}
 	}
@@ -91,8 +91,8 @@ func TestVictimTrackerPollution(t *testing.T) {
 		}
 	}
 	dump := v.Dump()
-	if dump[0].Region.Num() != 7 {
-		t.Fatalf("hot region must rank first, got %d", dump[0].Region.Num())
+	if regionNum(dump[0].Region) != 7 {
+		t.Fatalf("hot region must rank first, got %d", regionNum(dump[0].Region))
 	}
 	oneShot := 0
 	for _, c := range dump[1:] {

@@ -10,7 +10,7 @@ import (
 // BenchmarkWalk measures a full table walk with warm PWC.
 func BenchmarkWalk(b *testing.B) {
 	t := NewTable()
-	w := NewWalker(DefaultPWCConfig())
+	w := NewWalker()
 	rng := rand.New(rand.NewSource(1))
 	addrs := make([]mem.VirtAddr, 1<<12)
 	for i := range addrs {

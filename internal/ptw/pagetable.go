@@ -42,12 +42,6 @@ func (l Level) String() string {
 	return fmt.Sprintf("Level(%d)", int(l))
 }
 
-// Span returns the bytes of virtual address space one entry at level l maps.
-func (l Level) Span() uint64 {
-	// PTE entry: 4KB; each level up multiplies by 512.
-	return uint64(mem.Page4K) << (9 * uint(l-1))
-}
-
 // shift returns the right-shift that yields the entry index space for l.
 func (l Level) shift() uint { return 12 + 9*uint(l-1) }
 

@@ -9,21 +9,6 @@ import (
 	"pccsim/internal/mem"
 )
 
-func TestLevelSpan(t *testing.T) {
-	if PTE.Span() != uint64(mem.Page4K) {
-		t.Errorf("PTE span = %d", PTE.Span())
-	}
-	if PMD.Span() != uint64(mem.Page2M) {
-		t.Errorf("PMD span = %d", PMD.Span())
-	}
-	if PUD.Span() != uint64(mem.Page1G) {
-		t.Errorf("PUD span = %d", PUD.Span())
-	}
-	if PGD.Span() != 512<<30 {
-		t.Errorf("PGD span = %d", PGD.Span())
-	}
-}
-
 func TestLevelString(t *testing.T) {
 	for _, l := range []Level{PTE, PMD, PUD, PGD} {
 		if l.String() == "" {
@@ -351,7 +336,7 @@ func TestMapRegion4KConflictPanics(t *testing.T) {
 
 func TestWalkerPWCSkipsLevels(t *testing.T) {
 	tb := NewTable()
-	w := NewWalker(DefaultPWCConfig())
+	w := NewWalker()
 	a := mem.VirtAddr(0x12345000)
 	b := a + 0x1000 // same PMD
 	tb.Map(a, mem.Page4K)
@@ -376,7 +361,7 @@ func TestWalkerPWCSkipsLevels(t *testing.T) {
 
 func TestWalkerFaultCounting(t *testing.T) {
 	tb := NewTable()
-	w := NewWalker(DefaultPWCConfig())
+	w := NewWalker()
 	info := w.Walk(tb, 0x1000)
 	if info.Mapped {
 		t.Fatal("unmapped walk must fault")
@@ -388,18 +373,20 @@ func TestWalkerFaultCounting(t *testing.T) {
 
 func TestWalkerSizeCounters(t *testing.T) {
 	tb := NewTable()
-	w := NewWalker(PWCConfig{}) // no PWC
+	w := NewWalker()
+	// One mapping per 512GB PGD region, so no walk hits the PWC.
+	const pgd = mem.VirtAddr(1) << 39
 	tb.Map(0, mem.Page4K)
-	tb.Map(1<<21, mem.Page2M)
-	tb.Map(1<<30, mem.Page1G)
+	tb.Map(pgd+1<<21, mem.Page2M)
+	tb.Map(2*pgd+1<<30, mem.Page1G)
 	w.Walk(tb, 0)
-	w.Walk(tb, 1<<21)
-	w.Walk(tb, 1<<30)
+	w.Walk(tb, pgd+1<<21)
+	w.Walk(tb, 2*pgd+1<<30)
 	st := w.Stats()
 	if st.Walks4K != 1 || st.Walks2M != 1 || st.Walks1G != 1 {
 		t.Errorf("size counters = %+v", st)
 	}
-	// Without PWC: 4+3+2 levels.
+	// No PWC hits: 4+3+2 levels.
 	if st.LevelsRead != 9 {
 		t.Errorf("levels read = %d, want 9", st.LevelsRead)
 	}
@@ -407,7 +394,7 @@ func TestWalkerSizeCounters(t *testing.T) {
 
 func TestWalkerInvalidateRange(t *testing.T) {
 	tb := NewTable()
-	w := NewWalker(DefaultPWCConfig())
+	w := NewWalker()
 	a := mem.VirtAddr(0x12345000)
 	tb.Map(a, mem.Page4K)
 	w.Walk(tb, a)
@@ -434,7 +421,7 @@ func TestWalkerInvalidateRange(t *testing.T) {
 
 func TestWalkerFlush(t *testing.T) {
 	tb := NewTable()
-	w := NewWalker(DefaultPWCConfig())
+	w := NewWalker()
 	a := mem.VirtAddr(0x2000)
 	tb.Map(a, mem.Page4K)
 	w.Walk(tb, a)
@@ -487,7 +474,7 @@ func TestCountsNeverNegativeProperty(t *testing.T) {
 }
 
 func TestWalkerStatsString(t *testing.T) {
-	w := NewWalker(DefaultPWCConfig())
+	w := NewWalker()
 	if w.Stats().String() == "" {
 		t.Error("stats must stringify")
 	}

@@ -7,36 +7,16 @@ import (
 	"pccsim/internal/obs"
 )
 
-// PWCConfig configures the page walk cache: small fully-associative caches
-// of PGD-, PUD- and PMD-level entries that let the walker skip upper levels.
+// The page walk cache's geometry: small fully-associative caches of PGD-,
+// PUD- and PMD-level entries that let the walker skip upper levels.
 // Intel-style MMU caches; §5.4.1 of the paper discusses why the PWC cannot
 // replace the PCC (it lacks page-size attribution and frequency counts) —
 // but it matters for walk latency, so we model it.
-type PWCConfig struct {
-	PGDEntries int
-	PUDEntries int
-	PMDEntries int
-}
-
-// MaxPWCEntries bounds each page walk cache level's capacity, so no
-// configuration Validate accepts can exhaust host memory.
-const MaxPWCEntries = 1 << 10
-
-// Validate reports why cfg cannot build a walker: every level needs
-// 0..MaxPWCEntries entries (0 disables that level's cache).
-func (cfg PWCConfig) Validate() error {
-	for _, n := range []int{cfg.PGDEntries, cfg.PUDEntries, cfg.PMDEntries} {
-		if n < 0 || n > MaxPWCEntries {
-			return fmt.Errorf("ptw: page walk cache level of %d entries, want 0..%d", n, MaxPWCEntries)
-		}
-	}
-	return nil
-}
-
-// DefaultPWCConfig returns a typical MMU-cache geometry.
-func DefaultPWCConfig() PWCConfig {
-	return PWCConfig{PGDEntries: 2, PUDEntries: 4, PMDEntries: 32}
-}
+const (
+	pwcPGDEntries = 2
+	pwcPUDEntries = 4
+	pwcPMDEntries = 32
+)
 
 // pwcCache is one fully-associative level cache with LRU replacement, keyed
 // by the entry index prefix for its level.
@@ -83,9 +63,6 @@ func newPWCCache(capacity int) *pwcCache {
 // no recency comparisons. The victim is only valid while no other operation
 // touches the cache, which holds within one Walk.
 func (c *pwcCache) probe(tag uint64) (hit bool, victim int) {
-	if c.cap == 0 {
-		return false, -1
-	}
 	if m := c.mru; m >= 0 && c.valid[m] && c.tags[m] == tag {
 		c.tick++
 		c.lru[m] = c.tick
@@ -120,9 +97,6 @@ func (c *pwcCache) probe(tag uint64) (hit bool, victim int) {
 // skipping the duplicate/victim rescan insert performs (probe established
 // the tag is absent and victim is exactly the slot insert would pick).
 func (c *pwcCache) fillMiss(victim int, tag uint64) {
-	if c.cap == 0 {
-		return
-	}
 	c.tick++
 	c.tags[victim] = tag
 	c.lru[victim] = c.tick
@@ -131,9 +105,6 @@ func (c *pwcCache) fillMiss(victim int, tag uint64) {
 }
 
 func (c *pwcCache) insert(tag uint64) {
-	if c.cap == 0 {
-		return
-	}
 	if m := c.mru; m >= 0 && c.valid[m] && c.tags[m] == tag {
 		c.tick++
 		c.lru[m] = c.tick
@@ -203,16 +174,12 @@ type Walker struct {
 	stats WalkerStats
 }
 
-// NewWalker builds a walker with the given PWC geometry. It panics on a
-// config Validate refuses.
-func NewWalker(cfg PWCConfig) *Walker {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
+// NewWalker builds a walker with empty page walk caches.
+func NewWalker() *Walker {
 	return &Walker{
-		pgd: newPWCCache(cfg.PGDEntries),
-		pud: newPWCCache(cfg.PUDEntries),
-		pmd: newPWCCache(cfg.PMDEntries),
+		pgd: newPWCCache(pwcPGDEntries),
+		pud: newPWCCache(pwcPUDEntries),
+		pmd: newPWCCache(pwcPMDEntries),
 	}
 }
 

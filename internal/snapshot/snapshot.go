@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"reflect"
 
 	"pccsim/internal/vmm"
@@ -42,7 +41,7 @@ import (
 // version: the format carries complete simulator state whose meaning shifts
 // with the simulator itself, so cross-version restore is refused rather than
 // silently misinterpreted.
-const Version = 2
+const Version = 3
 
 var magic = [8]byte{'P', 'C', 'C', 'S', 'N', 'A', 'P', 0}
 
@@ -173,34 +172,4 @@ func EncodeBytes(s *Snapshot) ([]byte, error) {
 // DecodeBytes is Decode from a byte slice.
 func DecodeBytes(b []byte) (*Snapshot, error) {
 	return Decode(bytes.NewReader(b))
-}
-
-// WriteFile atomically writes the container to path (temp file + rename, so
-// a crash mid-checkpoint never leaves a half-written snapshot behind).
-func WriteFile(path string, s *Snapshot) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := Encode(f, s); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// ReadFile reads a container written by WriteFile.
-func ReadFile(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Decode(f)
 }

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -265,43 +263,6 @@ func TestRestoreIncompatible(t *testing.T) {
 			t.Errorf("err = %v, want ErrIncompatible", err)
 		}
 	})
-}
-
-// TestFileRoundTrip: WriteFile/ReadFile round-trip, atomicity leftovers, and
-// on-disk corruption detection.
-func TestFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ckpt.snap")
-	snap := captureMidRun(t, exampleSims()[0], 1_200)
-
-	if err := snapshot.WriteFile(path, snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Error("temp file left behind")
-	}
-	got, err := snapshot.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := snapshot.EncodeBytes(snap)
-	b, _ := snapshot.EncodeBytes(got)
-	if !bytes.Equal(a, b) {
-		t.Error("file round-trip changed the snapshot")
-	}
-
-	// Corrupt the file in place: ReadFile must return a typed error.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)-1] ^= 0x01
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := snapshot.ReadFile(path); !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Errorf("corrupted file: err = %v, want ErrCorrupt", err)
-	}
 }
 
 // TestPropertyRestoreAuditCleanUnderPressure is the property the paper's

@@ -84,8 +84,8 @@ func diffTLB(t *testing.T, cfg Config, hook bool, seed int64) {
 			// Fill the page the last lookup missed, either straight away
 			// (the hierarchy's pattern) or after an interposed mutation.
 			op = fmt.Sprintf("Insert(%d,%v) after miss", pending.vpn, pending.size)
-			sut.Insert(pending.vpn, pending.size)
-			ref.Insert(pending.vpn, pending.size)
+			sut.insertPage(pending.vpn, pending.size)
+			ref.insertPage(pending.vpn, pending.size)
 			if interposed != "" {
 				covered[interposed]++
 			}
@@ -93,14 +93,14 @@ func diffTLB(t *testing.T, cfg Config, hook bool, seed int64) {
 		case k < 65:
 			vpn, size := page()
 			op = fmt.Sprintf("Lookup(%d,%v)", vpn, size)
-			hit := ref.Lookup(vpn, size)
-			got, want = sut.Lookup(vpn, size), hit
+			hit := ref.lookupPage(vpn, size)
+			got, want = sut.lookupPage(vpn, size), hit
 			pending, interposed = afterLookup(rng, pending, interposed, &evictRec{vpn, size}, hit)
 		case k < 80:
 			vpn, size := page()
 			op = fmt.Sprintf("Insert(%d,%v)", vpn, size)
-			sut.Insert(vpn, size)
-			ref.Insert(vpn, size)
+			sut.insertPage(vpn, size)
+			ref.insertPage(vpn, size)
 			pending = nil
 		case k < 90:
 			vpn, size := page()
@@ -357,7 +357,7 @@ func diffHierarchy(t *testing.T, cfg HierarchyConfig, hook bool, steps int) {
 // the refused state leaves the TLB untouched.
 func TestSetStateRefusesUntaggableEntries(t *testing.T) {
 	tl := New(Config{Entries: 4, Ways: 2})
-	tl.Insert(3, mem.Page2M)
+	tl.insertPage(3, mem.Page2M)
 	before := tl.State()
 	for name, mutate := range map[string]func(*State){
 		"size":     func(s *State) { s.Sizes[1] = 8192 },

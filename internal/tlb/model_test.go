@@ -89,14 +89,14 @@ func TestTLBMatchesReferenceModel(t *testing.T) {
 			size := sizes[rng.Intn(2)]
 			switch rng.Intn(4) {
 			case 0, 1:
-				got := tl.Lookup(vpn, size)
+				got := tl.lookupPage(vpn, size)
 				want := ref.lookup(vpn, size)
 				if got != want {
 					t.Fatalf("geom %+v op %d: Lookup(%d,%v) = %v, ref %v",
 						geom, op, vpn, size, got, want)
 				}
 			case 2:
-				tl.Insert(vpn, size)
+				tl.insertPage(vpn, size)
 				ref.insert(vpn, size)
 			case 3:
 				r := pageRange(vpn, size)

@@ -51,7 +51,7 @@ func (t *soaTLB) setIndex(vpn mem.PageNum) int {
 	return int(uint64(vpn) % uint64(t.sets))
 }
 
-func (t *soaTLB) Lookup(vpn mem.PageNum, size mem.PageSize) bool {
+func (t *soaTLB) lookupPage(vpn mem.PageNum, size mem.PageSize) bool {
 	if vpn == t.mruVPN && size == t.mruSize {
 		t.stats.Hits++
 		return true
@@ -70,7 +70,7 @@ func (t *soaTLB) Lookup(vpn mem.PageNum, size mem.PageSize) bool {
 	return false
 }
 
-func (t *soaTLB) Insert(vpn mem.PageNum, size mem.PageSize) {
+func (t *soaTLB) insertPage(vpn mem.PageNum, size mem.PageSize) {
 	t.tick++
 	base := t.setIndex(vpn) * t.ways
 	victim := base
@@ -183,11 +183,11 @@ func (h *soaHierarchy) Access(a mem.VirtAddr, size mem.PageSize) Result {
 	h.accesses++
 	vpn := mem.PageNumber(a, size)
 	l1 := h.l1[sizeIndex(size)]
-	if l1.Lookup(vpn, size) {
+	if l1.lookupPage(vpn, size) {
 		return HitL1
 	}
-	if size != mem.Page1G && h.l2.Lookup(vpn, size) {
-		l1.Insert(vpn, size)
+	if size != mem.Page1G && h.l2.lookupPage(vpn, size) {
+		l1.insertPage(vpn, size)
 		return HitL2
 	}
 	h.walks++
@@ -197,9 +197,9 @@ func (h *soaHierarchy) Access(a mem.VirtAddr, size mem.PageSize) Result {
 func (h *soaHierarchy) Fill(a mem.VirtAddr, size mem.PageSize) {
 	vpn := mem.PageNumber(a, size)
 	if size != mem.Page1G {
-		h.l2.Insert(vpn, size)
+		h.l2.insertPage(vpn, size)
 	}
-	h.l1[sizeIndex(size)].Insert(vpn, size)
+	h.l1[sizeIndex(size)].insertPage(vpn, size)
 }
 
 func (h *soaHierarchy) Shootdown(r mem.Range) int {

@@ -51,8 +51,8 @@ func (s Stats) String() string {
 //
 // A set probe scans every way without an early exit (probe), which lets the
 // compiler turn the tag match, the first-invalid search and the LRU minimum
-// into conditional moves. A Lookup miss picks its fill victim in that same
-// pass and remembers it, so the Insert that follows a miss — the L1 refill
+// into conditional moves. A lookup miss picks its fill victim in that same
+// pass and remembers it, so the insert that follows a miss — the L1 refill
 // after an L2 hit, the L2 and L1 fills after a walk — writes that way
 // without scanning the set again.
 type TLB struct {
@@ -64,19 +64,19 @@ type TLB struct {
 	tags []uint64 // sets*ways, set-major; see tagOf
 	lrus []uint64 // higher = more recently used
 
-	// mruTag is the most recently stamped entry (last Lookup hit or
-	// Insert). That entry is by construction the most recently used way of
-	// its set, so a repeat Lookup can return a hit without the set scan and
+	// mruTag is the most recently stamped entry (last lookup hit or
+	// insert). That entry is by construction the most recently used way of
+	// its set, so a repeat lookup can return a hit without the set scan and
 	// without re-stamping: refreshing an already-MRU entry never changes
 	// within-set LRU order, which keeps every replacement decision — and
 	// therefore every simulation result — bit-identical. Class 0 means no
 	// hint; the page number stays as State reports it.
 	mruTag uint64
 
-	// fillTag/fillWay remember the last Lookup miss and the absolute index
-	// of the way an Insert of that tag would fill. Any mutation that could
-	// move the choice (a stamped hit, an Insert, an invalidation, a flush,
-	// a restore) clears fillTag, so a matching Insert may trust fillWay
+	// fillTag/fillWay remember the last lookup miss and the absolute index
+	// of the way an insert of that tag would fill. Any mutation that could
+	// move the choice (a stamped hit, an insert, an invalidation, a flush,
+	// a restore) clears fillTag, so a matching insert may trust fillWay
 	// without rescanning. Class 0 means nothing is remembered.
 	fillTag uint64
 	fillWay int
@@ -220,13 +220,9 @@ func (t *TLB) probe(base int, tag uint64) (hit, victim int) {
 	return hit, victim
 }
 
-// Lookup probes the TLB for (vpn, size). On a hit the entry's recency is
-// refreshed. It does not insert on miss; use Insert for that, so that the
+// lookup probes the TLB for tag. On a hit the entry's recency is
+// refreshed. It does not insert on miss; insert does that, so that the
 // hierarchy controls fill policy.
-func (t *TLB) Lookup(vpn mem.PageNum, size mem.PageSize) bool {
-	return t.lookup(tagOf(vpn, size))
-}
-
 func (t *TLB) lookup(tag uint64) bool {
 	if tag == t.mruTag {
 		// MRU fast path: the entry was the last one stamped, so it is
@@ -250,12 +246,8 @@ func (t *TLB) lookup(tag uint64) bool {
 	return false
 }
 
-// Insert fills (vpn, size), evicting the LRU way of the set if needed.
+// insert fills tag, evicting the LRU way of the set if needed.
 // Re-inserting an existing entry refreshes it in place.
-func (t *TLB) Insert(vpn mem.PageNum, size mem.PageSize) {
-	t.insert(tagOf(vpn, size))
-}
-
 func (t *TLB) insert(tag uint64) {
 	t.tick++
 	way := t.fillWay

@@ -8,6 +8,11 @@ import (
 	"pccsim/internal/mem"
 )
 
+// lookupPage and insertPage probe and fill (vpn, size), as the hierarchy
+// does by tag.
+func (t *TLB) lookupPage(vpn mem.PageNum, size mem.PageSize) bool { return t.lookup(tagOf(vpn, size)) }
+func (t *TLB) insertPage(vpn mem.PageNum, size mem.PageSize)      { t.insert(tagOf(vpn, size)) }
+
 // occupancy counts tl's valid entries.
 func occupancy(tl *TLB) int {
 	n := 0
@@ -36,11 +41,11 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 
 func TestLookupMissThenInsertHit(t *testing.T) {
 	tl := New(Config{Name: "t", Entries: 8, Ways: 2})
-	if tl.Lookup(42, mem.Page4K) {
+	if tl.lookupPage(42, mem.Page4K) {
 		t.Fatal("empty TLB must miss")
 	}
-	tl.Insert(42, mem.Page4K)
-	if !tl.Lookup(42, mem.Page4K) {
+	tl.insertPage(42, mem.Page4K)
+	if !tl.lookupPage(42, mem.Page4K) {
 		t.Fatal("inserted entry must hit")
 	}
 	st := tl.Stats()
@@ -51,8 +56,8 @@ func TestLookupMissThenInsertHit(t *testing.T) {
 
 func TestPageSizeDistinguishesEntries(t *testing.T) {
 	tl := New(Config{Entries: 8, Ways: 8})
-	tl.Insert(7, mem.Page4K)
-	if tl.Lookup(7, mem.Page2M) {
+	tl.insertPage(7, mem.Page4K)
+	if tl.lookupPage(7, mem.Page2M) {
 		t.Error("same vpn at different size must miss")
 	}
 }
@@ -60,17 +65,17 @@ func TestPageSizeDistinguishesEntries(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	// Single set of 2 ways: third insert evicts the least recently used.
 	tl := New(Config{Entries: 2, Ways: 2})
-	tl.Insert(0, mem.Page4K)
-	tl.Insert(1, mem.Page4K)
+	tl.insertPage(0, mem.Page4K)
+	tl.insertPage(1, mem.Page4K)
 	// Touch 0 so 1 becomes LRU.
-	if !tl.Lookup(0, mem.Page4K) {
+	if !tl.lookupPage(0, mem.Page4K) {
 		t.Fatal("0 must hit")
 	}
-	tl.Insert(2, mem.Page4K)
-	if tl.Lookup(1, mem.Page4K) {
+	tl.insertPage(2, mem.Page4K)
+	if tl.lookupPage(1, mem.Page4K) {
 		t.Error("1 should have been evicted as LRU")
 	}
-	if !tl.Lookup(0, mem.Page4K) || !tl.Lookup(2, mem.Page4K) {
+	if !tl.lookupPage(0, mem.Page4K) || !tl.lookupPage(2, mem.Page4K) {
 		t.Error("0 and 2 must be resident")
 	}
 	if tl.Stats().Evictions != 1 {
@@ -80,14 +85,14 @@ func TestLRUEviction(t *testing.T) {
 
 func TestInsertDuplicateRefreshes(t *testing.T) {
 	tl := New(Config{Entries: 2, Ways: 2})
-	tl.Insert(0, mem.Page4K)
-	tl.Insert(1, mem.Page4K)
-	tl.Insert(0, mem.Page4K) // refresh, not duplicate
-	tl.Insert(2, mem.Page4K) // evicts 1 (LRU), not 0
-	if tl.Lookup(1, mem.Page4K) {
+	tl.insertPage(0, mem.Page4K)
+	tl.insertPage(1, mem.Page4K)
+	tl.insertPage(0, mem.Page4K) // refresh, not duplicate
+	tl.insertPage(2, mem.Page4K) // evicts 1 (LRU), not 0
+	if tl.lookupPage(1, mem.Page4K) {
 		t.Error("1 should be evicted")
 	}
-	if !tl.Lookup(0, mem.Page4K) {
+	if !tl.lookupPage(0, mem.Page4K) {
 		t.Error("refreshed 0 must survive")
 	}
 	if occupancy(tl) != 2 {
@@ -99,16 +104,16 @@ func TestSetIndexing(t *testing.T) {
 	// 4 sets x 1 way: vpns with different low bits land in different sets.
 	tl := New(Config{Entries: 4, Ways: 1})
 	for v := mem.PageNum(0); v < 4; v++ {
-		tl.Insert(v, mem.Page4K)
+		tl.insertPage(v, mem.Page4K)
 	}
 	for v := mem.PageNum(0); v < 4; v++ {
-		if !tl.Lookup(v, mem.Page4K) {
+		if !tl.lookupPage(v, mem.Page4K) {
 			t.Errorf("vpn %d must be resident (distinct sets)", v)
 		}
 	}
 	// vpn 4 conflicts with vpn 0 (same set) and evicts it.
-	tl.Insert(4, mem.Page4K)
-	if tl.Lookup(0, mem.Page4K) {
+	tl.insertPage(4, mem.Page4K)
+	if tl.lookupPage(0, mem.Page4K) {
 		t.Error("conflicting vpn must evict in direct-mapped set")
 	}
 }
@@ -117,7 +122,7 @@ func TestInvalidateRange(t *testing.T) {
 	tl := New(Config{Entries: 16, Ways: 16})
 	// Insert 4KB pages 0..7 (addresses 0..0x8000).
 	for v := mem.PageNum(0); v < 8; v++ {
-		tl.Insert(v, mem.Page4K)
+		tl.insertPage(v, mem.Page4K)
 	}
 	n := tl.InvalidateRange(mem.Range{Start: 0x2000, End: 0x5000})
 	if n != 3 {
@@ -125,7 +130,7 @@ func TestInvalidateRange(t *testing.T) {
 	}
 	for v := mem.PageNum(0); v < 8; v++ {
 		want := v < 2 || v > 4
-		if got := tl.Lookup(v, mem.Page4K); got != want {
+		if got := tl.lookupPage(v, mem.Page4K); got != want {
 			t.Errorf("page %d residency = %v, want %v", v, got, want)
 		}
 	}
@@ -133,7 +138,7 @@ func TestInvalidateRange(t *testing.T) {
 
 func TestInvalidatePage(t *testing.T) {
 	tl := New(Config{Entries: 8, Ways: 4})
-	tl.Insert(5, mem.Page2M)
+	tl.insertPage(5, mem.Page2M)
 	// A single-page shootdown is a range covering exactly that page.
 	base := mem.VirtAddr(5 * uint64(mem.Page2M))
 	page := mem.Range{Start: base, End: base + mem.VirtAddr(mem.Page2M)}
@@ -143,14 +148,14 @@ func TestInvalidatePage(t *testing.T) {
 	if n := tl.InvalidateRange(page); n != 0 {
 		t.Fatalf("second invalidate dropped %d, want 0 (a no-op)", n)
 	}
-	if tl.Lookup(5, mem.Page2M) {
+	if tl.lookupPage(5, mem.Page2M) {
 		t.Error("invalidated entry must miss")
 	}
 }
 
 func TestInvalidateRangePartialPageOverlap(t *testing.T) {
 	tl := New(Config{Entries: 4, Ways: 4})
-	tl.Insert(0, mem.Page2M) // covers [0, 2MB)
+	tl.insertPage(0, mem.Page2M) // covers [0, 2MB)
 	// Range overlapping only the tail of the 2MB page must still drop it.
 	n := tl.InvalidateRange(mem.Range{Start: mem.VirtAddr(mem.Page2M) - 0x1000, End: mem.VirtAddr(mem.Page2M)})
 	if n != 1 {
@@ -161,7 +166,7 @@ func TestInvalidateRangePartialPageOverlap(t *testing.T) {
 func TestFlushAndOccupancy(t *testing.T) {
 	tl := New(Config{Entries: 8, Ways: 2})
 	for v := mem.PageNum(0); v < 8; v++ {
-		tl.Insert(v, mem.Page4K)
+		tl.insertPage(v, mem.Page4K)
 	}
 	if occupancy(tl) == 0 {
 		t.Fatal("occupancy must be positive after inserts")
@@ -196,10 +201,10 @@ func TestCapacityProperty(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			v := mem.PageNum(rng.Intn(64))
 			if rng.Intn(2) == 0 {
-				tl.Lookup(v, mem.Page4K)
+				tl.lookupPage(v, mem.Page4K)
 				lookups++
 			} else {
-				tl.Insert(v, mem.Page4K)
+				tl.insertPage(v, mem.Page4K)
 			}
 		}
 		st := tl.Stats()
@@ -212,15 +217,15 @@ func TestCapacityProperty(t *testing.T) {
 
 func TestContainsDoesNotPerturb(t *testing.T) {
 	tl := New(Config{Entries: 2, Ways: 2})
-	tl.Insert(0, mem.Page4K)
-	tl.Insert(1, mem.Page4K)
+	tl.insertPage(0, mem.Page4K)
+	tl.insertPage(1, mem.Page4K)
 	// Probing 0 via Contains must NOT refresh it.
 	if !tl.Contains(0, mem.Page4K) {
 		t.Fatal("contains must see entry")
 	}
 	before := tl.Stats()
-	tl.Insert(2, mem.Page4K) // evicts true LRU = 0
-	if tl.Lookup(0, mem.Page4K) {
+	tl.insertPage(2, mem.Page4K) // evicts true LRU = 0
+	if tl.lookupPage(0, mem.Page4K) {
 		t.Error("Contains must not refresh LRU state")
 	}
 	if tl.Stats().Hits != before.Hits {
@@ -368,9 +373,9 @@ func TestOnEvictHookFires(t *testing.T) {
 	tl.OnEvict = func(vpn mem.PageNum, size mem.PageSize) {
 		evicted = append(evicted, vpn)
 	}
-	tl.Insert(0, mem.Page4K)
-	tl.Insert(1, mem.Page4K)
-	tl.Insert(2, mem.Page4K) // evicts 0 (LRU)
+	tl.insertPage(0, mem.Page4K)
+	tl.insertPage(1, mem.Page4K)
+	tl.insertPage(2, mem.Page4K) // evicts 0 (LRU)
 	if len(evicted) != 1 || evicted[0] != 0 {
 		t.Errorf("evictions = %v, want [0]", evicted)
 	}

@@ -92,7 +92,7 @@ func benchRecord(b *testing.B, accs []Access) {
 // path (satellite of the columnar work: one buffered read per 512 records).
 func BenchmarkFileBatchBinary(b *testing.B) {
 	var raw bytes.Buffer
-	if _, err := WriteBinary(&raw, UniformRandom(0, 1<<40, 256*1024, rand.New(rand.NewSource(3)))); err != nil {
+	if _, err := writeBinary(&raw, UniformRandom(0, 1<<40, 256*1024, rand.New(rand.NewSource(3)))); err != nil {
 		b.Fatal(err)
 	}
 	data := raw.Bytes()
@@ -101,7 +101,7 @@ func BenchmarkFileBatchBinary(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; {
-		fs := ReadBinary(bytes.NewReader(data))
+		fs := readBinary(bytes.NewReader(data))
 		for {
 			k := fs.NextBatch(buf)
 			if k == 0 {

@@ -104,8 +104,8 @@ func deltaWidth(u uint64) int { return (bits.Len64(u|1) + 7) / 8 }
 // round-robin turn consumes exactly one block in the steady state.
 const BlockAccesses = 4096
 
-// columnarMagic identifies the serialized columnar container (Bytes /
-// ParseBlockRecording). Version 2 added the multi-base layout.
+// columnarMagic identifies the serialized columnar container (marshal /
+// parseBlockRecording). Version 2 added the multi-base layout.
 const columnarMagic = "PCCCOL2\n"
 
 // Block flags.
@@ -510,10 +510,10 @@ func (r *BlockRecording) Size() int { return r.size }
 // Blocks returns the number of encoded blocks.
 func (r *BlockRecording) Blocks() int { return len(r.blocks) }
 
-// Bytes serializes the recording into the standalone columnar container:
+// marshal serializes the recording into the standalone columnar container:
 // magic, uvarint total access count, uvarint block count, then the encoded
-// blocks. ParseBlockRecording inverts it.
-func (r *BlockRecording) Bytes() []byte {
+// blocks. parseBlockRecording inverts it.
+func (r *BlockRecording) marshal() []byte {
 	out := make([]byte, 0, len(columnarMagic)+2*binary.MaxVarintLen64+r.size)
 	out = append(out, columnarMagic...)
 	out = binary.AppendUvarint(out, r.count)
@@ -524,12 +524,12 @@ func (r *BlockRecording) Bytes() []byte {
 	return out
 }
 
-// ParseBlockRecording decodes a serialized columnar container. It validates
+// parseBlockRecording decodes a serialized columnar container. It validates
 // every block structurally (by decoding it into a scratch buffer), so a
 // successful parse guarantees replay can never fail; malformed input yields
 // a typed error — ErrColumnarMagic, ErrColumnarTruncated or
 // ErrColumnarCorrupt — never a panic.
-func ParseBlockRecording(data []byte) (*BlockRecording, error) {
+func parseBlockRecording(data []byte) (*BlockRecording, error) {
 	if len(data) < len(columnarMagic) || string(data[:len(columnarMagic)]) != columnarMagic {
 		return nil, ErrColumnarMagic
 	}
@@ -915,34 +915,38 @@ func decodeBlockTail(data []byte, off int, buf []Access, flags byte, count int) 
 func (r *BlockRecording) Replay() *BlockReplayStream { return &BlockReplayStream{r: r} }
 
 // BlockReplayStream decodes a BlockRecording one whole block at a time. It
-// implements Stream, BatchStream and BlockSource; a decode error (possible
-// only on recordings assembled from unvalidated bytes) ends the stream and
-// is reported by Err.
+// implements Stream, BatchStream and BlockSource.
 type BlockReplayStream struct {
 	r    *BlockRecording
 	next int      // next block index to decode
 	buf  []Access // lazily allocated internal decode buffer
 	dec  []Access // current decoded window into buf
 	pos  int      // consumption cursor within dec
-	err  error
+}
+
+// decode decodes the next block into buf, which has room for it. Every
+// recording comes from RecordBlocks or from a parse that decodes each block
+// first, so a block that fails to decode is a broken invariant: decode
+// panics naming it rather than end the stream short.
+func (rs *BlockReplayStream) decode(buf []Access) int {
+	ref := rs.r.blocks[rs.next]
+	n, _, err := decodeBlock(ref.data, 0, buf[:ref.count])
+	if err != nil {
+		panic(fmt.Errorf("trace: replaying block %d: %w", rs.next, err))
+	}
+	rs.next++
+	return n
 }
 
 // fill decodes the next block into the internal buffer; false at stream end.
 func (rs *BlockReplayStream) fill() bool {
-	if rs.err != nil || rs.next >= len(rs.r.blocks) {
+	if rs.next >= len(rs.r.blocks) {
 		return false
 	}
 	if rs.buf == nil {
 		rs.buf = make([]Access, BlockAccesses)
 	}
-	ref := rs.r.blocks[rs.next]
-	n, _, err := decodeBlock(ref.data, 0, rs.buf[:ref.count])
-	if err != nil {
-		rs.err = err
-		return false
-	}
-	rs.next++
-	rs.dec = rs.buf[:n]
+	rs.dec = rs.buf[:rs.decode(rs.buf)]
 	rs.pos = 0
 	return true
 }
@@ -964,17 +968,11 @@ func (rs *BlockReplayStream) NextBatch(buf []Access) int {
 	k := 0
 	for k < len(buf) {
 		if rs.pos >= len(rs.dec) {
-			if rs.err != nil || rs.next >= len(rs.r.blocks) {
+			if rs.next >= len(rs.r.blocks) {
 				break
 			}
-			if ref := rs.r.blocks[rs.next]; int(ref.count) <= len(buf)-k {
-				n, _, err := decodeBlock(ref.data, 0, buf[k:k+int(ref.count)])
-				if err != nil {
-					rs.err = err
-					break
-				}
-				rs.next++
-				k += n
+			if int(rs.r.blocks[rs.next].count) <= len(buf)-k {
+				k += rs.decode(buf[k:])
 				continue
 			}
 			if !rs.fill() {
@@ -1013,31 +1011,17 @@ func (rs *BlockReplayStream) DecodeBlock(buf []Access) int {
 		rs.pos += n
 		return n
 	}
-	if rs.err != nil || rs.next >= len(rs.r.blocks) {
+	if rs.next >= len(rs.r.blocks) {
 		return 0
 	}
-	ref := rs.r.blocks[rs.next]
-	if int(ref.count) > len(buf) {
-		if !rs.fill() {
-			return 0
-		}
+	if int(rs.r.blocks[rs.next].count) > len(buf) {
+		rs.fill()
 		n := copy(buf, rs.dec)
 		rs.pos = n
 		return n
 	}
-	n, _, err := decodeBlock(ref.data, 0, buf[:ref.count])
-	if err != nil {
-		rs.err = err
-		return 0
-	}
-	rs.next++
-	return n
+	return rs.decode(buf)
 }
-
-// Err reports the decode error that ended the stream, nil after a clean end.
-// Recordings built by RecordBlocks or accepted by ParseBlockRecording never
-// produce one.
-func (rs *BlockReplayStream) Err() error { return rs.err }
 
 // BlockStats summarizes a recording's encoded shape (pccsim -char prints
 // it).

@@ -16,9 +16,9 @@ import (
 )
 
 // The columnar decoder consumes bytes that normally come from our own
-// encoder, but ParseBlockRecording is the boundary where arbitrary input
-// (trace dumps, future on-disk caches) enters — so decode must be total:
-// typed errors, never panics, matching the internal/snapshot convention.
+// encoder, but parseBlockRecording accepts arbitrary input — so decode must
+// be total: typed errors, never panics, matching the internal/snapshot
+// convention.
 // The seed corpus under testdata/fuzz/ is checked in and regenerated with
 // -gencorpus; plain `go test` replays it as unit tests, so a format change
 // that breaks decoding — or lets malformed bytes panic — fails CI without
@@ -31,11 +31,11 @@ var genColumnarCorpus = flag.Bool("gencorpus", false, "regenerate the checked-in
 // parsed recording replays cleanly and re-serializes to the same bytes.
 func columnarDecodeIsTotal(t *testing.T, data []byte) {
 	t.Helper()
-	rec, err := ParseBlockRecording(data)
+	rec, err := parseBlockRecording(data)
 	if err != nil {
 		if !errors.Is(err, ErrColumnarMagic) && !errors.Is(err, ErrColumnarTruncated) &&
 			!errors.Is(err, ErrColumnarCorrupt) {
-			t.Fatalf("ParseBlockRecording returned an untyped error: %v", err)
+			t.Fatalf("parseBlockRecording returned an untyped error: %v", err)
 		}
 		return
 	}
@@ -50,13 +50,10 @@ func columnarDecodeIsTotal(t *testing.T, data []byte) {
 		}
 		n += uint64(k)
 	}
-	if rs.Err() != nil {
-		t.Fatalf("validated recording failed to replay: %v", rs.Err())
-	}
 	if n != rec.Accesses() {
 		t.Fatalf("replay produced %d accesses, recording claims %d", n, rec.Accesses())
 	}
-	if !bytes.Equal(rec.Bytes(), data) {
+	if !bytes.Equal(rec.marshal(), data) {
 		t.Fatal("parse → serialize is not byte-identical on accepted input")
 	}
 	rec.Stats() // must not panic either
@@ -112,7 +109,7 @@ func FuzzColumnarEncode(f *testing.F) {
 				t.Fatalf("replay[%d] = %+v, want %+v", i, got[i], accs[i])
 			}
 		}
-		columnarDecodeIsTotal(t, rec.Bytes())
+		columnarDecodeIsTotal(t, rec.marshal())
 	})
 }
 
@@ -121,11 +118,11 @@ func FuzzColumnarEncode(f *testing.F) {
 func columnarCorpusSeeds() map[string][]byte {
 	seeds := map[string][]byte{}
 	add := func(name string, accs []Access) {
-		seeds["valid-"+name] = RecordBlocks(Slice(accs), 0).Bytes()
+		seeds["valid-"+name] = RecordBlocks(Slice(accs), 0).marshal()
 	}
 	add("empty", nil)
 	add("one", []Access{{Addr: 0x1000, Thread: 2, Write: true}})
-	add("seq", Collect(Sequential(1<<30, 1<<20, 64, 5000), 5000))
+	add("seq", drainNext(Sequential(1<<30, 1<<20, 64, 5000), 5000))
 	add("mixed", columnarMix(BlockAccesses+300))
 	add("threads", threadRuns(4000, 64))
 	add("multibase", csrAccesses(BlockAccesses+300))

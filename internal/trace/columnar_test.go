@@ -133,9 +133,6 @@ func columnarRoundTrip(t *testing.T, accs []Access) {
 	if !reflect.DeepEqual(got, accs) && n > 0 {
 		t.Fatalf("n=%d: NextBlock replay diverged", n)
 	}
-	if rs.Err() != nil {
-		t.Fatalf("n=%d: clean replay reported error %v", n, rs.Err())
-	}
 	// Whole-block decode into a caller buffer.
 	rs = rec.Replay()
 	buf := make([]Access, BlockAccesses)
@@ -196,6 +193,40 @@ done:
 	}
 }
 
+// TestReplayPanicsOnCorruptBlock: a recorded block that no longer decodes
+// is a broken invariant, so every way of consuming the replay panics naming
+// the block instead of ending the stream short.
+func TestReplayPanicsOnCorruptBlock(t *testing.T) {
+	rec := RecordBlocks(Slice(columnarMix(2*BlockAccesses)), 0)
+	b := rec.blocks[1]
+	b.data[blockFlagsOff(t, b)] = 0xff
+	for name, drain := range map[string]func(*BlockReplayStream){
+		"Next": func(rs *BlockReplayStream) {
+			for _, ok := rs.Next(); ok; _, ok = rs.Next() {
+			}
+		},
+		"NextBatch": func(rs *BlockReplayStream) { drainBatch(rs, 3*BlockAccesses) },
+		"NextBlock": func(rs *BlockReplayStream) {
+			for len(rs.NextBlock(BlockAccesses)) > 0 {
+			}
+		},
+		"DecodeBlock": func(rs *BlockReplayStream) {
+			for rs.DecodeBlock(make([]Access, BlockAccesses)) > 0 {
+			}
+		},
+	} {
+		func() {
+			defer func() {
+				err, _ := recover().(error)
+				if !errors.Is(err, ErrColumnarCorrupt) || !strings.Contains(err.Error(), "block 1") {
+					t.Errorf("%s: replay of a corrupt block panicked with %v, want ErrColumnarCorrupt naming block 1", name, err)
+				}
+			}()
+			drain(rec.Replay())
+		}()
+	}
+}
+
 // TestColumnarByteCap: a stream whose encoding exceeds the cap makes
 // RecordBlocks return nil (the caller falls back to live generation); one
 // that fits records fully.
@@ -209,16 +240,16 @@ func TestColumnarByteCap(t *testing.T) {
 	}
 }
 
-// TestColumnarContainerRoundTrip: Bytes → ParseBlockRecording reproduces a
+// TestColumnarContainerRoundTrip: marshal → parseBlockRecording reproduces a
 // recording that replays identically, and the parse output's Bytes are
 // identical to the input (a serialization fixpoint).
 func TestColumnarContainerRoundTrip(t *testing.T) {
 	accs := columnarMix(BlockAccesses + 321)
 	rec := RecordBlocks(Slice(accs), 0)
-	data := rec.Bytes()
-	re, err := ParseBlockRecording(data)
+	data := rec.marshal()
+	re, err := parseBlockRecording(data)
 	if err != nil {
-		t.Fatalf("ParseBlockRecording of our own output: %v", err)
+		t.Fatalf("parseBlockRecording of our own output: %v", err)
 	}
 	if re.Accesses() != rec.Accesses() || re.Blocks() != rec.Blocks() {
 		t.Fatalf("parsed shape (%d, %d) != original (%d, %d)",
@@ -227,13 +258,13 @@ func TestColumnarContainerRoundTrip(t *testing.T) {
 	if got := drainBatch(re.Replay(), len(accs)+1); !reflect.DeepEqual(got, accs) {
 		t.Fatal("parsed recording replays a different sequence")
 	}
-	if !reflect.DeepEqual(re.Bytes(), data) {
+	if !reflect.DeepEqual(re.marshal(), data) {
 		t.Fatal("serialize → parse → serialize is not byte-identical")
 	}
 
 	// Empty recording round-trips too.
 	empty := RecordBlocks(Slice(nil), 0)
-	re2, err := ParseBlockRecording(empty.Bytes())
+	re2, err := parseBlockRecording(empty.marshal())
 	if err != nil || re2.Accesses() != 0 {
 		t.Fatalf("empty container: %v, %d accesses", err, re2.Accesses())
 	}
@@ -242,7 +273,7 @@ func TestColumnarContainerRoundTrip(t *testing.T) {
 // TestColumnarTypedErrors pins the decode-is-total contract on the obvious
 // malformation classes; the fuzz target covers the rest.
 func TestColumnarTypedErrors(t *testing.T) {
-	valid := RecordBlocks(Slice(columnarMix(BlockAccesses+10)), 0).Bytes()
+	valid := RecordBlocks(Slice(columnarMix(BlockAccesses+10)), 0).marshal()
 	cases := []struct {
 		name string
 		data []byte
@@ -256,15 +287,15 @@ func TestColumnarTypedErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := ParseBlockRecording(tc.data); !errors.Is(err, tc.want) {
-				t.Fatalf("ParseBlockRecording = %v, want %v", err, tc.want)
+			if _, err := parseBlockRecording(tc.data); !errors.Is(err, tc.want) {
+				t.Fatalf("parseBlockRecording = %v, want %v", err, tc.want)
 			}
 		})
 	}
 
 	// A multi-base block's malformations: both address layouts flagged at
 	// once, and a cut inside its register header or columns.
-	mb := RecordBlocks(Slice(csrAccesses(BlockAccesses)), 0).Bytes()
+	mb := RecordBlocks(Slice(csrAccesses(BlockAccesses)), 0).marshal()
 	// The flags byte follows the magic, the uvarint total (2 bytes), the
 	// block count (1) and the block's own count (2). The encoder's registers
 	// start at zero, so the first block's four take one byte each.
@@ -283,15 +314,15 @@ func TestColumnarTypedErrors(t *testing.T) {
 		"cut in id column":       {mb[:hdr+1+baseRegs+BlockAccesses/2+10], ErrColumnarTruncated},
 		"cut in deltas":          {mb[:len(mb)-100], ErrColumnarTruncated},
 	} {
-		if _, err := ParseBlockRecording(tc.data); !errors.Is(err, tc.want) {
-			t.Errorf("%s: ParseBlockRecording = %v, want %v", name, err, tc.want)
+		if _, err := parseBlockRecording(tc.data); !errors.Is(err, tc.want) {
+			t.Errorf("%s: parseBlockRecording = %v, want %v", name, err, tc.want)
 		}
 	}
 
 	// Corrupting the header count without touching blocks must be caught.
 	bad := append([]byte{}, valid...)
 	bad[len(columnarMagic)] ^= 1
-	if _, err := ParseBlockRecording(bad); err == nil {
+	if _, err := parseBlockRecording(bad); err == nil {
 		t.Fatal("count/content mismatch accepted")
 	}
 }
@@ -302,7 +333,7 @@ func TestColumnarTypedErrors(t *testing.T) {
 func TestMeasureBlocksMatchesStats(t *testing.T) {
 	for name, accs := range map[string][]Access{
 		"mix":        columnarMix(2*BlockAccesses + 100),
-		"sequential": Collect(Sequential(0, 1<<22, 64, 10_000), 10_000),
+		"sequential": drainNext(Sequential(0, 1<<22, 64, 10_000), 10_000),
 		"csr":        csrAccesses(3*BlockAccesses + 100),
 		"empty":      nil,
 	} {
@@ -401,8 +432,8 @@ func TestColumnarNoBlockGrows(t *testing.T) {
 	rng := func() *rand.Rand { return rand.New(rand.NewSource(11)) }
 	streams := map[string][]Access{
 		"mix":        columnarMix(5*BlockAccesses + 99),
-		"sequential": Collect(Sequential(1<<30, 1<<24, 64, 5*BlockAccesses), 5*BlockAccesses),
-		"uniform":    Collect(UniformRandom(1<<30, 1<<32, 5*BlockAccesses, rng()), 5*BlockAccesses),
+		"sequential": drainNext(Sequential(1<<30, 1<<24, 64, 5*BlockAccesses), 5*BlockAccesses),
+		"uniform":    drainNext(UniformRandom(1<<30, 1<<32, 5*BlockAccesses, rng()), 5*BlockAccesses),
 		"csr":        csrAccesses(5*BlockAccesses + 99),
 	}
 	scratch := make([]byte, maxBlockBytes)
@@ -448,7 +479,7 @@ func TestColumnarNoBlockGrows(t *testing.T) {
 // chunks.
 func TestColumnarChunks(t *testing.T) {
 	n := 200 * BlockAccesses
-	accs := Collect(UniformRandom(1<<30, 1<<40, uint64(n), rand.New(rand.NewSource(4))), n)
+	accs := drainNext(UniformRandom(1<<30, 1<<40, uint64(n), rand.New(rand.NewSource(4))), n)
 	rec := RecordBlocks(Slice(accs), 0)
 	if rec.Size() < 4*chunkBytes {
 		t.Fatalf("recording of %d B is too small to span several chunks", rec.Size())
@@ -466,7 +497,7 @@ func TestColumnarChunks(t *testing.T) {
 	if got := drainBatch(rec.Replay(), n+1); !reflect.DeepEqual(got, accs) {
 		t.Fatal("multi-chunk recording replays a different sequence")
 	}
-	if re, err := ParseBlockRecording(rec.Bytes()); err != nil || re.Size() != rec.Size() {
+	if re, err := parseBlockRecording(rec.marshal()); err != nil || re.Size() != rec.Size() {
 		t.Fatalf("container round trip: %v", err)
 	}
 	if capped := RecordBlocks(Slice(accs), int64(rec.Size()-1)); capped != nil {

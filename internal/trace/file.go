@@ -12,10 +12,10 @@ import (
 	"pccsim/internal/mem"
 )
 
-// This file implements external trace exchange, so address streams captured
+// This file implements external trace import, so address streams captured
 // elsewhere (e.g. converted Pin/DynamoRIO traces, as the paper's
-// methodology uses) can be replayed through the simulator, and simulator
-// streams can be exported for inspection.
+// methodology uses) can be replayed through the simulator (OpenFile). The
+// writers exist for the parsers' round-trip tests.
 //
 // Two formats are supported:
 //
@@ -31,8 +31,8 @@ import (
 // binaryMagic identifies the binary trace format.
 const binaryMagic = "PCCTRC1\n"
 
-// WriteText streams s to w in the text format, returning accesses written.
-func WriteText(w io.Writer, s Stream) (uint64, error) {
+// writeText streams s to w in the text format, returning accesses written.
+func writeText(w io.Writer, s Stream) (uint64, error) {
 	bw := bufio.NewWriter(w)
 	var n uint64
 	for {
@@ -52,9 +52,9 @@ func WriteText(w io.Writer, s Stream) (uint64, error) {
 	return n, bw.Flush()
 }
 
-// WriteBinary streams s to w in the binary format, returning accesses
+// writeBinary streams s to w in the binary format, returning accesses
 // written.
-func WriteBinary(w io.Writer, s Stream) (uint64, error) {
+func writeBinary(w io.Writer, s Stream) (uint64, error) {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(binaryMagic); err != nil {
 		return 0, fmt.Errorf("trace: %w", err)
@@ -80,15 +80,15 @@ func WriteBinary(w io.Writer, s Stream) (uint64, error) {
 	return n, bw.Flush()
 }
 
-// ReadText returns a stream over the text format. Malformed lines terminate
+// readText returns a stream over the text format. Malformed lines terminate
 // the stream with the error surfaced through Err on the returned reader.
-func ReadText(r io.Reader) *FileStream {
+func readText(r io.Reader) *FileStream {
 	return &FileStream{scanner: bufio.NewScanner(r)}
 }
 
-// ReadBinary returns a stream over the binary format, validating the magic
+// readBinary returns a stream over the binary format, validating the magic
 // on the first Next call.
-func ReadBinary(r io.Reader) *FileStream {
+func readBinary(r io.Reader) *FileStream {
 	return &FileStream{binary: bufio.NewReaderSize(r, 1<<16)}
 }
 

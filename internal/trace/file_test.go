@@ -20,12 +20,12 @@ func sampleAccesses() []Access {
 
 func TestTextRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	n, err := WriteText(&buf, Slice(sampleAccesses()))
+	n, err := writeText(&buf, Slice(sampleAccesses()))
 	if err != nil || n != 3 {
 		t.Fatalf("write: n=%d err=%v", n, err)
 	}
-	fs := ReadText(&buf)
-	got := Collect(fs, 10)
+	fs := readText(&buf)
+	got := drainNext(fs, 10)
 	if fs.Err() != nil {
 		t.Fatal(fs.Err())
 	}
@@ -42,8 +42,8 @@ func TestTextRoundTrip(t *testing.T) {
 
 func TestTextCommentsAndBlanks(t *testing.T) {
 	in := "# a comment\n\n0x1000 r 0\n  \n# another\n4096 w 2\n"
-	fs := ReadText(strings.NewReader(in))
-	got := Collect(fs, 10)
+	fs := readText(strings.NewReader(in))
+	got := drainNext(fs, 10)
 	if fs.Err() != nil {
 		t.Fatal(fs.Err())
 	}
@@ -56,7 +56,7 @@ func TestTextCommentsAndBlanks(t *testing.T) {
 }
 
 func TestTextMalformedAddress(t *testing.T) {
-	fs := ReadText(strings.NewReader("zzz r 0\n"))
+	fs := readText(strings.NewReader("zzz r 0\n"))
 	if _, ok := fs.Next(); ok {
 		t.Fatal("malformed line must end the stream")
 	}
@@ -67,12 +67,12 @@ func TestTextMalformedAddress(t *testing.T) {
 
 func TestBinaryRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	n, err := WriteBinary(&buf, Slice(sampleAccesses()))
+	n, err := writeBinary(&buf, Slice(sampleAccesses()))
 	if err != nil || n != 3 {
 		t.Fatalf("write: n=%d err=%v", n, err)
 	}
-	fs := ReadBinary(&buf)
-	got := Collect(fs, 10)
+	fs := readBinary(&buf)
+	got := drainNext(fs, 10)
 	if fs.Err() != nil {
 		t.Fatal(fs.Err())
 	}
@@ -85,7 +85,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestBinaryBadMagic(t *testing.T) {
-	fs := ReadBinary(bytes.NewReader([]byte("NOTATRACE........")))
+	fs := readBinary(bytes.NewReader([]byte("NOTATRACE........")))
 	if _, ok := fs.Next(); ok {
 		t.Fatal("bad magic must fail")
 	}
@@ -99,7 +99,7 @@ func TestOpenFileSniffsFormat(t *testing.T) {
 
 	textPath := filepath.Join(dir, "t.trace")
 	var tb bytes.Buffer
-	if _, err := WriteText(&tb, Slice(sampleAccesses())); err != nil {
+	if _, err := writeText(&tb, Slice(sampleAccesses())); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(textPath, tb.Bytes(), 0o644); err != nil {
@@ -108,7 +108,7 @@ func TestOpenFileSniffsFormat(t *testing.T) {
 
 	binPath := filepath.Join(dir, "b.trace")
 	var bb bytes.Buffer
-	if _, err := WriteBinary(&bb, Slice(sampleAccesses())); err != nil {
+	if _, err := writeBinary(&bb, Slice(sampleAccesses())); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(binPath, bb.Bytes(), 0o644); err != nil {
@@ -120,7 +120,7 @@ func TestOpenFileSniffsFormat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := Collect(fs, 10)
+		got := drainNext(fs, 10)
 		if fs.Err() != nil {
 			t.Fatalf("%s: %v", path, fs.Err())
 		}
@@ -143,10 +143,10 @@ func TestBinaryLargeThreadIDs(t *testing.T) {
 	// Thread ids are 7 bits in the binary format.
 	in := []Access{{Addr: 0x1000, Thread: 127}, {Addr: 0x2000, Thread: 5, Write: true}}
 	var buf bytes.Buffer
-	if _, err := WriteBinary(&buf, Slice(in)); err != nil {
+	if _, err := writeBinary(&buf, Slice(in)); err != nil {
 		t.Fatal(err)
 	}
-	got := Collect(ReadBinary(&buf), 4)
+	got := drainNext(readBinary(&buf), 4)
 	if got[0].Thread != 127 || got[1].Thread != 5 || !got[1].Write {
 		t.Errorf("got %+v", got)
 	}
@@ -157,11 +157,11 @@ func TestExportedStreamReplaysThroughSimPath(t *testing.T) {
 	// original (spot-check the page set).
 	orig := Sequential(0x4000_0000, 1<<20, 256, 1000)
 	var buf bytes.Buffer
-	if _, err := WriteBinary(&buf, orig); err != nil {
+	if _, err := writeBinary(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
 	pages := map[mem.PageNum]bool{}
-	fs := ReadBinary(&buf)
+	fs := readBinary(&buf)
 	for {
 		a, ok := fs.Next()
 		if !ok {
@@ -187,7 +187,7 @@ func TestExportedStreamReplaysThroughSimPath(t *testing.T) {
 func TestBinaryBatchMatchesNext(t *testing.T) {
 	accs := columnarMix(3*binaryBatchRecords + 41)
 	var buf bytes.Buffer
-	if _, err := WriteBinary(&buf, Slice(accs)); err != nil {
+	if _, err := writeBinary(&buf, Slice(accs)); err != nil {
 		t.Fatal(err)
 	}
 	// The binary format narrows threads to 7 bits; mask the expectation.
@@ -197,7 +197,7 @@ func TestBinaryBatchMatchesNext(t *testing.T) {
 	raw := buf.Bytes()
 
 	for _, size := range []int{1, 7, binaryBatchRecords, binaryBatchRecords + 1, 4 * binaryBatchRecords} {
-		fs := ReadBinary(bytes.NewReader(raw))
+		fs := readBinary(bytes.NewReader(raw))
 		var got []Access
 		b := make([]Access, size)
 		for {
@@ -222,7 +222,7 @@ func TestBinaryBatchMatchesNext(t *testing.T) {
 
 	// Truncation mid-record must surface an error from the batch path, just
 	// as Next reports it.
-	fs := ReadBinary(bytes.NewReader(raw[:len(raw)-4]))
+	fs := readBinary(bytes.NewReader(raw[:len(raw)-4]))
 	b := make([]Access, 64)
 	n := 0
 	for {
@@ -240,7 +240,7 @@ func TestBinaryBatchMatchesNext(t *testing.T) {
 	}
 
 	// Truncation on a record boundary is a clean (silent) EOF.
-	fs = ReadBinary(bytes.NewReader(raw[:len(raw)-18]))
+	fs = readBinary(bytes.NewReader(raw[:len(raw)-18]))
 	for fs.NextBatch(b) != 0 {
 	}
 	if fs.Err() != nil {
@@ -252,10 +252,10 @@ func TestBinaryBatchMatchesNext(t *testing.T) {
 // buffer, batching allocates nothing per call.
 func TestBinaryBatchSteadyStateAllocs(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := WriteBinary(&buf, Sequential(0, 1<<24, 64, 200_000)); err != nil {
+	if _, err := writeBinary(&buf, Sequential(0, 1<<24, 64, 200_000)); err != nil {
 		t.Fatal(err)
 	}
-	fs := ReadBinary(bytes.NewReader(buf.Bytes()))
+	fs := readBinary(bytes.NewReader(buf.Bytes()))
 	b := make([]Access, 1024)
 	if fs.NextBatch(b) == 0 { // warm-up: magic + staging buffer
 		t.Fatal("empty first batch")

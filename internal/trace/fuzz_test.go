@@ -36,23 +36,23 @@ func FuzzParseTextTrace(f *testing.F) {
 	f.Add([]byte("0x1 r -1\n"))
 	f.Add([]byte("0x1 r 99999999999999999999\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fs := ReadText(bytes.NewReader(data))
+		fs := readText(bytes.NewReader(data))
 		accs := collect(t, fs)
 		if fs.Err() != nil {
 			return // malformed input, rejected cleanly
 		}
 		var first bytes.Buffer
-		if _, err := WriteText(&first, Slice(accs)); err != nil {
-			t.Fatalf("WriteText: %v", err)
+		if _, err := writeText(&first, Slice(accs)); err != nil {
+			t.Fatalf("writeText: %v", err)
 		}
-		re := ReadText(bytes.NewReader(first.Bytes()))
+		re := readText(bytes.NewReader(first.Bytes()))
 		reaccs := collect(t, re)
 		if err := re.Err(); err != nil {
 			t.Fatalf("reparsing our own text output failed: %v", err)
 		}
 		var second bytes.Buffer
-		if _, err := WriteText(&second, Slice(reaccs)); err != nil {
-			t.Fatalf("WriteText (second): %v", err)
+		if _, err := writeText(&second, Slice(reaccs)); err != nil {
+			t.Fatalf("writeText (second): %v", err)
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatalf("text round-trip not byte-identical:\n%q\nvs\n%q", first.Bytes(), second.Bytes())
@@ -77,7 +77,7 @@ func collectStream(s Stream) []Access {
 func FuzzParseBinaryTrace(f *testing.F) {
 	valid := func(accs []Access) []byte {
 		var buf bytes.Buffer
-		if _, err := WriteBinary(&buf, Slice(accs)); err != nil {
+		if _, err := writeBinary(&buf, Slice(accs)); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -88,13 +88,13 @@ func FuzzParseBinaryTrace(f *testing.F) {
 	f.Add([]byte("not a trace"))
 	f.Add(binary.LittleEndian.AppendUint64([]byte("PCCTRC1\n"), uint64(mem.VirtAddr(1<<47))))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fs := ReadBinary(bytes.NewReader(data))
+		fs := readBinary(bytes.NewReader(data))
 		accs := collect(t, fs)
 		if fs.Err() != nil {
 			return
 		}
 		first := valid(accs)
-		re := ReadBinary(bytes.NewReader(first))
+		re := readBinary(bytes.NewReader(first))
 		reaccs := collect(t, re)
 		if err := re.Err(); err != nil {
 			t.Fatalf("reparsing our own binary output failed: %v", err)

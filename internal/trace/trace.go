@@ -222,31 +222,3 @@ func (s *sliceStream) NextBatch(buf []Access) int {
 	s.i += k
 	return k
 }
-
-// Collect drains up to max accesses from s into a slice (tests and tools;
-// max guards against unbounded streams).
-func Collect(s Stream, max int) []Access {
-	var out []Access
-	for len(out) < max {
-		a, ok := s.Next()
-		if !ok {
-			break
-		}
-		out = append(out, a)
-	}
-	return out
-}
-
-// Count drains s, returning the number of accesses (tests).
-func Count(s Stream) uint64 {
-	bs := Batched(s)
-	var buf [1024]Access
-	var n uint64
-	for {
-		k := bs.NextBatch(buf[:])
-		if k == 0 {
-			return n
-		}
-		n += uint64(k)
-	}
-}

@@ -32,12 +32,12 @@ func TestSliceStream(t *testing.T) {
 
 func TestLimit(t *testing.T) {
 	s := Limit(Sequential(0, 1<<20, 8, 1000), 10)
-	if n := Count(s); n != 10 {
+	if n := len(drainNext(s, 1<<20)); n != 10 {
 		t.Errorf("count = %d, want 10", n)
 	}
 	// Limit larger than the stream passes everything through.
 	s = Limit(Sequential(0, 1<<20, 8, 5), 100)
-	if n := Count(s); n != 5 {
+	if n := len(drainNext(s, 1<<20)); n != 5 {
 		t.Errorf("count = %d, want 5", n)
 	}
 }
@@ -104,7 +104,7 @@ func TestZipfSkewAndRange(t *testing.T) {
 func TestZipfClampsExponent(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	// s <= 1 must not panic (clamped internally).
-	if n := Count(Zipf(0, 1<<20, 0.5, 100, rng)); n != 100 {
+	if n := len(drainNext(Zipf(0, 1<<20, 0.5, 100, rng), 1<<20)); n != 100 {
 		t.Errorf("count = %d", n)
 	}
 }
@@ -187,7 +187,7 @@ func TestMixValidation(t *testing.T) {
 
 func TestCollectBounded(t *testing.T) {
 	s := Sequential(0, 1<<20, 8, 1000)
-	got := Collect(s, 10)
+	got := drainNext(s, 10)
 	if len(got) != 10 {
 		t.Errorf("collected %d", len(got))
 	}

@@ -26,67 +26,36 @@ import (
 	"pccsim/internal/trace"
 )
 
-// Config assembles a virtualized machine.
-type Config struct {
-	// TLB configures the hardware TLB hierarchy (caches combined
-	// translations).
-	TLB tlb.HierarchyConfig
-	// Cost prices events; nested walks multiply the per-reference cost.
-	Cost metrics.CostModel
-	// GuestPCC enables the guest-visible promotion candidate cache
-	// tracking guest-virtual 2MB regions (the paper's design: PCC entries
-	// tagged guest vs host, the guest portion surfaced to the guest OS).
-	GuestPCC pcc.Config
-	// BaseCPA is the workload's base cycles per access.
-	BaseCPA float64
-}
-
-// DefaultConfig returns a Table 2 TLB with the default cost model and a
-// 128-entry guest PCC.
-func DefaultConfig() Config {
-	return Config{
-		TLB:      tlb.DefaultHierarchyConfig(),
-		Cost:     metrics.DefaultCostModel(),
-		GuestPCC: pcc.DefaultConfig2M(),
-		BaseCPA:  18,
-	}
-}
-
-// Machine is one virtualized CPU: hardware TLBs over a nested translation.
-// Guest-physical addresses equal guest-virtual addresses here (an identity
-// pseudo-physical layout), which loses no generality for TLB behaviour:
-// only the *page sizes* of the two mappings matter.
+// Machine is one virtualized CPU: the Table 2 TLB hierarchy (caching
+// combined translations) over a nested translation, priced by the metrics
+// cost model at metrics.BaseCPA cycles per access. Guest-physical addresses
+// equal guest-virtual addresses here (an identity pseudo-physical layout),
+// which loses no generality for TLB behaviour: only the *page sizes* of the
+// two mappings matter.
 type Machine struct {
-	cfg   Config
 	tlb   *tlb.Hierarchy
 	guest *ptw.Table // guest-virtual -> guest-physical
 	host  *ptw.Table // guest-physical -> host-physical
-	gpcc  *pcc.PCC   // guest-virtual 2MB region tracking
-
-	guestHuge map[mem.VirtAddr]bool // guest 2MB mappings (by gVA base)
-	hostHuge  map[mem.VirtAddr]bool // host 2MB mappings (by gPA base)
+	// gpcc is the guest-visible 128-entry promotion candidate cache
+	// tracking guest-virtual 2MB regions (the paper's design: PCC entries
+	// tagged guest vs host, the guest portion surfaced to the guest OS).
+	gpcc *pcc.PCC
 
 	Cycles     float64
 	Accesses   uint64
 	Walks      uint64
 	NestedRefs uint64
 	Faults     uint64
-	vmas       []mem.Range
 }
 
-// NewMachine builds an empty virtualized machine over the given guest VMAs.
-func NewMachine(cfg Config, vmas []mem.Range) *Machine {
-	m := &Machine{
-		cfg:       cfg,
-		tlb:       tlb.NewHierarchy(cfg.TLB),
-		guest:     ptw.NewTable(),
-		host:      ptw.NewTable(),
-		gpcc:      pcc.New(cfg.GuestPCC),
-		guestHuge: map[mem.VirtAddr]bool{},
-		hostHuge:  map[mem.VirtAddr]bool{},
-		vmas:      vmas,
+// NewMachine builds an empty virtualized machine.
+func NewMachine() *Machine {
+	return &Machine{
+		tlb:   tlb.NewHierarchy(tlb.DefaultHierarchyConfig()),
+		guest: ptw.NewTable(),
+		host:  ptw.NewTable(),
+		gpcc:  pcc.New(pcc.DefaultConfig2M()),
 	}
-	return m
 }
 
 // GuestPCC exposes the guest candidate cache (what the guest OS reads).
@@ -107,14 +76,14 @@ func (m *Machine) sizes(gva mem.VirtAddr) (g, h mem.PageSize) {
 	gs, ok := m.guest.MappedSize(gva)
 	if !ok {
 		m.Faults++
-		m.Cycles += m.cfg.Cost.FaultBase
+		m.Cycles += metrics.FaultBase
 		m.guest.Map(mem.PageBase(gva, mem.Page4K), mem.Page4K)
 		gs = mem.Page4K
 	}
 	// Identity pseudo-physical: the host maps the same numeric address.
 	hs, ok := m.host.MappedSize(gva)
 	if !ok {
-		m.Cycles += m.cfg.Cost.FaultBase
+		m.Cycles += metrics.FaultBase
 		m.host.Map(mem.PageBase(gva, mem.Page4K), mem.Page4K)
 		hs = mem.Page4K
 	}
@@ -139,11 +108,11 @@ func (m *Machine) Step(gva mem.VirtAddr) {
 	gs, hs := m.sizes(gva)
 	eff := effectiveSize(gs, hs)
 
-	cost := m.cfg.BaseCPA
+	cost := metrics.BaseCPA
 	switch m.tlb.Access(gva, eff) {
 	case tlb.HitL1:
 	case tlb.HitL2:
-		cost += m.cfg.Cost.L2TLBHit
+		cost += metrics.L2TLBHit
 	default:
 		// Two-dimensional walk: every guest-table reference is itself
 		// translated through the host table, plus the final host walk of
@@ -156,7 +125,7 @@ func (m *Machine) Step(gva mem.VirtAddr) {
 		// cold-miss filter uses the guest PMD bit).
 		info := m.guest.Walk(gva)
 		m.host.Walk(gva)
-		cost += m.cfg.Cost.WalkBase + float64(refs)*m.cfg.Cost.WalkRef
+		cost += metrics.WalkBase + float64(refs)*metrics.WalkRef
 		m.tlb.Fill(gva, eff)
 		if gs != mem.Page1G && info.PMDWasAccessed {
 			m.gpcc.Record(gva)
@@ -181,11 +150,10 @@ func (m *Machine) Run(s trace.Stream) {
 // still caches 4KB combined entries.
 func (m *Machine) PromoteGuest2M(base mem.VirtAddr) error {
 	base = mem.PageBase(base, mem.Page2M)
-	if m.guestHuge[base] {
+	if s, ok := m.guest.MappedSize(base); ok && s == mem.Page2M {
 		return fmt.Errorf("virt: guest region %#x already huge", uint64(base))
 	}
 	m.guest.Map(base, mem.Page2M)
-	m.guestHuge[base] = true
 	m.shootdown(base)
 	return nil
 }
@@ -194,11 +162,10 @@ func (m *Machine) PromoteGuest2M(base mem.VirtAddr) error {
 // 2MB region at base — the hypercall-triggered half of the coordination.
 func (m *Machine) PromoteHost2M(base mem.VirtAddr) error {
 	base = mem.PageBase(base, mem.Page2M)
-	if m.hostHuge[base] {
+	if s, ok := m.host.MappedSize(base); ok && s == mem.Page2M {
 		return fmt.Errorf("virt: host region %#x already huge", uint64(base))
 	}
 	m.host.Map(base, mem.Page2M)
-	m.hostHuge[base] = true
 	m.shootdown(base)
 	return nil
 }
@@ -216,7 +183,7 @@ func (m *Machine) shootdown(base mem.VirtAddr) {
 	r := mem.Range{Start: base, End: base + mem.VirtAddr(mem.Page2M)}
 	m.tlb.Shootdown(r)
 	m.gpcc.InvalidateRange(r)
-	m.Cycles += m.cfg.Cost.PromoteFixed
+	m.Cycles += metrics.PromoteFixed
 }
 
 // PTWRate returns walks per access.

@@ -21,7 +21,7 @@ func hot(r mem.Range, n int, seed int64) trace.Stream {
 }
 
 func TestNestedWalkCostExceedsNative(t *testing.T) {
-	m := NewMachine(DefaultConfig(), testVMAs(4))
+	m := NewMachine()
 	m.Run(hot(testVMAs(4)[0], 50_000, 1))
 	if m.Walks == 0 {
 		t.Fatal("uniform access must walk")
@@ -52,7 +52,7 @@ func TestGuestOnlyPromotionDoesNotHelp(t *testing.T) {
 	// 4KB combined entries, so the miss rate barely moves.
 	vmas := testVMAs(8)
 	run := func(promote func(m *Machine)) (float64, float64) {
-		m := NewMachine(DefaultConfig(), vmas)
+		m := NewMachine()
 		m.Run(hot(vmas[0], 30_000, 2)) // warm up + fault in
 		promote(m)
 		m.Cycles, m.Accesses, m.Walks, m.NestedRefs = 0, 0, 0, 0
@@ -95,7 +95,7 @@ func TestGuestOnlyPromotionDoesNotHelp(t *testing.T) {
 
 func TestHostOnlyPromotionAlsoInsufficient(t *testing.T) {
 	vmas := testVMAs(4)
-	m := NewMachine(DefaultConfig(), vmas)
+	m := NewMachine()
 	m.Run(hot(vmas[0], 20_000, 4))
 	for b := vmas[0].Start; b < vmas[0].End; b += mem.VirtAddr(mem.Page2M) {
 		if err := m.PromoteHost2M(b); err != nil {
@@ -112,7 +112,7 @@ func TestHostOnlyPromotionAlsoInsufficient(t *testing.T) {
 
 func TestNestedWalkShrinksWithHugeDimensions(t *testing.T) {
 	vmas := testVMAs(2)
-	m := NewMachine(DefaultConfig(), vmas)
+	m := NewMachine()
 	m.Run(hot(vmas[0], 10_000, 6))
 	for b := vmas[0].Start; b < vmas[0].End; b += mem.VirtAddr(mem.Page2M) {
 		if err := m.PromoteBoth2M(b); err != nil {
@@ -133,7 +133,7 @@ func TestNestedWalkShrinksWithHugeDimensions(t *testing.T) {
 
 func TestGuestPCCTracksCandidates(t *testing.T) {
 	vmas := testVMAs(8)
-	m := NewMachine(DefaultConfig(), vmas)
+	m := NewMachine()
 	m.Run(hot(vmas[0], 100_000, 8))
 	if m.GuestPCC().Len() == 0 {
 		t.Fatal("guest PCC must track walked regions")
@@ -156,7 +156,7 @@ func TestGuestPCCTracksCandidates(t *testing.T) {
 
 func TestDoublePromotionErrors(t *testing.T) {
 	vmas := testVMAs(1)
-	m := NewMachine(DefaultConfig(), vmas)
+	m := NewMachine()
 	m.Run(hot(vmas[0], 1000, 9))
 	b := vmas[0].Start
 	if err := m.PromoteGuest2M(b); err != nil {
@@ -175,7 +175,7 @@ func TestDoublePromotionErrors(t *testing.T) {
 
 func TestFaultsCounted(t *testing.T) {
 	vmas := testVMAs(1)
-	m := NewMachine(DefaultConfig(), vmas)
+	m := NewMachine()
 	m.Step(vmas[0].Start)
 	if m.Faults != 1 {
 		t.Errorf("faults = %d", m.Faults)

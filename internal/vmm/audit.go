@@ -18,7 +18,7 @@ import (
 //     fresh census of its block index, and every live huge/giga page is
 //     owned by exactly one process's inventory;
 //   - each process's huge-page inventory agrees with its page table leaf
-//     counts, its hugeBytes tally, and its VMA state arrays;
+//     counts and its VMA state arrays;
 //   - whatever extra checks the installed policy implements via
 //     PolicyAuditor (e.g. promotion tallies vs engine state).
 //
@@ -90,7 +90,7 @@ func (m *Machine) Audit() []string {
 		bad = append(bad, fmt.Sprintf("physmem holds %d 1GB pages but process inventories total %d", got, inv1G))
 	}
 
-	// Per-process inventory vs page table leaves, byte tally and VMA state.
+	// Per-process inventory vs page table leaves and VMA state.
 	for _, p := range m.procs {
 		_, n2m, n1g := p.Table.Counts()
 		if n2m != uint64(len(p.huge2M)) {
@@ -100,11 +100,6 @@ func (m *Machine) Audit() []string {
 		if n1g != uint64(len(p.huge1G)) {
 			bad = append(bad, fmt.Sprintf("proc %s: page table has %d 1GB leaves, inventory has %d",
 				p.Name, n1g, len(p.huge1G)))
-		}
-		wantBytes := uint64(len(p.huge2M))*uint64(mem.Page2M) + uint64(len(p.huge1G))*uint64(mem.Page1G)
-		if p.hugeBytes != wantBytes {
-			bad = append(bad, fmt.Sprintf("proc %s: hugeBytes=%d but inventory accounts for %d",
-				p.Name, p.hugeBytes, wantBytes))
 		}
 		for base := range p.huge2M {
 			if s, ok := p.Table.MappedSize(base); !ok || s != mem.Page2M {

@@ -8,7 +8,6 @@ package vmm
 
 import (
 	"pccsim/internal/mem"
-	"pccsim/internal/metrics"
 	"pccsim/internal/pcc"
 	"pccsim/internal/physmem"
 	"pccsim/internal/ptw"
@@ -22,12 +21,8 @@ type Config struct {
 	Cores int
 	// TLB configures each core's TLB hierarchy.
 	TLB tlb.HierarchyConfig
-	// PWC configures each core's page walk caches.
-	PWC ptw.PWCConfig
 	// PCC2M configures the per-core 2MB promotion candidate cache.
 	PCC2M pcc.Config
-	// PCC1G configures the per-core 1GB PCC.
-	PCC1G pcc.Config
 	// EnablePCC turns the PCC hardware on. Baseline and ideal
 	// configurations run with it off (it has no performance effect either
 	// way; disabling it just silences tracking).
@@ -38,10 +33,9 @@ type Config struct {
 	// by the ablation experiments to quantify the pollution the paper
 	// predicts.
 	UseVictimTracker bool
-	// Enable1G additionally tracks 1GB-granularity candidates (§3.2.3).
+	// Enable1G additionally tracks 1GB-granularity candidates (§3.2.3)
+	// in a per-core pcc.DefaultConfig1G PCC.
 	Enable1G bool
-	// Cost prices events in cycles.
-	Cost metrics.CostModel
 	// Phys sizes the physical memory model.
 	Phys physmem.Config
 	// FragFrac fragments physical memory at startup: the fraction of 2MB
@@ -52,11 +46,6 @@ type Config struct {
 	// PromotionInterval is the number of simulated accesses between OS
 	// policy ticks (the paper's 30s interval, calibrated by access rate).
 	PromotionInterval uint64
-	// AsyncVisibleFrac is the fraction of background promotion work
-	// (copy + compaction cycles) that leaks into application runtime
-	// (lock contention, memory bandwidth interference). Fault-time
-	// (synchronous) work is always charged in full.
-	AsyncVisibleFrac float64
 	// DisableColdFilter bypasses the accessed-bit cold-miss filter so
 	// every walk inserts into the PCC (ablation §3.2: without the filter,
 	// cold and streamed data pollutes the candidate cache).
@@ -93,23 +82,25 @@ type Config struct {
 }
 
 // DefaultConfig returns the Table 2 machine: one core, Haswell-style TLBs,
-// 128-entry 2MB PCC, 8-entry 1GB PCC, 4GB physical memory, promotion tick
-// every 2M accesses.
+// 128-entry 2MB PCC, 4GB physical memory, promotion tick every 2M
+// accesses. Events are priced by the metrics cost model.
 func DefaultConfig() Config {
 	return Config{
 		Cores:             1,
 		TLB:               tlb.DefaultHierarchyConfig(),
-		PWC:               ptw.DefaultPWCConfig(),
 		PCC2M:             pcc.DefaultConfig2M(),
-		PCC1G:             pcc.DefaultConfig1G(),
 		EnablePCC:         true,
-		Cost:              metrics.DefaultCostModel(),
 		Phys:              physmem.DefaultConfig(),
 		Seed:              1,
 		PromotionInterval: 2_000_000,
-		AsyncVisibleFrac:  0.15,
 	}
 }
+
+// asyncVisibleFrac is the fraction of background promotion work (copy +
+// compaction cycles) that leaks into application runtime (lock contention,
+// memory bandwidth interference). Fault-time (synchronous) work is always
+// charged in full.
+const asyncVisibleFrac = 0.15
 
 // Core is one simulated CPU core: its private translation hardware plus
 // cycle accounting.
@@ -210,7 +201,7 @@ func newCore(id int, cfg Config) *Core {
 	c := &Core{
 		ID:     id,
 		TLB:    tlb.NewHierarchy(cfg.TLB),
-		Walker: ptw.NewWalker(cfg.PWC),
+		Walker: ptw.NewWalker(),
 	}
 	c.tt = newTransTable(c.TLB.L1(mem.Page4K).Sets(), c.TLB.L1(mem.Page2M).Sets())
 	switch {
@@ -227,7 +218,7 @@ func newCore(id int, cfg Config) *Core {
 		c.PCC2M = pcc.New(cfg.PCC2M)
 		c.pend2M = make([]mem.VirtAddr, 0, pccPendCap)
 		if cfg.Enable1G {
-			c.PCC1G = pcc.New(cfg.PCC1G)
+			c.PCC1G = pcc.New(pcc.DefaultConfig1G())
 			c.pend1G = make([]mem.VirtAddr, 0, pccPendCap)
 		}
 	}

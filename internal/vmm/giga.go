@@ -2,6 +2,7 @@ package vmm
 
 import (
 	"pccsim/internal/mem"
+	"pccsim/internal/metrics"
 )
 
 // 1GB promotion support (§3.2.3): the OS may collapse a 1GB-aligned virtual
@@ -49,23 +50,21 @@ func (m *Machine) Promote1G(p *Process, addr mem.VirtAddr) error {
 		if r.Contains(base) {
 			delete(p.huge2M, base)
 			p.clearHugeLastUse(base)
-			p.hugeBytes -= uint64(mem.Page2M)
 			m.phys.FreeHuge()
 		}
 	}
 
 	// mappedPagesIn counts 4KB pages in both buckets, so the copy work is
 	// simply the populated pages regardless of their current mapping size.
-	work := float64(mapped4k+huge)*m.cfg.Cost.PromoteCopyPer4K +
-		float64(migrated)*m.cfg.Cost.CompactPer4K
+	work := float64(mapped4k+huge)*metrics.PromoteCopyPer4K +
+		float64(migrated)*metrics.CompactPer4K
 	m.BackgroundCycles += work
-	m.chargeAll(m.cfg.Cost.PromoteFixed + work*m.cfg.AsyncVisibleFrac)
+	m.chargeAll(metrics.PromoteFixed + work*asyncVisibleFrac)
 
 	// Collapse: drop whatever subtree exists, install the PUD leaf.
 	p.Table.Map(r.Base, mem.Page1G)
 	v.setRange(r.Base, r.End(), state1G)
 	p.huge1G[r.Base] = m.accessCount
-	p.hugeBytes += uint64(mem.Page1G)
 	p.Promotions1G++
 	if migrated > 0 {
 		m.events.Recordf(m.accessCount, "compaction", "proc=%s migrated=%d (promote1g)", p.Name, migrated)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pccsim/internal/mem"
+	"pccsim/internal/metrics"
 	"pccsim/internal/ptw"
 	"pccsim/internal/tlb"
 	"pccsim/internal/trace"
@@ -164,13 +165,13 @@ func (ex *executor) stepFull(c *Core, p *Process, addr mem.VirtAddr) {
 	switch c.TLB.Access(addr, size) {
 	case tlb.HitL1: // base cost only
 	case tlb.HitL2:
-		cost += ex.cL2Hit
+		cost += metrics.L2TLBHit
 		if size == mem.Page2M {
 			v.noteUse2M(addr, ex.now)
 		}
 	default: // tlb.Miss → page table walk
 		info := c.Walker.Walk(p.Table, addr)
-		cost += ex.cWalkBase + float64(info.Levels)*ex.cWalkRef
+		cost += metrics.WalkBase + float64(info.Levels)*metrics.WalkRef
 		c.TLB.Fill(addr, size)
 		if size == mem.Page2M {
 			v.noteUse2M(addr, ex.now)

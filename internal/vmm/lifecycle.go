@@ -3,6 +3,7 @@ package vmm
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"pccsim/internal/mem"
@@ -161,10 +162,9 @@ func (m *Machine) lifecycleTick() {
 	}
 	if len(churn) > 0 && rng.Float64() < lc.ExecProb {
 		p := churn[rng.Intn(len(churn))]
-		m.teardownAddressSpace(p)
-		m.lifecycle.Execs++
-		m.events.Recordf(m.accessCount, "exec", "proc=%s pid=%d", p.Name, p.ID)
-		m.populateChurn(p)
+		if err := m.ExecProcess(p); err == nil {
+			m.populateChurn(p)
+		}
 	}
 	maxProcs := lc.MaxProcs
 	if maxProcs <= 0 {
@@ -249,13 +249,7 @@ func (m *Machine) populateChurn(p *Process) {
 // accumulated into the machine's reaped tallies, and finally the policy's
 // ProcessReaper hook.
 func (m *Machine) ExitProcess(p *Process) error {
-	idx := -1
-	for i, q := range m.procs {
-		if q == p {
-			idx = i
-			break
-		}
-	}
+	idx := slices.Index(m.procs, p)
 	if idx < 0 {
 		return fmt.Errorf("vmm: ExitProcess: process %d/%q is not registered", p.ID, p.Name)
 	}
@@ -278,32 +272,16 @@ func (m *Machine) ExitProcess(p *Process) error {
 }
 
 // ExecProcess tears down p's address space and rebuilds it empty — exec(2):
-// same PID, same name, same counters, fresh memory. ranges replaces the VMA
-// layout (with default memory policies); nil keeps the existing geometry
+// same PID, same name, same counters, same VMA geometry, fresh memory
 // (installed memory policies survive, as they attach to the VMAs).
-func (m *Machine) ExecProcess(p *Process, ranges []mem.Range) error {
-	registered := false
-	for _, q := range m.procs {
-		if q == p {
-			registered = true
-			break
-		}
-	}
-	if !registered {
+func (m *Machine) ExecProcess(p *Process) error {
+	if !slices.Contains(m.procs, p) {
 		return fmt.Errorf("vmm: ExecProcess: process %d/%q is not registered", p.ID, p.Name)
 	}
 	if m.jobActive(p) {
 		return fmt.Errorf("vmm: ExecProcess: process %q has an unfinished job in the active run", p.Name)
 	}
-	if len(ranges) > 0 {
-		if err := validateRanges(ranges); err != nil {
-			return fmt.Errorf("vmm: ExecProcess %s: %w", p.Name, err)
-		}
-	}
 	m.teardownAddressSpace(p)
-	if len(ranges) > 0 {
-		p.setVMAs(ranges)
-	}
 	m.lifecycle.Execs++
 	m.events.Recordf(m.accessCount, "exec", "proc=%s pid=%d", p.Name, p.ID)
 	return nil
@@ -327,7 +305,6 @@ func (m *Machine) teardownAddressSpace(p *Process) {
 	}
 	p.huge2M = map[mem.VirtAddr]uint64{}
 	p.huge1G = map[mem.VirtAddr]uint64{}
-	p.hugeBytes = 0
 	for _, v := range p.vmas {
 		for i, st := range v.state {
 			if st == state4K {

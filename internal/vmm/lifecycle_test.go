@@ -1,11 +1,6 @@
 package vmm
 
-import (
-	"reflect"
-	"testing"
-
-	"pccsim/internal/mem"
-)
+import "testing"
 
 // lifecycleConfig returns an aggressive churn configuration on top of the
 // pressure model: small address spaces, high spawn/exec/exit probabilities,
@@ -199,7 +194,7 @@ func TestExecProcessClearsMappingsKeepsCounters(t *testing.T) {
 	faults := p.Faults
 	id := p.ID
 
-	if err := m.ExecProcess(p, nil); err != nil {
+	if err := m.ExecProcess(p); err != nil {
 		t.Fatal(err)
 	}
 	if p.lastVMA != nil {
@@ -220,17 +215,7 @@ func TestExecProcessClearsMappingsKeepsCounters(t *testing.T) {
 	if bad := m.Audit(); len(bad) > 0 {
 		t.Errorf("audit after exec: %v", bad)
 	}
-
-	// A fresh layout replaces the VMAs; the old addresses are gone.
-	start := mem.VirtAddr(64 << 20)
-	fresh := []mem.Range{{Start: start, End: start + 2<<21}}
-	if err := m.ExecProcess(p, fresh); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p.Ranges(), fresh) {
-		t.Errorf("exec layout = %v, want %v", p.Ranges(), fresh)
-	}
-	m.Run(&Job{Proc: p, Stream: seqStream(fresh[0], 1)})
+	m.Run(&Job{Proc: p, Stream: seqStream(p.Ranges()[0], 1)})
 	if bad := m.Audit(); len(bad) > 0 {
 		t.Errorf("audit after post-exec run: %v", bad)
 	}
@@ -249,7 +234,7 @@ func TestExitProcessRefusesActiveJob(t *testing.T) {
 	if err := m.ExitProcess(p); err == nil {
 		t.Fatal("exit of a process with an active job must fail")
 	}
-	if err := m.ExecProcess(p, nil); err == nil {
+	if err := m.ExecProcess(p); err == nil {
 		t.Fatal("exec of a process with an active job must fail")
 	}
 	m.FinishRun()

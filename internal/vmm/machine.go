@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"pccsim/internal/mem"
+	"pccsim/internal/metrics"
 	"pccsim/internal/obs"
 	"pccsim/internal/physmem"
 	"pccsim/internal/reprand"
@@ -179,7 +180,7 @@ func (m *Machine) Now() uint64 { return m.accessCount }
 // from the machine's monotonic PID allocator and are never reused. It panics
 // on VMAs validateRanges refuses (empty, inverted, unaligned, or ending past
 // mem.VirtAddrLimit), as NewMachine panics on a config Validate refuses;
-// AddTenant and ExecProcess return the same refusal as an error.
+// AddTenant returns the same refusal as an error.
 func (m *Machine) AddProcess(name string, ranges []mem.Range, baseCPA float64) *Process {
 	if err := validateRanges(ranges); err != nil {
 		panic(fmt.Errorf("vmm: AddProcess %s: %w", name, err))
@@ -206,10 +207,10 @@ func (ex *executor) fault(c *Core, p *Process, addr mem.VirtAddr) {
 				if migrated, allocOK := m.phys.AllocHuge(); allocOK {
 					// Synchronous THP allocation: zeroing 2MB plus any
 					// direct compaction, charged to the faulting core.
-					cost := m.cfg.Cost.FaultBase + m.cfg.Cost.FaultHugeZero +
-						float64(migrated)*m.cfg.Cost.CompactPer4K
+					cost := metrics.FaultBase + metrics.FaultHugeZero +
+						float64(migrated)*metrics.CompactPer4K
 					if migrated > 0 {
-						cost += m.cfg.Cost.DirectCompactStall
+						cost += metrics.DirectCompactStall
 						m.events.Recordf(ex.now, "compaction", "proc=%s migrated=%d (fault)", p.Name, migrated)
 					}
 					c.Cycles += cost
@@ -217,7 +218,6 @@ func (ex *executor) fault(c *Core, p *Process, addr mem.VirtAddr) {
 					p.Table.Map(r.Base, mem.Page2M)
 					v.setRange(r.Base, r.End(), state2M)
 					p.huge2M[r.Base] = ex.now
-					p.hugeBytes += uint64(mem.Page2M)
 					p.HugeFaults++
 					m.events.Recordf(ex.now, "fault.huge", "proc=%s base=%#x", p.Name, uint64(r.Base))
 					if mapped4k > 0 {
@@ -234,8 +234,8 @@ func (ex *executor) fault(c *Core, p *Process, addr mem.VirtAddr) {
 		}
 	}
 	// Base page fault.
-	c.Cycles += m.cfg.Cost.FaultBase
-	c.StallCycles += m.cfg.Cost.FaultBase
+	c.Cycles += metrics.FaultBase
+	c.StallCycles += metrics.FaultBase
 	base := mem.PageBase(addr, mem.Page4K)
 	p.Table.Map(base, mem.Page4K)
 	if v := p.vmaOf(addr); v != nil {
@@ -245,7 +245,7 @@ func (ex *executor) fault(c *Core, p *Process, addr mem.VirtAddr) {
 }
 
 func (m *Machine) overHugeBudget(p *Process) bool {
-	if p.MaxHugeBytes > 0 && p.hugeBytes+uint64(mem.Page2M) > p.MaxHugeBytes {
+	if p.MaxHugeBytes > 0 && p.HugeBytes()+uint64(mem.Page2M) > p.MaxHugeBytes {
 		return true
 	}
 	if m.cfg.MaxHugeBytesTotal > 0 &&
@@ -259,7 +259,7 @@ func (m *Machine) overHugeBudget(p *Process) bool {
 func (m *Machine) TotalHugeBytes() uint64 {
 	var total uint64
 	for _, p := range m.procs {
-		total += p.hugeBytes
+		total += p.HugeBytes()
 	}
 	return total
 }
@@ -303,7 +303,7 @@ func (m *Machine) chargeAll(cycles float64) {
 // a physical block (compacting if needed), faults in any unmapped tail,
 // collapses the page table mapping, performs the shootdown and charges
 // costs. Async (daemon-driven) promotion charges copy/compaction work to
-// the background with only AsyncVisibleFrac leaking into cores.
+// the background with only asyncVisibleFrac leaking into cores.
 func (m *Machine) Promote2M(p *Process, addr mem.VirtAddr) error {
 	r, v, ok := p.regionEligible2M(addr)
 	if !ok {
@@ -327,16 +327,15 @@ func (m *Machine) Promote2M(p *Process, addr mem.VirtAddr) error {
 
 	// Background work: copy the mapped pages into the new block, migrate
 	// frames for compaction.
-	work := float64(mapped4k)*m.cfg.Cost.PromoteCopyPer4K +
-		float64(migrated)*m.cfg.Cost.CompactPer4K
+	work := float64(mapped4k)*metrics.PromoteCopyPer4K +
+		float64(migrated)*metrics.CompactPer4K
 	m.BackgroundCycles += work
-	m.chargeAll(m.cfg.Cost.PromoteFixed + work*m.cfg.AsyncVisibleFrac)
+	m.chargeAll(metrics.PromoteFixed + work*asyncVisibleFrac)
 
 	// Remap: the whole region becomes one 2MB mapping.
 	p.Table.Map(r.Base, mem.Page2M)
 	v.setRange(r.Base, r.End(), state2M)
 	p.huge2M[r.Base] = m.accessCount
-	p.hugeBytes += uint64(mem.Page2M)
 	p.Promotions2M++
 	m.promotionLog = append(m.promotionLog, PromotionEvent{
 		AtAccess: m.accessCount, ProcID: p.ID, Base: r.Base,
@@ -367,10 +366,9 @@ func (m *Machine) Demote2M(p *Process, addr mem.VirtAddr) error {
 	v.setRange(base, r.End(), state4K)
 	delete(p.huge2M, base)
 	p.clearHugeLastUse(base)
-	p.hugeBytes -= uint64(mem.Page2M)
 	p.Demotions++
 	m.phys.FreeHuge()
-	m.chargeAll(m.cfg.Cost.PromoteFixed)
+	m.chargeAll(metrics.PromoteFixed)
 	m.events.Recordf(m.accessCount, "demote2m", "proc=%s base=%#x", p.Name, uint64(base))
 	m.shootdownAll(m.accessCount, mem.Range{Start: base, End: r.End()})
 	return nil

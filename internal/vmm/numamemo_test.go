@@ -137,9 +137,7 @@ func TestNUMAChargeMatchesLedger(t *testing.T) {
 				if tc.mbind {
 					// The second VMA interleaves from node 1 while the rest
 					// of the process stays bound to its home node 0.
-					if err := m.MBind(p, second, VMAMemPolicy{Mode: MemPolicyInterleave, Nodes: []int{1, 0}}); err != nil {
-						t.Fatal(err)
-					}
+					p.vmas[len(p.vmas)-1].memPolicy = VMAMemPolicy{Mode: MemPolicyInterleave, Nodes: []int{1, 0}}
 				}
 			})
 			acc := regionSweep(testVMA(6)[0], fwd)
@@ -149,29 +147,21 @@ func TestNUMAChargeMatchesLedger(t *testing.T) {
 	}
 }
 
-// TestNUMAChargeAfterExec: exec with the geometry kept reuses the VMA
-// objects, so their memos must be cleared with the ledger. After exec the
-// regions are first touched in reverse, which interleave places on the
-// opposite nodes — a stale memo would charge every region wrongly.
+// TestNUMAChargeAfterExec: exec reuses the VMA objects, so their memos must
+// be cleared with the ledger. After exec the regions are first touched in
+// reverse, which interleave places on the opposite nodes — a stale memo
+// would charge every region wrongly.
 func TestNUMAChargeAfterExec(t *testing.T) {
 	tw := newNUMATwin(numaConfig(NUMAInterleave))
 	tw.both(func(m *Machine) { m.AddProcess("t", testVMA(4), 10) })
 	r := testVMA(4)[0]
 	tw.run(t, 0, regionSweep(r, []int{0, 1, 2, 3}))
 	tw.both(func(m *Machine) {
-		if err := m.ExecProcess(m.Procs()[0], nil); err != nil {
+		if err := m.ExecProcess(m.Procs()[0]); err != nil {
 			t.Fatal(err)
 		}
 	})
 	tw.run(t, 0, regionSweep(r, []int{3, 2, 1, 0}))
-	// Exec onto a new layout builds new VMAs with fresh memos.
-	moved := []mem.Range{{Start: 512 << 20, End: 512<<20 + 3<<21}}
-	tw.both(func(m *Machine) {
-		if err := m.ExecProcess(m.Procs()[0], moved); err != nil {
-			t.Fatal(err)
-		}
-	})
-	tw.run(t, 0, regionSweep(moved[0], []int{1, 0, 2}))
 }
 
 // TestNUMAChargeAfterExit: an explicit ExitProcess of one job's process and

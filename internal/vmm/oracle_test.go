@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pccsim/internal/mem"
+	"pccsim/internal/metrics"
 	"pccsim/internal/trace"
 )
 
@@ -34,7 +35,7 @@ func refRun(m *Machine, jobs ...*Job) RunResult {
 				continue
 			}
 			if ex.effCPA = j.Proc.BaseCPA; ex.effCPA == 0 {
-				ex.effCPA = ex.cBase
+				ex.effCPA = metrics.BaseCPA
 			}
 			for turn := 0; turn < jobSlice; turn++ {
 				a, ok := j.stream.Next()

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"pccsim/internal/mem"
+	"pccsim/internal/metrics"
 	"pccsim/internal/reprand"
 )
 
@@ -33,7 +34,7 @@ type PressureConfig struct {
 	ChurnPinnedFrac float64
 	// CompactBudgetFrames is the background daemon's per-tick migration
 	// budget in 4KB frames (0 = daemon off). Its work is charged like async
-	// promotion work: to BackgroundCycles, with AsyncVisibleFrac leaking
+	// promotion work: to BackgroundCycles, with asyncVisibleFrac leaking
 	// into cores.
 	CompactBudgetFrames int
 	// DemoteWatermarkBlocks triggers pressure demotion when free 2MB blocks
@@ -67,9 +68,9 @@ func (m *Machine) pressureTick() {
 	if pc.CompactBudgetFrames > 0 {
 		migrated, rebuilt := m.phys.Compact(pc.CompactBudgetFrames)
 		if migrated > 0 {
-			work := float64(migrated) * m.cfg.Cost.CompactPer4K
+			work := float64(migrated) * metrics.CompactPer4K
 			m.BackgroundCycles += work
-			m.chargeAll(work * m.cfg.AsyncVisibleFrac)
+			m.chargeAll(work * asyncVisibleFrac)
 			m.events.Recordf(m.accessCount, "kcompactd", "migrated=%d rebuilt=%d", migrated, rebuilt)
 		}
 	}

@@ -99,7 +99,6 @@ type Process struct {
 	// (the utility-curve budget). 0 means unlimited.
 	MaxHugeBytes uint64
 
-	hugeBytes uint64
 	// huge2M records currently-2MB-mapped region bases, with the tick at
 	// which each was promoted (for demotion ordering). Per-region last-use
 	// timestamps live in each vma's lastUse2M slots.
@@ -202,7 +201,9 @@ func (p *Process) regions2M() int {
 }
 
 // HugeBytes returns the bytes currently backed by huge pages.
-func (p *Process) HugeBytes() uint64 { return p.hugeBytes }
+func (p *Process) HugeBytes() uint64 {
+	return uint64(len(p.huge2M))*uint64(mem.Page2M) + uint64(len(p.huge1G))*uint64(mem.Page1G)
+}
 
 // HugePages2M returns the count of 2MB mappings.
 func (p *Process) HugePages2M() int { return len(p.huge2M) }

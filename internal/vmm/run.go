@@ -79,24 +79,20 @@ type liveJob struct {
 }
 
 // executor owns the per-access mutable state of a run: the global access
-// clock position, the deferred touched-bit run, and a flattened copy of the
-// cost model so the kernel never chases the config pointer. A run owns one
+// clock position, the deferred touched-bit run, and the config values the
+// kernel reads per access, so it never chases the config pointer. A run owns one
 // executor (sched.ex). Deferred touches flush at every segment end and
 // before any fault.
 type executor struct {
 	m   *Machine
 	now uint64 // global simulated-access clock (pre-increment)
 
-	// Flattened per-machine constants (set once per executor).
-	cBase     float64    // Config.Cost.BaseCPA
-	cL2Hit    float64    // Config.Cost.L2TLBHit
-	cWalkBase float64    // Config.Cost.WalkBase
-	cWalkRef  float64    // Config.Cost.WalkRef
-	coldOff   bool       // Config.DisableColdFilter
-	numa      *numaState // Machine.numa: nil when NUMA is off
+	// Flattened per-machine values (set once per executor).
+	coldOff bool       // Config.DisableColdFilter
+	numa    *numaState // Machine.numa: nil when NUMA is off
 
 	// effCPA is the running segment's base cycles-per-access (the process's
-	// BaseCPA or the config default), resolved once per segment in runSeg.
+	// BaseCPA or metrics.BaseCPA), resolved once per segment in runSeg.
 	effCPA float64
 
 	// Deferred touched-bit run: 4KB page indexes [tLo, tHi] of tV awaiting
@@ -105,18 +101,9 @@ type executor struct {
 	tLo, tHi uint64
 }
 
-// newExecutor builds a run's executor with the machine's cost model
-// flattened in.
+// newExecutor builds a run's executor.
 func (m *Machine) newExecutor() *executor {
-	return &executor{
-		m:         m,
-		cBase:     m.cfg.Cost.BaseCPA,
-		cL2Hit:    m.cfg.Cost.L2TLBHit,
-		cWalkBase: m.cfg.Cost.WalkBase,
-		cWalkRef:  m.cfg.Cost.WalkRef,
-		coldOff:   m.cfg.DisableColdFilter,
-		numa:      m.numa,
-	}
+	return &executor{m: m, coldOff: m.cfg.DisableColdFilter, numa: m.numa}
 }
 
 // Run drives the machine until every job's stream is exhausted: StartRun,
@@ -228,7 +215,7 @@ func (m *Machine) tick() {
 // fully-applied state.
 func (ex *executor) runSeg(j *Job, seg []trace.Access) {
 	if ex.effCPA = j.Proc.BaseCPA; ex.effCPA == 0 {
-		ex.effCPA = ex.cBase
+		ex.effCPA = metrics.BaseCPA
 	}
 	cores := j.Cores
 	for len(seg) > 0 {

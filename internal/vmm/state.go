@@ -87,7 +87,8 @@ type HugePageState struct {
 // processes (Churn true) it is the construction input — restore rebuilds
 // the address space from it, since no builder re-registers churn
 // processes. VMAPolicies is the per-VMA NUMA memory policy, index-aligned
-// with VMAs (nil in pre-lifecycle snapshots: all default).
+// with VMAs. Restore refuses a process whose Ranges or VMAPolicies do not
+// cover each of its VMAs.
 type ProcessState struct {
 	ID   int
 	Name string
@@ -103,9 +104,8 @@ type ProcessState struct {
 	HomeNode     int
 	MaxHugeBytes uint64
 
-	HugeBytes uint64
-	Huge2M    []HugePageState
-	Huge1G    []HugePageState
+	Huge2M []HugePageState
+	Huge1G []HugePageState
 
 	Promotions2M uint64
 	Promotions1G uint64
@@ -167,9 +167,9 @@ type MachineState struct {
 
 	// LifecycleRNGSteps pins the lifecycle churn RNG stream position, with
 	// the same never-drawn convention. NextPID is the monotonic process ID
-	// allocator (0 in pre-lifecycle snapshots: restore derives it from the
-	// registered processes). Lifecycle and Reaped carry the churn event
-	// counters and the exited-process tallies.
+	// allocator; restore refuses one that is not above every restored
+	// process ID. Lifecycle and Reaped carry the churn event counters and
+	// the exited-process tallies.
 	LifecycleRNGSteps uint64
 	NextPID           int
 	Lifecycle         LifecycleStats
@@ -284,7 +284,6 @@ func processState(p *Process) ProcessState {
 		BaseCPA:       p.BaseCPA,
 		HomeNode:      p.HomeNode,
 		MaxHugeBytes:  p.MaxHugeBytes,
-		HugeBytes:     p.hugeBytes,
 		Huge2M:        hugeStates(p.huge2M),
 		Huge1G:        hugeStates(p.huge1G),
 		Promotions2M:  p.Promotions2M,
@@ -452,14 +451,12 @@ func (m *Machine) RestoreState(s MachineState) error {
 	}
 	m.lifecycle = s.Lifecycle
 	m.reaped = s.Reaped
-	// Pre-lifecycle snapshots carry NextPID 0; never hand out an ID a
-	// restored process already holds.
-	m.nextPID = s.NextPID
 	for _, p := range m.procs {
-		if p.ID >= m.nextPID {
-			m.nextPID = p.ID + 1
+		if p.ID >= s.NextPID {
+			return fmt.Errorf("vmm: next process ID %d is not above restored process ID %d", s.NextPID, p.ID)
 		}
 	}
+	m.nextPID = s.NextPID
 
 	if sp, ok := m.policy.(StatefulPolicy); ok {
 		if s.PolicyState == nil {
@@ -520,25 +517,21 @@ func restoreProcess(m *Machine, p *Process, ps ProcessState) error {
 	if len(ps.VMAs) != len(p.vmas) {
 		return fmt.Errorf("vmm: proc %s: state has %d VMAs, machine has %d", p.Name, len(ps.VMAs), len(p.vmas))
 	}
-	if ps.Ranges != nil {
-		if len(ps.Ranges) != len(p.vmas) {
-			return fmt.Errorf("vmm: proc %s: state has %d VMA ranges, machine has %d", p.Name, len(ps.Ranges), len(p.vmas))
-		}
-		for i, r := range ps.Ranges {
-			if p.vmas[i].r != r {
-				return fmt.Errorf("vmm: proc %s VMA %d: state range %#x-%#x, machine %#x-%#x",
-					p.Name, i, uint64(r.Start), uint64(r.End), uint64(p.vmas[i].r.Start), uint64(p.vmas[i].r.End))
-			}
+	if len(ps.Ranges) != len(p.vmas) {
+		return fmt.Errorf("vmm: proc %s: state has %d VMA ranges, machine has %d", p.Name, len(ps.Ranges), len(p.vmas))
+	}
+	for i, r := range ps.Ranges {
+		if p.vmas[i].r != r {
+			return fmt.Errorf("vmm: proc %s VMA %d: state range %#x-%#x, machine %#x-%#x",
+				p.Name, i, uint64(r.Start), uint64(r.End), uint64(p.vmas[i].r.Start), uint64(p.vmas[i].r.End))
 		}
 	}
-	if ps.VMAPolicies != nil {
-		if len(ps.VMAPolicies) != len(p.vmas) {
-			return fmt.Errorf("vmm: proc %s: state has %d VMA policies, machine has %d VMAs", p.Name, len(ps.VMAPolicies), len(p.vmas))
-		}
-		for i, pol := range ps.VMAPolicies {
-			if err := pol.Validate(m.cfg.NUMA.Nodes); err != nil {
-				return fmt.Errorf("vmm: proc %s VMA %d: %w", p.Name, i, err)
-			}
+	if len(ps.VMAPolicies) != len(p.vmas) {
+		return fmt.Errorf("vmm: proc %s: state has %d VMA policies, machine has %d VMAs", p.Name, len(ps.VMAPolicies), len(p.vmas))
+	}
+	for i, pol := range ps.VMAPolicies {
+		if err := pol.Validate(m.cfg.NUMA.Nodes); err != nil {
+			return fmt.Errorf("vmm: proc %s VMA %d: %w", p.Name, i, err)
 		}
 	}
 	for vi, vs := range ps.VMAs {
@@ -569,14 +562,11 @@ func restoreProcess(m *Machine, p *Process, ps ProcessState) error {
 		for i := range v.node2M {
 			v.node2M[i] = 0
 		}
-		if ps.VMAPolicies != nil {
-			v.memPolicy = ps.VMAPolicies[vi].clone()
-		}
+		v.memPolicy = ps.VMAPolicies[vi].clone()
 	}
 	p.BaseCPA = ps.BaseCPA
 	p.HomeNode = ps.HomeNode
 	p.MaxHugeBytes = ps.MaxHugeBytes
-	p.hugeBytes = ps.HugeBytes
 	p.huge2M = make(map[mem.VirtAddr]uint64, len(ps.Huge2M))
 	for _, h := range ps.Huge2M {
 		p.huge2M[h.Base] = h.At

@@ -429,6 +429,10 @@ func TestRestoreStateRejectsMismatches(t *testing.T) {
 		{"sched job index", fresh, func(s *MachineState) { s.Sched.JobIdx = 5 }},
 		{"sched slice", fresh, func(s *MachineState) { s.Sched.SliceLeft = 0 }},
 		{"sched shape", fresh, func(s *MachineState) { s.Sched.Done = nil }},
+		{"nil ranges", fresh, func(s *MachineState) { s.Procs[0].Ranges = nil }},
+		{"nil vma policies", fresh, func(s *MachineState) { s.Procs[0].VMAPolicies = nil }},
+		{"next pid zero", fresh, func(s *MachineState) { s.NextPID = 0 }},
+		{"next pid taken", fresh, func(s *MachineState) { s.NextPID = s.Procs[len(s.Procs)-1].ID }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -169,32 +169,3 @@ func (m *Machine) AddTenant(tc TenantConfig) (*Process, error) {
 	}
 	return p, nil
 }
-
-// MBind installs a memory policy on the VMA exactly matching r, with
-// mbind(2) semantics minus MPOL_MF_MOVE: the policy governs future
-// first-touch placements only; regions already placed stay where they are.
-func (m *Machine) MBind(p *Process, r mem.Range, pol VMAMemPolicy) error {
-	if err := pol.Validate(m.cfg.NUMA.Nodes); err != nil {
-		return err
-	}
-	for _, v := range p.vmas {
-		if v.r == r {
-			v.memPolicy = pol.clone()
-			return nil
-		}
-	}
-	return fmt.Errorf("vmm: MBind: range %#x-%#x does not match a VMA of %s",
-		uint64(r.Start), uint64(r.End), p.Name)
-}
-
-// MemPolicyOf returns the memory policy of the VMA containing a (the zero
-// default policy if a falls outside every VMA). Pure read: it does not touch
-// the process's VMA lookup cache.
-func (p *Process) MemPolicyOf(a mem.VirtAddr) VMAMemPolicy {
-	for _, v := range p.vmas {
-		if v.r.Contains(a) {
-			return v.memPolicy.clone()
-		}
-	}
-	return VMAMemPolicy{}
-}

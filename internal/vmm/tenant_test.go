@@ -1,7 +1,6 @@
 package vmm
 
 import (
-	"reflect"
 	"testing"
 
 	"pccsim/internal/mem"
@@ -152,64 +151,5 @@ func TestTenantMemPolicyPlacement(t *testing.T) {
 	// Preferred home node with default LocalShare 1.0: everything fits local.
 	if got, _, _ := place(VMAMemPolicy{Mode: MemPolicyPreferred, Nodes: []int{0}}); got != 0 {
 		t.Errorf("preferred home node: remote share = %f, want 0", got)
-	}
-}
-
-// TestMBindFutureOnly: MBind applies to future first-touch placements only —
-// regions already placed stay put (mbind without MPOL_MF_MOVE) — and the
-// range must exactly match a VMA.
-func TestMBindFutureOnly(t *testing.T) {
-	m := NewMachine(numaConfig(NUMAInterleave), nil)
-	p, err := m.AddTenant(TenantConfig{Name: "t", Ranges: testVMA(4), BaseCPA: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := p.Ranges()[0]
-	// Touch the first two regions under machine interleave: nodes 0, 1.
-	m.Run(&Job{Proc: p, Stream: seqStream(mem.Range{Start: r.Start, End: r.Start + 2<<21}, 1)})
-	if got := m.RemoteShare(p); got != 0.5 {
-		t.Fatalf("pre-bind remote share = %f, want 0.5", got)
-	}
-
-	// Partial ranges don't name a VMA.
-	if err := m.MBind(p, mem.Range{Start: r.Start, End: r.Start + 1<<21},
-		VMAMemPolicy{Mode: MemPolicyBind, Nodes: []int{0}}); err == nil {
-		t.Error("MBind must reject a range that is not exactly one VMA")
-	}
-	// Invalid policies are rejected before the range lookup.
-	if err := m.MBind(p, r, VMAMemPolicy{Mode: MemPolicyBind}); err == nil {
-		t.Error("MBind must validate the policy")
-	}
-
-	if err := m.MBind(p, r, VMAMemPolicy{Mode: MemPolicyBind, Nodes: []int{0}}); err != nil {
-		t.Fatal(err)
-	}
-	// The last two regions now bind to node 0; the region already on node 1
-	// stays there: 1 remote of 4.
-	m.Run(&Job{Proc: p, Stream: seqStream(mem.Range{Start: r.Start + 2<<21, End: r.End}, 1)})
-	if got := m.RemoteShare(p); got != 0.25 {
-		t.Errorf("post-bind remote share = %f, want 0.25 (existing placement must not move)", got)
-	}
-}
-
-// TestMemPolicyOf: the read-only policy query returns an aliasing-safe copy
-// and the zero policy outside every VMA.
-func TestMemPolicyOf(t *testing.T) {
-	m := NewMachine(numaConfig(NUMABind), nil)
-	pol := VMAMemPolicy{Mode: MemPolicyInterleave, Nodes: []int{0, 1}}
-	p, err := m.AddTenant(TenantConfig{Name: "t", Ranges: testVMA(2), BaseCPA: 10, MemPolicy: pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := p.MemPolicyOf(p.Ranges()[0].Start)
-	if !reflect.DeepEqual(got, pol) {
-		t.Errorf("MemPolicyOf = %+v, want %+v", got, pol)
-	}
-	got.Nodes[0] = 99
-	if p.MemPolicyOf(p.Ranges()[0].Start).Nodes[0] == 99 {
-		t.Error("MemPolicyOf must return a copy, not the installed mask")
-	}
-	if out := p.MemPolicyOf(1); out.Mode != MemPolicyDefault || out.Nodes != nil {
-		t.Errorf("outside every VMA: %+v, want zero policy", out)
 	}
 }

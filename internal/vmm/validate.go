@@ -9,7 +9,7 @@ import (
 )
 
 // Upper bounds on the machine sizes Validate accepts. Together with the
-// per-structure bounds (tlb.MaxEntries, ptw.MaxPWCEntries, pcc.MaxEntries,
+// per-structure bounds (tlb.MaxEntries, pcc.MaxEntries,
 // physmem.MaxTotalBytes) they keep the largest accepted machine to a few
 // hundred MiB of host memory.
 const (
@@ -47,15 +47,11 @@ func (c Config) Validate() error {
 		{"TLB.L1D2M", c.TLB.L1D2M.Validate()},
 		{"TLB.L1D1G", c.TLB.L1D1G.Validate()},
 		{"TLB.L2", c.TLB.L2.Validate()},
-		{"PWC", c.PWC.Validate()},
 		{"PCC2M", c.PCC2M.Validate()},
 		{"PCC2M", regionSize(c.PCC2M.RegionSize, mem.Page2M)},
-		{"PCC1G", c.PCC1G.Validate()},
-		{"PCC1G", regionSize(c.PCC1G.RegionSize, mem.Page1G)},
 		{"Phys", c.Phys.Validate()},
 		{"FragFrac", count(c.FragFrac, 0, 1)},
 		{"PromotionInterval", atLeast(c.PromotionInterval, 1)},
-		{"AsyncVisibleFrac", count(c.AsyncVisibleFrac, 0, 1)},
 		{"NUMA.Nodes", count(c.NUMA.Nodes, 0, MaxNUMANodes)},
 		{"NUMA.RemotePenalty", when(numa, count(c.NUMA.RemotePenalty, 0, 1e6))},
 		{"NUMA.Policy", when(numa, count(c.NUMA.Policy, NUMABind, NUMALocalFirst))},

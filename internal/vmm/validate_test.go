@@ -35,12 +35,10 @@ func TestValidateNamesEachField(t *testing.T) {
 		{"TLB.L1D2M", func(c *Config) { c.TLB.L1D2M.Entries = 0 }},
 		{"TLB.L1D1G", func(c *Config) { c.TLB.L1D1G.Ways = -4 }},
 		{"TLB.L2", func(c *Config) { c.TLB.L2.Entries = 2 * tlb.MaxEntries }},
-		{"PWC", func(c *Config) { c.PWC.PMDEntries = -1 }},
 		{"PCC2M", func(c *Config) { c.PCC2M.Entries = 0 }},
 		{"PCC2M", func(c *Config) { c.PCC2M.Entries = pcc.MaxEntries + 1 }},
 		{"PCC2M", func(c *Config) { c.PCC2M.RegionSize = mem.Page1G }},
 		{"PCC2M", func(c *Config) { c.PCC2M.Replacement = 9 }},
-		{"PCC1G", func(c *Config) { c.PCC1G.CounterBits = 33 }},
 		{"Phys", func(c *Config) { c.Phys.TotalBytes = 0 }},
 		{"Phys", func(c *Config) { c.Phys.TotalBytes = 3 << 20 }},
 		{"Phys", func(c *Config) { c.Phys.TotalBytes = physmem.MaxTotalBytes + 2<<20 }},
@@ -48,7 +46,6 @@ func TestValidateNamesEachField(t *testing.T) {
 		{"FragFrac", func(c *Config) { c.FragFrac = 1.5 }},
 		{"FragFrac", func(c *Config) { c.FragFrac = nan }},
 		{"PromotionInterval", func(c *Config) { c.PromotionInterval = 0 }},
-		{"AsyncVisibleFrac", func(c *Config) { c.AsyncVisibleFrac = -0.1 }},
 		{"NUMA.Nodes", func(c *Config) { c.NUMA.Nodes = -1 }},
 		{"NUMA.Nodes", func(c *Config) { c.NUMA.Nodes = MaxNUMANodes + 1 }},
 		{"NUMA.RemotePenalty", func(c *Config) { numa(c); c.NUMA.RemotePenalty = math.Inf(1) }},

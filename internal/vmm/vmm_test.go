@@ -705,7 +705,7 @@ func TestPromotionLogRecordsTrace(t *testing.T) {
 }
 
 // TestAddProcessRefusesBadVMAs: AddProcess panics, naming itself, on every
-// VMA geometry AddTenant and ExecProcess refuse — above all on VMAs past
+// VMA geometry AddTenant refuses — above all on VMAs past
 // the 2^48 reach of the page table, which would alias the ones 2^48 below
 // — and still accepts the last 2MB below the limit.
 func TestAddProcessRefusesBadVMAs(t *testing.T) {

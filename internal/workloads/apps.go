@@ -69,7 +69,8 @@ type SynthParams struct {
 	// the paper's inputs while keeping page faults amortized over the
 	// stream length).
 	SizeScale float64
-	// Accesses is the total stream length per app.
+	// Accesses is each app's access count after its initialization pass,
+	// which streams first: the stream is that pass plus Accesses long.
 	Accesses uint64
 }
 

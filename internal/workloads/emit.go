@@ -32,9 +32,6 @@ type E struct {
 
 type stopEmission struct{}
 
-// Touch emits a read of addr on thread 0.
-func (e *E) Touch(addr mem.VirtAddr) { e.emit(addr, 0, false) }
-
 // TouchW emits a write of addr on thread 0.
 func (e *E) TouchW(addr mem.VirtAddr) { e.emit(addr, 0, true) }
 

@@ -21,7 +21,7 @@ func emitN(n int) trace.Stream {
 // with odd batch sizes that straddle them.
 func TestEmitterBatchMatchesNext(t *testing.T) {
 	const n = 3*(1<<14) + 123 // three full chunks plus a partial tail
-	want := trace.Collect(emitN(n), n+1)
+	want := collect(emitN(n), n+1)
 	if len(want) != n {
 		t.Fatalf("Next drain produced %d accesses, want %d", len(want), n)
 	}
@@ -56,7 +56,7 @@ func TestEmitterBatchMatchesNext(t *testing.T) {
 // styles mid-chunk.
 func TestEmitterMixedNextAndBatch(t *testing.T) {
 	const n = 1<<14 + 500
-	want := trace.Collect(emitN(n), n+1)
+	want := collect(emitN(n), n+1)
 	bs := emitN(n).(trace.BatchStream)
 	var got []trace.Access
 	buf := make([]trace.Access, 333)
@@ -93,7 +93,7 @@ func TestEmitterMixedNextAndBatch(t *testing.T) {
 func BenchmarkEmitChunk(b *testing.B) {
 	s := NewStream(func(e *E) {
 		for i := 0; ; i++ {
-			e.Touch(mem.VirtAddr(i&0xffff) * 64)
+			e.TouchT(mem.VirtAddr(i&0xffff)*64, 0)
 		}
 	})
 	defer CloseStream(s)

@@ -47,7 +47,7 @@ func TestPhasedAlternatesHalves(t *testing.T) {
 
 func TestPhasedMinimumPhases(t *testing.T) {
 	app := Phased(PhasedParams{HalfBytes: 2 << 20, AccessesPerPhase: 10, Phases: 0})
-	n := trace.Count(app.Stream())
+	n := count(app.Stream())
 	if n == 0 {
 		t.Fatal("empty stream")
 	}

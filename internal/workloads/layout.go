@@ -33,14 +33,6 @@ func (a Array) Addr(i uint64) mem.VirtAddr {
 	return a.R.Start + mem.VirtAddr(i*a.Stride)
 }
 
-// Elems returns how many elements fit.
-func (a Array) Elems() uint64 {
-	if a.Stride == 0 {
-		return 0
-	}
-	return a.R.Len() / a.Stride
-}
-
 // NewLayout starts a heap at the canonical base (matching a typical x86-64
 // mmap region well clear of the null page).
 func NewLayout() *Layout {
@@ -68,12 +60,6 @@ func (l *Layout) Alloc(name string, elems, stride uint64) Array {
 	a := Array{Name: name, R: mem.Range{Start: start, End: end}, Stride: stride}
 	l.arrays = append(l.arrays, a)
 	return a
-}
-
-// Gap skips bytes of address space, creating discontiguity between arrays
-// (separating them into different 1GB regions when large enough).
-func (l *Layout) Gap(bytes uint64) {
-	l.cursor += mem.VirtAddr(bytes)
 }
 
 // Arrays returns all allocations in order.

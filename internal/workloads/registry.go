@@ -43,10 +43,13 @@ type Spec struct {
 	Threads int
 	// SizeScale scales the synthetic apps' footprints; 0 means 1.0.
 	SizeScale float64
-	// Accesses overrides the synthetic apps' stream length; 0 = default.
+	// Accesses overrides the five synthetic apps' access count after their
+	// initialization pass (SynthParams.Accesses); 0 = default. No other
+	// workload reads it.
 	Accesses uint64
 	// SkipInit omits the graph kernels' initialization pass (used by the
-	// reuse-distance characterization; see GraphParams.SkipInit).
+	// reuse-distance characterization; see GraphParams.SkipInit). The
+	// synthetic apps ignore it and stream their initialization pass.
 	SkipInit bool
 }
 
@@ -261,13 +264,6 @@ func SortedSpecs(s Spec) []Spec {
 	a.Sorted = false
 	b.Sorted = true
 	return []Spec{a, b}
-}
-
-// DatasetCacheLen reports how many graphs are cached (tests/diagnostics).
-func DatasetCacheLen() int {
-	dsMu.Lock()
-	defer dsMu.Unlock()
-	return len(dsCache)
 }
 
 // The dataset cache is shared by every concurrently-running simulation task

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,24 +11,23 @@ import (
 	"testing"
 
 	"pccsim/internal/mem"
-	"pccsim/internal/trace"
 )
 
-// writeTrace stores addrs as a trace file in the given format and returns
-// its path.
-func writeTrace(t *testing.T, binary bool, addrs ...mem.VirtAddr) string {
+// writeTrace stores addrs, odd ones as writes, as a trace file in the
+// given format and returns its path.
+func writeTrace(t *testing.T, bin bool, addrs ...mem.VirtAddr) string {
 	t.Helper()
-	accs := make([]trace.Access, len(addrs))
-	for i, a := range addrs {
-		accs[i] = trace.Access{Addr: a, Write: i%2 == 1}
-	}
 	var buf bytes.Buffer
-	write := trace.WriteText
-	if binary {
-		write = trace.WriteBinary
+	if bin {
+		buf.WriteString("PCCTRC1\n")
 	}
-	if _, err := write(&buf, trace.Slice(accs)); err != nil {
-		t.Fatal(err)
+	for i, a := range addrs {
+		if bin {
+			buf.Write(binary.LittleEndian.AppendUint64(nil, uint64(a)))
+			buf.WriteByte(byte(i % 2)) // bit0 = write, thread 0
+		} else {
+			fmt.Fprintf(&buf, "%#x %c 0\n", uint64(a), "rw"[i%2])
+		}
 	}
 	path := filepath.Join(t.TempDir(), "app.trc")
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -70,7 +70,7 @@ func TestTraceFileTextAndBinaryAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		loaded[i] = wl
-		got := trace.Collect(wl.Stream(), len(addrs)+1)
+		got := collect(wl.Stream(), len(addrs)+1)
 		if len(got) != len(addrs) {
 			t.Fatalf("binary=%v: replayed %d accesses, want %d", binary, len(got), len(addrs))
 		}

@@ -9,6 +9,28 @@ import (
 
 const testScale = 12 // tiny graphs for fast tests
 
+// collect drains up to max accesses of s.
+func collect(s trace.Stream, max int) []trace.Access {
+	var out []trace.Access
+	for len(out) < max {
+		a, ok := s.Next()
+		if !ok {
+			break
+		}
+		out = append(out, a)
+	}
+	return out
+}
+
+// count drains s and returns its length.
+func count(s trace.Stream) uint64 {
+	bs, buf, n := trace.Batched(s), make([]trace.Access, 1024), uint64(0)
+	for k := bs.NextBatch(buf); k > 0; k = bs.NextBatch(buf) {
+		n += uint64(k)
+	}
+	return n
+}
+
 func TestLayoutAlloc(t *testing.T) {
 	l := NewLayout()
 	a := l.Alloc("a", 100, 8)
@@ -39,35 +61,13 @@ func TestLayoutZeroStridePanics(t *testing.T) {
 	NewLayout().Alloc("bad", 10, 0)
 }
 
-func TestLayoutGap(t *testing.T) {
-	l := NewLayout()
-	a := l.Alloc("a", 1, 8)
-	l.Gap(1 << 30)
-	b := l.Alloc("b", 1, 8)
-	if uint64(b.R.Start-a.R.End) < 1<<30 {
-		t.Error("gap must separate allocations")
-	}
-}
-
-func TestArrayElems(t *testing.T) {
-	l := NewLayout()
-	a := l.Alloc("a", 100, 8)
-	if a.Elems() < 100 {
-		t.Errorf("elems = %d, want >= 100 (padded)", a.Elems())
-	}
-	var zero Array
-	if zero.Elems() != 0 {
-		t.Error("zero array has no elements")
-	}
-}
-
 func TestEmitterStreamsAllAccesses(t *testing.T) {
 	s := NewStream(func(e *E) {
 		for i := 0; i < 100000; i++ {
-			e.Touch(mem.VirtAddr(i * 64))
+			e.TouchT(mem.VirtAddr(i*64), 0)
 		}
 	})
-	n := trace.Count(s)
+	n := count(s)
 	if n != 100000 {
 		t.Errorf("emitted %d, want 100000", n)
 	}
@@ -79,7 +79,7 @@ func TestEmitterThreadAndWriteTags(t *testing.T) {
 		e.TouchWT(0x2000, 5)
 		e.TouchW(0x3000)
 	})
-	acc := trace.Collect(s, 10)
+	acc := collect(s, 10)
 	if len(acc) != 3 {
 		t.Fatalf("len = %d", len(acc))
 	}
@@ -99,7 +99,7 @@ func TestEmitterCloseTerminatesProducer(t *testing.T) {
 	// unblocked and terminated by Close (no goroutine leak, no deadlock).
 	s := NewStream(func(e *E) {
 		for i := 0; i < 10_000_000; i++ {
-			e.Touch(mem.VirtAddr(i))
+			e.TouchT(mem.VirtAddr(i), 0)
 		}
 	})
 	for i := 0; i < 10; i++ {
@@ -182,7 +182,7 @@ func TestGraphAppsProduceStreams(t *testing.T) {
 		if wl.BaseCPA() <= 0 {
 			t.Errorf("%s: bad BaseCPA", name)
 		}
-		n := trace.Count(trace.Limit(wl.Stream(), 1<<40))
+		n := count(trace.Limit(wl.Stream(), 1<<40))
 		if n == 0 {
 			t.Errorf("%s: empty stream", name)
 		}
@@ -226,8 +226,8 @@ func TestGraphStreamReplaysIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := trace.Collect(wl.Stream(), 200000)
-	b := trace.Collect(wl.Stream(), 200000)
+	a := collect(wl.Stream(), 200000)
+	b := collect(wl.Stream(), 200000)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -249,11 +249,11 @@ func TestGraphRecordingsCompact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			live := trace.Collect(wl.Stream(), 1<<30)
+			live := collect(wl.Stream(), 1<<30)
 			st := wl.Stream()
 			rec := trace.RecordBlocks(st, 0)
 			CloseStream(st)
-			got := trace.Collect(rec.Replay(), len(live)+1)
+			got := collect(rec.Replay(), len(live)+1)
 			if len(got) != len(live) {
 				t.Fatalf("%s sorted=%v: replay holds %d accesses, live %d", name, sorted, len(got), len(live))
 			}
@@ -341,8 +341,8 @@ func TestSynthAppsProduceBoundedStreams(t *testing.T) {
 
 func TestSynthStreamDeterministic(t *testing.T) {
 	p := SynthParams{SizeScale: 0.02, Accesses: 20000}
-	a := trace.Collect(Canneal(p).Stream(), 30000)
-	b := trace.Collect(Canneal(p).Stream(), 30000)
+	a := collect(Canneal(p).Stream(), 30000)
+	b := collect(Canneal(p).Stream(), 30000)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ")
 	}
@@ -376,19 +376,26 @@ func TestSortedSpecs(t *testing.T) {
 	}
 }
 
+// datasetCacheLen reports how many graphs are cached.
+func datasetCacheLen() int {
+	dsMu.Lock()
+	defer dsMu.Unlock()
+	return len(dsCache)
+}
+
 func TestDatasetCache(t *testing.T) {
-	before := DatasetCacheLen()
+	before := datasetCacheLen()
 	if _, err := Build(Spec{Name: "BFS", Dataset: DatasetWeb, Scale: testScale}); err != nil {
 		t.Fatal(err)
 	}
-	mid := DatasetCacheLen()
+	mid := datasetCacheLen()
 	if mid <= before-1 && mid == 0 {
 		t.Error("cache must grow")
 	}
 	if _, err := Build(Spec{Name: "SSSP", Dataset: DatasetWeb, Scale: testScale}); err != nil {
 		t.Fatal(err)
 	}
-	if DatasetCacheLen() != mid {
+	if datasetCacheLen() != mid {
 		t.Error("same dataset must be cached, not rebuilt")
 	}
 }
@@ -459,8 +466,8 @@ func TestCCKernel(t *testing.T) {
 		t.Errorf("accesses=%d outside=%d", n, outside)
 	}
 	// Replays identically.
-	a := trace.Collect(wl.Stream(), 50000)
-	b := trace.Collect(wl.Stream(), 50000)
+	a := collect(wl.Stream(), 50000)
+	b := collect(wl.Stream(), 50000)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("CC stream diverges at %d", i)
