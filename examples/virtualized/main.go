@@ -41,7 +41,7 @@ func main() {
 
 	var base float64
 	for _, v := range variants {
-		m := virt.NewMachine()
+		m := virt.NewMachine(vmas[0])
 		m.Run(stream(1, 2_000_000)) // fault in + let the guest PCC rank
 		if v.promote != nil {
 			// The guest OS promotes what its PCC surfaced, then sweeps

@@ -48,7 +48,7 @@ func ExtVirt(o Options) (*ExtVirtResult, error) {
 	}
 
 	run := func(promote func(m *virt.Machine, base mem.VirtAddr) error) *virt.Machine {
-		m := virt.NewMachine()
+		m := virt.NewMachine(vmas[0])
 		// Warm-up: fault everything in and let the guest PCC rank.
 		m.Run(trace.Limit(mkStream(11), uint64(accesses/4)))
 		if promote != nil {

@@ -64,7 +64,7 @@ type Options struct {
 	// clock.
 	Workers int
 	// Audit arms the invariant auditor on every simulated machine: cross
-	// consistency of TLBs, page tables, PCC contents, physical-memory
+	// consistency of TLBs, mappings, PCC contents, physical-memory
 	// accounting, and policy ledgers is checked after every policy tick
 	// and at end of run, panicking on the first violation.
 	Audit bool

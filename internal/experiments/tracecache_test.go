@@ -2,7 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -210,5 +214,41 @@ func drainCount(s trace.Stream) int {
 			return n
 		}
 		n++
+	}
+}
+
+// TestTraceFileCellClosesStreams: a trace-file cell closes the file behind
+// every stream it opens. With the GC off, so that no finalizer closes a
+// leaked file, a four-budget cell with the trace cache off leaves the
+// process's open descriptors where it found them.
+func TestTraceFileCellClosesStreams(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 4000; i++ {
+		fmt.Fprintf(&b, "%#x\n", 0x40000000+(i*7919%1024)<<12)
+	}
+	path := filepath.Join(t.TempDir(), "cell.trc")
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	openFDs := func() int {
+		t.Helper()
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot list open descriptors: %v", err)
+		}
+		return len(ents)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	openFDs() // the first open may start the runtime's poller
+	before := openFDs()
+	o := QuickOptions(io.Discard)
+	o.TraceCache = -1
+	o.Workers = 1
+	c := Cell{App: "trace:" + path, Policy: "pcc", Budgets: []float64{0, 4, 16, 50}, Threads: 1, PCCEntries: 128}
+	if err := RunCell(o, c); err != nil {
+		t.Fatal(err)
+	}
+	if after := openFDs(); after != before {
+		t.Errorf("the cell left %d descriptors open (%d before, %d after)", after-before, before, after)
 	}
 }

@@ -117,9 +117,7 @@ func (r Region) String() string {
 }
 
 // VirtAddrLimit bounds the simulated virtual address space: every address
-// lies below 2^48, the reach of the 4-level page table. The table indexes
-// only address bits 12-47, so an address at or above the limit would alias
-// one below it.
+// lies below 2^48, the reach of the modelled x86-64 4-level page table.
 const VirtAddrLimit VirtAddr = 1 << 48
 
 // Range is an arbitrary half-open virtual address range, used to describe

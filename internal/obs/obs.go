@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -174,26 +173,4 @@ func (s Snapshot) JSON() []byte {
 		return []byte(fmt.Sprintf("{\"obs.marshal.error\": %q}", err.Error()))
 	}
 	return b
-}
-
-// Table renders the snapshot as an aligned two-column text table with
-// sorted names.
-func (s Snapshot) Table() string {
-	names := s.Names()
-	width := 0
-	for _, n := range names {
-		if len(n) > width {
-			width = len(n)
-		}
-	}
-	var b strings.Builder
-	for _, n := range names {
-		v := s[n]
-		if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-			fmt.Fprintf(&b, "%-*s  %d\n", width, n, int64(v))
-		} else {
-			fmt.Fprintf(&b, "%-*s  %g\n", width, n, v)
-		}
-	}
-	return b.String()
 }

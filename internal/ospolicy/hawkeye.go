@@ -5,7 +5,6 @@ import (
 
 	"pccsim/internal/mem"
 	"pccsim/internal/obs"
-	"pccsim/internal/ptw"
 	"pccsim/internal/reprand"
 	"pccsim/internal/vmm"
 )
@@ -126,14 +125,12 @@ func NewHawkEye(cfg HawkEyeConfig) *HawkEye {
 // Name implements vmm.Policy.
 func (h *HawkEye) Name() string { return "HawkEye" }
 
-// OnProcessExit implements vmm.ProcessReaper: drop every tracked region of
-// the dead process (the entries hold *vmm.Process pointers, so leaving them
-// would pin the dead address space and re-promote into freed memory).
-func (h *HawkEye) OnProcessExit(p *vmm.Process) { h.OnAddressSpaceTeardown(p) }
-
 // OnAddressSpaceTeardown implements vmm.AddressSpaceReaper: after exec the
 // coverage estimates describe an address space that no longer exists, so the
-// process's regions start from scratch.
+// process's regions start from scratch. Exit tears the address space down
+// too, so this also drops a dead process's regions (the entries hold
+// *vmm.Process pointers, so leaving them would pin the dead address space
+// and re-promote into freed memory).
 func (h *HawkEye) OnAddressSpaceTeardown(p *vmm.Process) {
 	for k := range h.regions {
 		if k.pid == p.ID {
@@ -183,16 +180,16 @@ type hawkExtent struct {
 }
 
 // hawkSlot is one 2MB region resolved for the rest of a tick: its ledger
-// entry and its PTE node (the zero Block when it has none). reg is nil until
-// the tick's first sample lands in the region.
+// entry and its PTE accessed bits (the zero vmm.PTEBits when it has no
+// PTEs). reg is nil until the tick's first sample lands in the region.
 type hawkSlot struct {
-	reg   *hawkRegion
-	block ptw.Block
+	reg  *hawkRegion
+	ptes vmm.PTEBits
 }
 
 // sample draws SamplePages random base pages across all processes' VMAs,
 // testing and clearing their accessed bits. A region's ledger entry and PTE
-// node are looked up by the tick's first sample in it and reused by the
+// bits are looked up by the tick's first sample in it and reused by the
 // rest: sampling only clears accessed bits, so neither can change within
 // the tick.
 func (h *HawkEye) sample(m *vmm.Machine) {
@@ -214,7 +211,7 @@ func (h *HawkEye) sample(m *vmm.Machine) {
 			h.resolve(s, e.p, addr)
 		}
 		s.reg.samples++
-		if e.p.Table.TestAndClearAccessedIn(s.block, addr) {
+		if s.ptes.TestAndClear(addr) {
 			s.reg.hits++
 		}
 	}
@@ -261,7 +258,7 @@ func (h *HawkEye) flatten(procs []*vmm.Process) uint64 {
 }
 
 // resolve fills the slot of the 2MB region containing addr: the region's
-// ledger entry, created on first sight, and its PTE node.
+// ledger entry, created on first sight, and its PTE bits.
 func (h *HawkEye) resolve(s *hawkSlot, p *vmm.Process, addr mem.VirtAddr) {
 	base := mem.PageBase(addr, mem.Page2M)
 	k := regionKey{pid: p.ID, base: base}
@@ -270,7 +267,7 @@ func (h *HawkEye) resolve(s *hawkSlot, p *vmm.Process, addr mem.VirtAddr) {
 		reg = &hawkRegion{proc: p, base: base}
 		h.regions[k] = reg
 	}
-	s.reg, s.block = reg, p.Table.LeafBlock(base)
+	s.reg, s.ptes = reg, p.PTEBits(addr)
 }
 
 // fold converts this interval's samples into coverage estimates (pages per

@@ -29,8 +29,8 @@ func (r refHawkEye) Tick(m *vmm.Machine) {
 }
 
 // refSample draws each sample the slow, obvious way: a hardware remainder,
-// a scan that subtracts extent lengths, a ledger lookup and a page-table
-// descent from the root.
+// a scan that subtracts extent lengths, a ledger lookup and a fresh
+// PTE-bit handle per sample.
 func (h *HawkEye) refSample(m *vmm.Machine) {
 	type extent struct {
 		p *vmm.Process
@@ -67,7 +67,7 @@ func (h *HawkEye) refSample(m *vmm.Machine) {
 			h.regions[k] = reg
 		}
 		reg.samples++
-		if ext.p.Table.TestAndClearAccessedIn(ext.p.Table.LeafBlock(addr), addr) {
+		if ext.p.PTEBits(addr).TestAndClear(addr) {
 			reg.hits++
 		}
 	}
@@ -109,8 +109,9 @@ func drawStream(rng *rand.Rand, ranges []mem.Range, n int) []trace.Access {
 // spaces overlap each other and hold two VMAs sharing a 2MB region, hot
 // subsets touched and the rest unmapped, scarce fragmented memory, a region
 // promoted by hand, an exec between runs and a RestorePolicyState mid-run.
-// The full machine states — HawkEye's ledger and RNG steps, every page
-// table, the promotion log and the event log — must stay equal.
+// The full machine states — HawkEye's ledger and RNG steps, every address
+// space's mappings and accessed bits, the promotion log and the event log —
+// must stay equal.
 func TestHawkEyeSamplerMatchesReference(t *testing.T) {
 	promoted, sharedTracked := 0, 0
 	for seed := int64(1); seed <= 6; seed++ {
@@ -149,7 +150,7 @@ func TestHawkEyeSamplerMatchesReference(t *testing.T) {
 		}
 		run(20_000)
 		check("first run")
-		// A promoted region has no PTE node for the samples landing in it.
+		// A promoted region has no PTEs for the samples landing in it.
 		base := mem.PageBase(pf[1].Ranges()[1].Start, mem.Page2M) + 1<<21
 		errF, errR := mf.Promote2M(pf[1], base), mr.Promote2M(pr[1], base)
 		if (errF == nil) != (errR == nil) {
@@ -207,10 +208,13 @@ func TestHawkEyeTickAllocsIndependentOfSamplePages(t *testing.T) {
 // BenchmarkHawkEyeTick times one HawkEye tick on a churn-pressure-shaped
 // machine: PR on kron-14 on a 32 MiB pool at 90% boot fragmentation, with
 // churn and watermark demotion, warmed up for 2M accesses under HawkEye
-// ticking every 10^4. Every iteration first restores the process's page
-// table, accessed bits included, so each tick samples the same
-// warmed-up state; the ticking copy never promotes (MinBucket above every
-// bucket), which keeps that table consistent with the rest of the machine.
+// ticking every 10^4. Every iteration first restores the warmed-up machine
+// state, accessed bits included, so each tick samples the same state; the
+// ticking copy never promotes (MinBucket above every bucket), so a tick
+// changes nothing in the machine but the accessed bits it clears. The state
+// is restored into a twin without a policy, and without the pressure RNG's
+// position: replaying those RNG streams would dominate each restore, and a
+// tick draws from neither.
 func BenchmarkHawkEyeTick(b *testing.B) {
 	wl, err := workloads.Build(workloads.Spec{Name: "PR", Dataset: workloads.DatasetKron, Scale: 14})
 	if err != nil {
@@ -243,21 +247,27 @@ func BenchmarkHawkEyeTick(b *testing.B) {
 		b.Fatal(err)
 	}
 	m.RunUntil(2_000_000)
-	table := p.Table.State()
+	warmed := m.State()
+	warmed.PolicyName, warmed.PolicyState, warmed.PressureRNGSteps = "", nil, 0
+	twin := vmm.NewMachine(cfg, nil)
+	twin.AddProcess(wl.Name(), wl.Ranges(), wl.BaseCPA())
+	if err := twin.RestoreState(warmed); err != nil {
+		b.Fatal(err)
+	}
 	hcfg := DefaultHawkEyeConfig()
 	hcfg.MinBucket = hcfg.Buckets + 1
 	h := NewHawkEye(hcfg)
-	if err := h.RestorePolicyState(m, warm.PolicyState()); err != nil {
+	if err := h.RestorePolicyState(twin, warm.PolicyState()); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		if err := p.Table.SetState(table); err != nil {
+		if err := twin.RestoreState(warmed); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		h.Tick(m)
+		h.Tick(twin)
 	}
 }

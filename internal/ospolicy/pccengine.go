@@ -114,17 +114,17 @@ func NewPCCEngine(cfg PCCEngineConfig) *PCCEngine {
 // candidates dumped from that core's PCC belong to proc's address space).
 func (e *PCCEngine) Bind(core int, proc *vmm.Process) { e.coreProc[core] = proc }
 
-// OnProcessExit implements vmm.ProcessReaper: every ledger entry keyed by
-// the dead process — core bindings, idle-tracking samples and cold counters
-// — is dropped the instant the process exits, so no stale pointer or PID
-// survives into the next tick (Machine.Audit cross-checks this).
+// OnProcessExit implements vmm.ProcessReaper: the dead process's core
+// bindings are dropped the instant it exits, so no stale pointer survives
+// into the next tick (AuditPolicy cross-checks this). Its idle-tracking
+// samples and cold counters went with its address space
+// (OnAddressSpaceTeardown).
 func (e *PCCEngine) OnProcessExit(p *vmm.Process) {
 	for core, q := range e.coreProc {
 		if q == p {
 			delete(e.coreProc, core)
 		}
 	}
-	e.OnAddressSpaceTeardown(p)
 }
 
 // OnAddressSpaceTeardown implements vmm.AddressSpaceReaper: on exec the PID
@@ -413,8 +413,8 @@ func (e *PCCEngine) AuditPolicy(m *vmm.Machine) []string {
 		bad = append(bad, fmt.Sprintf("ospolicy: engine demoted %d regions + %d pressure demotions but processes record %d live + %d reaped",
 			e.stats.Demoted2M, m.PressureDemotions, dem, reaped.Demotions))
 	}
-	// Ledger entries must never outlive their process (OnProcessExit prunes
-	// them at the exit instant).
+	// Ledger entries must never outlive their process (exit's teardown and
+	// OnProcessExit prune them at the exit instant).
 	for core, p := range e.coreProc {
 		if !livePID[p.ID] {
 			bad = append(bad, fmt.Sprintf("ospolicy: core %d bound to dead pid %d", core, p.ID))

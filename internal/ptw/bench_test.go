@@ -7,18 +7,16 @@ import (
 	"pccsim/internal/mem"
 )
 
-// BenchmarkWalk measures a full table walk with warm PWC.
+// BenchmarkWalk measures walks of random 4KB pages with warm PWC.
 func BenchmarkWalk(b *testing.B) {
-	t := NewTable()
 	w := NewWalker()
 	rng := rand.New(rand.NewSource(1))
 	addrs := make([]mem.VirtAddr, 1<<12)
 	for i := range addrs {
 		addrs[i] = mem.VirtAddr(rng.Intn(1<<18)) << 12
-		t.Map(addrs[i], mem.Page4K)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.Walk(t, addrs[i%len(addrs)])
+		w.Walk(addrs[i%len(addrs)], mem.Page4K)
 	}
 }

@@ -2,84 +2,6 @@ package ptw
 
 import "fmt"
 
-// NodeState is the exported mirror of one page-table node for serialization.
-// The layout matches node exactly; keeping a separate exported struct means
-// gob sees only exported fields while the arena node itself stays private.
-type NodeState struct {
-	Children [512]int32
-	Accessed [512]bool
-	Present  [512]bool
-	IsLeaf   [512]bool
-}
-
-// TableState is the full serializable state of one address space's page
-// table: the node arena (including every accessed bit — the PCC cold filter
-// and HawkEye sampling both read them), the free list, and the per-size
-// mapping counts.
-type TableState struct {
-	Nodes   []NodeState
-	Free    []int32
-	Count4K uint64
-	Count2M uint64
-	Count1G uint64
-}
-
-// State returns a deep copy of the table's state.
-func (t *Table) State() TableState {
-	s := TableState{
-		Nodes:   make([]NodeState, len(t.nodes)),
-		Free:    append([]int32(nil), t.free...),
-		Count4K: t.count4K,
-		Count2M: t.count2M,
-		Count1G: t.count1G,
-	}
-	for i := range t.nodes {
-		n := &t.nodes[i]
-		s.Nodes[i] = NodeState{
-			Children: n.children,
-			Accessed: n.accessed,
-			Present:  n.present,
-			IsLeaf:   n.isLeaf,
-		}
-	}
-	return s
-}
-
-// SetState overwrites the table from a snapshot. The arena is rebuilt
-// wholesale; child indices are validated so a corrupt snapshot cannot make
-// later walks index out of the arena.
-func (t *Table) SetState(s TableState) error {
-	if len(s.Nodes) == 0 {
-		return fmt.Errorf("ptw: table state has no root node")
-	}
-	nodes := make([]node, len(s.Nodes))
-	for i := range s.Nodes {
-		ns := &s.Nodes[i]
-		for _, ci := range ns.Children {
-			if ci < 0 || int(ci) >= len(s.Nodes) {
-				return fmt.Errorf("ptw: node %d has child index %d outside arena of %d", i, ci, len(s.Nodes))
-			}
-		}
-		nodes[i] = node{
-			children: ns.Children,
-			accessed: ns.Accessed,
-			present:  ns.Present,
-			isLeaf:   ns.IsLeaf,
-		}
-	}
-	for _, fi := range s.Free {
-		if fi <= 0 || int(fi) >= len(s.Nodes) {
-			return fmt.Errorf("ptw: free list slot %d outside arena of %d", fi, len(s.Nodes))
-		}
-	}
-	t.nodes = nodes
-	t.free = append([]int32(nil), s.Free...)
-	t.count4K = s.Count4K
-	t.count2M = s.Count2M
-	t.count1G = s.Count1G
-	return nil
-}
-
 // PWCState is the serializable state of one page-walk-cache level. Capacity
 // is configuration; SetState checks the slice lengths against it.
 type PWCState struct {

@@ -41,7 +41,7 @@ import (
 // version: the format carries complete simulator state whose meaning shifts
 // with the simulator itself, so cross-version restore is refused rather than
 // silently misinterpreted.
-const Version = 3
+const Version = 4
 
 var magic = [8]byte{'P', 'C', 'C', 'S', 'N', 'A', 'P', 0}
 

@@ -131,19 +131,6 @@ func (h *Hierarchy) Fill(a mem.VirtAddr, size mem.PageSize) {
 	h.l1[si].insert(tag)
 }
 
-// Present reports whether the translation for a at the given page size is
-// cached anywhere in the hierarchy, without perturbing LRU state or stats.
-func (h *Hierarchy) Present(a mem.VirtAddr, size mem.PageSize) bool {
-	vpn := mem.PageNumber(a, size)
-	if h.l1[sizeIndex(size)].Contains(vpn, size) {
-		return true
-	}
-	if size == mem.Page1G {
-		return false
-	}
-	return h.l2.Contains(vpn, size)
-}
-
 // Shootdown invalidates every cached translation overlapping the range, at
 // every level and page size, returning the number of entries dropped. This
 // models the TLB shootdown the OS performs when it remaps a region (e.g.

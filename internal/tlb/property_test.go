@@ -48,7 +48,8 @@ func TestPropertyShootdownPartialOverlap(t *testing.T) {
 	h.Fill(base, mem.Page2M)
 	// Shoot down only the second half of the 2MB page.
 	h.Shootdown(mem.Range{Start: base + 1<<20, End: base + 2<<20})
-	if h.Present(base, mem.Page2M) {
+	if h.l1[sizeIndex(mem.Page2M)].Contains(mem.PageNumber(base, mem.Page2M), mem.Page2M) ||
+		h.l2.Contains(mem.PageNumber(base, mem.Page2M), mem.Page2M) {
 		t.Fatal("2MB entry partially covered by the range must be invalidated")
 	}
 }

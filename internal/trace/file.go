@@ -264,10 +264,11 @@ func (fs *FileStream) nextBatchBinary(buf []Access) int {
 // Err reports a malformed-input error, nil after a clean EOF.
 func (fs *FileStream) Err() error { return fs.err }
 
-// Close releases the underlying file (no-op for reader-backed streams).
-func (fs *FileStream) Close() error {
+// Close releases the underlying file (no-op for reader-backed streams). Like
+// every other stream's Close it has no result: the file is only read, so a
+// close error leaves nothing unsaved.
+func (fs *FileStream) Close() {
 	if fs.closer != nil {
-		return fs.closer.Close()
+		fs.closer.Close()
 	}
-	return nil
 }

@@ -73,14 +73,10 @@ func (b *batched) NextBatch(buf []Access) int {
 // Close forwards to the wrapped stream when it supports closing.
 func (b *batched) Close() { closeStream(b.s) }
 
-// closeStream closes s if it supports either closing signature (emitter
-// streams use Close(); file streams use Close() error).
+// closeStream closes s if it supports closing.
 func closeStream(s Stream) {
-	switch c := s.(type) {
-	case interface{ Close() }:
+	if c, ok := s.(interface{ Close() }); ok {
 		c.Close()
-	case interface{ Close() error }:
-		_ = c.Close()
 	}
 }
 

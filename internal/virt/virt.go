@@ -21,7 +21,6 @@ import (
 	"pccsim/internal/mem"
 	"pccsim/internal/metrics"
 	"pccsim/internal/pcc"
-	"pccsim/internal/ptw"
 	"pccsim/internal/tlb"
 	"pccsim/internal/trace"
 )
@@ -31,11 +30,22 @@ import (
 // cost model at metrics.BaseCPA cycles per access. Guest-physical addresses
 // equal guest-virtual addresses here (an identity pseudo-physical layout),
 // which loses no generality for TLB behaviour: only the *page sizes* of the
-// two mappings matter.
+// two mappings matter. So both page tables reduce to arrays over the
+// guest's one range: the size of the mapping covering each 4KB page in each
+// dimension, and the guest's PMD accessed bits, which its PCC's cold-miss
+// filter reads. Nothing reads the host's accessed bits, so they are not
+// modelled.
 type Machine struct {
-	tlb   *tlb.Hierarchy
-	guest *ptw.Table // guest-virtual -> guest-physical
-	host  *ptw.Table // guest-physical -> host-physical
+	tlb *tlb.Hierarchy
+	r   mem.Range // the guest range
+	// guest and host hold, per 4KB page of r, the size of the mapping that
+	// covers it guest-virtual -> guest-physical and guest-physical ->
+	// host-physical; 0 is unmapped.
+	guest []mem.PageSize
+	host  []mem.PageSize
+	// guestPMD is the guest table's PMD accessed bit of each 2MB region r
+	// reaches, from the one holding r.Start.
+	guestPMD []bool
 	// gpcc is the guest-visible 128-entry promotion candidate cache
 	// tracking guest-virtual 2MB regions (the paper's design: PCC entries
 	// tagged guest vs host, the guest portion surfaced to the guest OS).
@@ -48,13 +58,19 @@ type Machine struct {
 	Faults     uint64
 }
 
-// NewMachine builds an empty virtualized machine.
-func NewMachine() *Machine {
+// NewMachine builds an empty virtualized machine whose guest runs in the
+// page-aligned range r; Step panics on an address outside it.
+func NewMachine(r mem.Range) *Machine {
+	if r.End <= r.Start || !mem.Aligned(r.Start, mem.Page4K) || !mem.Aligned(r.End, mem.Page4K) {
+		panic(fmt.Sprintf("virt: guest range %#x-%#x is empty or not page aligned", uint64(r.Start), uint64(r.End)))
+	}
 	return &Machine{
-		tlb:   tlb.NewHierarchy(tlb.DefaultHierarchyConfig()),
-		guest: ptw.NewTable(),
-		host:  ptw.NewTable(),
-		gpcc:  pcc.New(pcc.DefaultConfig2M()),
+		tlb:      tlb.NewHierarchy(tlb.DefaultHierarchyConfig()),
+		r:        r,
+		guest:    make([]mem.PageSize, r.Len()>>12),
+		host:     make([]mem.PageSize, r.Len()>>12),
+		guestPMD: make([]bool, uint64(r.End-1)>>21-uint64(r.Start)>>21+1),
+		gpcc:     pcc.New(pcc.DefaultConfig2M()),
 	}
 }
 
@@ -73,21 +89,23 @@ func effectiveSize(g, h mem.PageSize) mem.PageSize {
 // sizes returns the current guest and host mapping sizes for gva, faulting
 // in 4KB mappings on first touch.
 func (m *Machine) sizes(gva mem.VirtAddr) (g, h mem.PageSize) {
-	gs, ok := m.guest.MappedSize(gva)
-	if !ok {
+	i := uint64(gva-m.r.Start) >> 12
+	if m.guest[i] == 0 {
 		m.Faults++
 		m.Cycles += metrics.FaultBase
-		m.guest.Map(mem.PageBase(gva, mem.Page4K), mem.Page4K)
-		gs = mem.Page4K
+		m.guest[i] = mem.Page4K
 	}
 	// Identity pseudo-physical: the host maps the same numeric address.
-	hs, ok := m.host.MappedSize(gva)
-	if !ok {
+	if m.host[i] == 0 {
 		m.Cycles += metrics.FaultBase
-		m.host.Map(mem.PageBase(gva, mem.Page4K), mem.Page4K)
-		hs = mem.Page4K
+		m.host[i] = mem.Page4K
 	}
-	return gs, hs
+	return m.guest[i], m.host[i]
+}
+
+// pmdSlot is the index in guestPMD of the 2MB region containing gva.
+func (m *Machine) pmdSlot(gva mem.VirtAddr) uint64 {
+	return uint64(gva)>>21 - uint64(m.r.Start)>>21
 }
 
 // guestLevels returns the walk depth for a guest mapping size.
@@ -121,13 +139,16 @@ func (m *Machine) Step(gva mem.VirtAddr) {
 		gL, hL := guestLevels(gs), guestLevels(hs)
 		refs := gL*hL + gL + hL
 		m.NestedRefs += uint64(refs)
-		// Walk both tables for accessed-bit bookkeeping (the guest PCC's
-		// cold-miss filter uses the guest PMD bit).
-		info := m.guest.Walk(gva)
-		m.host.Walk(gva)
+		// The guest walk samples its PMD accessed bit before setting it:
+		// the guest PCC's cold-miss filter records only regions already
+		// warm. (The guest maps no 1GB pages, so every guest walk reads a
+		// PMD entry.)
+		pmd := &m.guestPMD[m.pmdSlot(gva)]
+		warm := *pmd
+		*pmd = true
 		cost += metrics.WalkBase + float64(refs)*metrics.WalkRef
 		m.tlb.Fill(gva, eff)
-		if gs != mem.Page1G && info.PMDWasAccessed {
+		if warm {
 			m.gpcc.Record(gva)
 		}
 	}
@@ -147,26 +168,43 @@ func (m *Machine) Run(s trace.Stream) {
 
 // PromoteGuest2M collapses the guest mapping of the 2MB region at base —
 // what the guest OS alone can do. Without hypervisor cooperation the TLB
-// still caches 4KB combined entries.
+// still caches 4KB combined entries. The region's guest PMD accessed bit
+// starts clear.
 func (m *Machine) PromoteGuest2M(base mem.VirtAddr) error {
-	base = mem.PageBase(base, mem.Page2M)
-	if s, ok := m.guest.MappedSize(base); ok && s == mem.Page2M {
-		return fmt.Errorf("virt: guest region %#x already huge", uint64(base))
+	if err := m.map2M("guest", m.guest, base); err != nil {
+		return err
 	}
-	m.guest.Map(base, mem.Page2M)
-	m.shootdown(base)
+	m.guestPMD[m.pmdSlot(base)] = false
+	m.shootdown(mem.PageBase(base, mem.Page2M))
 	return nil
 }
 
 // PromoteHost2M collapses the hypervisor's mapping of the guest-physical
 // 2MB region at base — the hypercall-triggered half of the coordination.
 func (m *Machine) PromoteHost2M(base mem.VirtAddr) error {
-	base = mem.PageBase(base, mem.Page2M)
-	if s, ok := m.host.MappedSize(base); ok && s == mem.Page2M {
-		return fmt.Errorf("virt: host region %#x already huge", uint64(base))
+	if err := m.map2M("host", m.host, base); err != nil {
+		return err
 	}
-	m.host.Map(base, mem.Page2M)
-	m.shootdown(base)
+	m.shootdown(mem.PageBase(base, mem.Page2M))
+	return nil
+}
+
+// map2M maps the 2MB region containing base as one 2MB page in dim (m.guest
+// or m.host), refusing a region that is already huge there or not inside
+// the guest range.
+func (m *Machine) map2M(name string, dim []mem.PageSize, base mem.VirtAddr) error {
+	base = mem.PageBase(base, mem.Page2M)
+	if base < m.r.Start || base+mem.VirtAddr(mem.Page2M) > m.r.End {
+		return fmt.Errorf("virt: %s region %#x is not inside the guest range", name, uint64(base))
+	}
+	i := uint64(base-m.r.Start) >> 12
+	if dim[i] == mem.Page2M {
+		return fmt.Errorf("virt: %s region %#x already huge", name, uint64(base))
+	}
+	pages := dim[i : i+mem.Page2M.BasePagesPer()]
+	for j := range pages {
+		pages[j] = mem.Page2M
+	}
 	return nil
 }
 

@@ -21,8 +21,9 @@ func hot(r mem.Range, n int, seed int64) trace.Stream {
 }
 
 func TestNestedWalkCostExceedsNative(t *testing.T) {
-	m := NewMachine()
-	m.Run(hot(testVMAs(4)[0], 50_000, 1))
+	r := testVMAs(4)[0]
+	m := NewMachine(r)
+	m.Run(hot(r, 50_000, 1))
 	if m.Walks == 0 {
 		t.Fatal("uniform access must walk")
 	}
@@ -52,7 +53,7 @@ func TestGuestOnlyPromotionDoesNotHelp(t *testing.T) {
 	// 4KB combined entries, so the miss rate barely moves.
 	vmas := testVMAs(8)
 	run := func(promote func(m *Machine)) (float64, float64) {
-		m := NewMachine()
+		m := NewMachine(vmas[0])
 		m.Run(hot(vmas[0], 30_000, 2)) // warm up + fault in
 		promote(m)
 		m.Cycles, m.Accesses, m.Walks, m.NestedRefs = 0, 0, 0, 0
@@ -95,7 +96,7 @@ func TestGuestOnlyPromotionDoesNotHelp(t *testing.T) {
 
 func TestHostOnlyPromotionAlsoInsufficient(t *testing.T) {
 	vmas := testVMAs(4)
-	m := NewMachine()
+	m := NewMachine(vmas[0])
 	m.Run(hot(vmas[0], 20_000, 4))
 	for b := vmas[0].Start; b < vmas[0].End; b += mem.VirtAddr(mem.Page2M) {
 		if err := m.PromoteHost2M(b); err != nil {
@@ -112,7 +113,7 @@ func TestHostOnlyPromotionAlsoInsufficient(t *testing.T) {
 
 func TestNestedWalkShrinksWithHugeDimensions(t *testing.T) {
 	vmas := testVMAs(2)
-	m := NewMachine()
+	m := NewMachine(vmas[0])
 	m.Run(hot(vmas[0], 10_000, 6))
 	for b := vmas[0].Start; b < vmas[0].End; b += mem.VirtAddr(mem.Page2M) {
 		if err := m.PromoteBoth2M(b); err != nil {
@@ -133,7 +134,7 @@ func TestNestedWalkShrinksWithHugeDimensions(t *testing.T) {
 
 func TestGuestPCCTracksCandidates(t *testing.T) {
 	vmas := testVMAs(8)
-	m := NewMachine()
+	m := NewMachine(vmas[0])
 	m.Run(hot(vmas[0], 100_000, 8))
 	if m.GuestPCC().Len() == 0 {
 		t.Fatal("guest PCC must track walked regions")
@@ -156,7 +157,7 @@ func TestGuestPCCTracksCandidates(t *testing.T) {
 
 func TestDoublePromotionErrors(t *testing.T) {
 	vmas := testVMAs(1)
-	m := NewMachine()
+	m := NewMachine(vmas[0])
 	m.Run(hot(vmas[0], 1000, 9))
 	b := vmas[0].Start
 	if err := m.PromoteGuest2M(b); err != nil {
@@ -171,11 +172,18 @@ func TestDoublePromotionErrors(t *testing.T) {
 	if err := m.PromoteHost2M(b); err == nil {
 		t.Error("double host promotion must error")
 	}
+	// A region outside the guest range has no pages to map.
+	if err := m.PromoteGuest2M(vmas[0].End); err == nil {
+		t.Error("guest promotion past the guest range must error")
+	}
+	if err := m.PromoteHost2M(vmas[0].Start - 1); err == nil {
+		t.Error("host promotion below the guest range must error")
+	}
 }
 
 func TestFaultsCounted(t *testing.T) {
 	vmas := testVMAs(1)
-	m := NewMachine()
+	m := NewMachine(vmas[0])
 	m.Step(vmas[0].Start)
 	if m.Faults != 1 {
 		t.Errorf("faults = %d", m.Faults)

@@ -10,15 +10,14 @@ import (
 // message per violation (empty means every invariant holds). It verifies:
 //
 //   - every valid TLB entry (any core, any level) translates a page some
-//     process's page table currently maps at that exact size — a stale entry
-//     after a remap is the classic shootdown bug;
+//     process currently maps at that exact size — a stale entry after a
+//     remap is the classic shootdown bug;
 //   - every candidate-cache region (2MB PCC / victim tracker / 1GB PCC)
 //     overlaps a live VMA of some process;
 //   - the physical memory model's cached free/huge/giga tallies match a
 //     fresh census of its block index, and every live huge/giga page is
 //     owned by exactly one process's inventory;
-//   - each process's huge-page inventory agrees with its page table leaf
-//     counts and its VMA state arrays;
+//   - each process's huge-page inventory agrees with its VMA state arrays;
 //   - whatever extra checks the installed policy implements via
 //     PolicyAuditor (e.g. promotion tallies vs engine state).
 //
@@ -28,17 +27,17 @@ import (
 func (m *Machine) Audit() []string {
 	var bad []string
 
-	// TLB entries vs page tables. The TLB has no ASID, so an entry is
+	// TLB entries vs mappings. The TLB has no ASID, so an entry is
 	// acceptable if any process maps that (vpn, size).
 	for _, c := range m.cores {
 		c.TLB.VisitValid(func(level string, vpn mem.PageNum, size mem.PageSize) {
 			base := mem.VirtAddr(uint64(vpn) << size.Shift())
 			for _, p := range m.procs {
-				if s, ok := p.Table.MappedSize(base); ok && s == size {
+				if s, ok := p.StateOf(base); ok && s == size {
 					return
 				}
 			}
-			bad = append(bad, fmt.Sprintf("core %d %s: stale TLB entry %#x/%v not in any page table",
+			bad = append(bad, fmt.Sprintf("core %d %s: stale TLB entry %#x/%v not mapped by any process",
 				c.ID, level, uint64(base), size))
 		})
 	}
@@ -90,30 +89,17 @@ func (m *Machine) Audit() []string {
 		bad = append(bad, fmt.Sprintf("physmem holds %d 1GB pages but process inventories total %d", got, inv1G))
 	}
 
-	// Per-process inventory vs page table leaves and VMA state.
+	// Per-process inventory vs VMA state.
 	for _, p := range m.procs {
-		_, n2m, n1g := p.Table.Counts()
-		if n2m != uint64(len(p.huge2M)) {
-			bad = append(bad, fmt.Sprintf("proc %s: page table has %d 2MB leaves, inventory has %d",
-				p.Name, n2m, len(p.huge2M)))
-		}
-		if n1g != uint64(len(p.huge1G)) {
-			bad = append(bad, fmt.Sprintf("proc %s: page table has %d 1GB leaves, inventory has %d",
-				p.Name, n1g, len(p.huge1G)))
-		}
 		for base := range p.huge2M {
-			if s, ok := p.Table.MappedSize(base); !ok || s != mem.Page2M {
-				bad = append(bad, fmt.Sprintf("proc %s: inventory says %#x is 2MB but page table disagrees",
-					p.Name, uint64(base)))
-			}
-			if v := p.vmaOf(base); v == nil || v.stateOf(base) != state2M {
+			if s, ok := p.StateOf(base); !ok || s != mem.Page2M {
 				bad = append(bad, fmt.Sprintf("proc %s: VMA state at %#x is not 2MB-mapped",
 					p.Name, uint64(base)))
 			}
 		}
 		for base := range p.huge1G {
-			if s, ok := p.Table.MappedSize(base); !ok || s != mem.Page1G {
-				bad = append(bad, fmt.Sprintf("proc %s: inventory says %#x is 1GB but page table disagrees",
+			if s, ok := p.StateOf(base); !ok || s != mem.Page1G {
+				bad = append(bad, fmt.Sprintf("proc %s: VMA state at %#x is not 1GB-mapped",
 					p.Name, uint64(base)))
 			}
 		}

@@ -100,7 +100,7 @@ func TestFaultCollapseShootsDownStale4K(t *testing.T) {
 	r := p.Ranges()[0]
 	// First half of the region faults in at 4KB and caches translations.
 	m.Run(&Job{Proc: p, Stream: seqStream(mem.Range{Start: r.Start, End: r.Start + 1<<20}, 1)})
-	if !m.Core(0).TLB.Present(r.Start, mem.Page4K) {
+	if !tlbHolds(m.Core(0).TLB, r.Start, mem.Page4K) {
 		t.Fatal("setup: expected a cached 4KB translation")
 	}
 	// A fault on an untouched page now collapses the whole region to 2MB.
@@ -109,7 +109,7 @@ func TestFaultCollapseShootsDownStale4K(t *testing.T) {
 	if !p.IsHuge2M(r.Start) {
 		t.Fatal("setup: region must have collapsed to 2MB")
 	}
-	if m.Core(0).TLB.Present(r.Start, mem.Page4K) {
+	if tlbHolds(m.Core(0).TLB, r.Start, mem.Page4K) {
 		t.Error("stale 4KB translation survived the huge collapse")
 	}
 	if bad := m.Audit(); len(bad) > 0 {

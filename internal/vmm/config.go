@@ -1,9 +1,9 @@
 // Package vmm assembles the full simulated machine the experiments run on:
 // per-core TLB hierarchies, page table walkers and promotion candidate
-// caches; per-process page tables and address-space state; the physical
-// memory model; the OS policy hook that performs huge page promotion and
-// demotion; and the cycle accounting that turns simulated events into
-// runtime estimates.
+// caches; per-process address spaces (mappings and accessed bits); the
+// physical memory model; the OS policy hook that performs huge page
+// promotion and demotion; and the cycle accounting that turns simulated
+// events into runtime estimates.
 package vmm
 
 import (

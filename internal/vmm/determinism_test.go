@@ -106,7 +106,7 @@ func TestFragmentationLimitsIdeal(t *testing.T) {
 		t.Errorf("huge = %d, want the 4 usable blocks", p.HugePages2M())
 	}
 	// Remaining regions fell back to base pages.
-	p4, _, _ := p.Table.Counts()
+	p4, _, _ := mappedCounts(p)
 	if p4 != 4*512 {
 		t.Errorf("base pages = %d, want %d", p4, 4*512)
 	}

@@ -22,10 +22,10 @@ func (p *Process) regionEligible1G(a mem.VirtAddr) (mem.Region, *vma, bool) {
 }
 
 // Promote1G promotes the 1GB region containing addr in process p: allocates
-// a physical 1GB window (compacting if needed), demotes accounting for any
-// 2MB mappings inside, collapses the page table to one PUD leaf, shoots
-// down, and charges costs. The paper's rule for *when* lives in the OS
-// policy; this is the mechanism.
+// a physical 1GB window (compacting if needed), maps the region as one 1GB
+// leaf absorbing any 2MB mappings inside, shoots down, and charges costs.
+// The paper's rule for *when* lives in the OS policy; this is the
+// mechanism.
 func (m *Machine) Promote1G(p *Process, addr mem.VirtAddr) error {
 	r, v, ok := p.regionEligible1G(addr)
 	if !ok {
@@ -44,14 +44,10 @@ func (m *Machine) Promote1G(p *Process, addr mem.VirtAddr) error {
 		m.PromotionFailures++
 		return promoteErr(PromoteNoPhysicalBlock, "no physical 1GB window available")
 	}
-	// Free the 2MB blocks the region's huge mappings were using: their
-	// data moves into the new window.
-	for base := range p.huge2M {
-		if r.Contains(base) {
-			delete(p.huge2M, base)
-			p.clearHugeLastUse(base)
-			m.phys.FreeHuge()
-		}
+	// The region's 2MB leaves are absorbed: their data moves into the new
+	// window, so their blocks go back to the pool.
+	for range p.map1G(v, r, m.accessCount) {
+		m.phys.FreeHuge()
 	}
 
 	// mappedPagesIn counts 4KB pages in both buckets, so the copy work is
@@ -61,10 +57,6 @@ func (m *Machine) Promote1G(p *Process, addr mem.VirtAddr) error {
 	m.BackgroundCycles += work
 	m.chargeAll(metrics.PromoteFixed + work*asyncVisibleFrac)
 
-	// Collapse: drop whatever subtree exists, install the PUD leaf.
-	p.Table.Map(r.Base, mem.Page1G)
-	v.setRange(r.Base, r.End(), state1G)
-	p.huge1G[r.Base] = m.accessCount
 	p.Promotions1G++
 	if migrated > 0 {
 		m.events.Recordf(m.accessCount, "compaction", "proc=%s migrated=%d (promote1g)", p.Name, migrated)

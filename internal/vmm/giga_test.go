@@ -45,9 +45,9 @@ func TestPromote1GFrom4K(t *testing.T) {
 	if s, ok := p.StateOf(base + 12345); !ok || s != mem.Page1G {
 		t.Errorf("state = %v,%v", s, ok)
 	}
-	_, _, p1 := p.Table.Counts()
+	_, _, p1 := mappedCounts(p)
 	if p1 != 1 {
-		t.Errorf("table 1G count = %d", p1)
+		t.Errorf("1G leaves = %d", p1)
 	}
 	if p.HugeBytes() != uint64(mem.Page1G) {
 		t.Errorf("huge bytes = %d", p.HugeBytes())

@@ -5,7 +5,6 @@ import (
 
 	"pccsim/internal/mem"
 	"pccsim/internal/metrics"
-	"pccsim/internal/ptw"
 	"pccsim/internal/tlb"
 	"pccsim/internal/trace"
 )
@@ -170,13 +169,14 @@ func (ex *executor) stepFull(c *Core, p *Process, addr mem.VirtAddr) {
 			v.noteUse2M(addr, ex.now)
 		}
 	default: // tlb.Miss → page table walk
-		info := c.Walker.Walk(p.Table, addr)
-		cost += metrics.WalkBase + float64(info.Levels)*metrics.WalkRef
+		levels := c.Walker.Walk(addr, size)
+		cost += metrics.WalkBase + float64(levels)*metrics.WalkRef
 		c.TLB.Fill(addr, size)
 		if size == mem.Page2M {
 			v.noteUse2M(addr, ex.now)
 		}
-		ex.recordWalk(c, info, size, addr)
+		pmd, pud := v.walk(addr, idx, size)
+		ex.recordWalk(c, pmd, pud, size, addr)
 	}
 	c.Cycles += cost
 
@@ -209,11 +209,11 @@ func (ex *executor) faultPath(c *Core, p *Process, v *vma, idx uint64, addr mem.
 // walk: gated by the pre-walk accessed bit at the PMD (2MB) / PUD (1GB)
 // level — the cold-miss filter — with the surviving record addresses
 // buffered per core and flushed in walk order at segment boundaries.
-func (ex *executor) recordWalk(c *Core, info ptw.WalkInfo, size mem.PageSize, addr mem.VirtAddr) {
+func (ex *executor) recordWalk(c *Core, pmdWasAccessed, pudWasAccessed bool, size mem.PageSize, addr mem.VirtAddr) {
 	if c.PCC2M != nil {
 		if size == mem.Page1G {
 			// 1GB-mapped walks never feed the 2MB PCC.
-		} else if info.PMDWasAccessed || ex.coldOff {
+		} else if pmdWasAccessed || ex.coldOff {
 			if len(c.pend2M) == cap(c.pend2M) {
 				c.flushPCC()
 			}
@@ -222,7 +222,7 @@ func (ex *executor) recordWalk(c *Core, info ptw.WalkInfo, size mem.PageSize, ad
 			c.Walker.NoteColdFiltered()
 		}
 	}
-	if c.PCC1G != nil && (info.PUDWasAccessed || ex.coldOff) {
+	if c.PCC1G != nil && (pudWasAccessed || ex.coldOff) {
 		if len(c.pend1G) == cap(c.pend1G) {
 			c.flushPCC()
 		}

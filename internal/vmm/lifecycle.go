@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"pccsim/internal/mem"
 	"pccsim/internal/reprand"
@@ -17,12 +16,12 @@ import (
 // one never re-rolls the other). Churn processes own address spaces, fault
 // in memory, take huge pages from the shared pool (competing with the
 // measured tenants for budget and contiguity — the noisy neighbor), and are
-// torn down completely on exit: frames return to physmem, page tables
-// unmap, every cached translation for the dead ranges is shot down (TLBs,
+// torn down completely on exit: frames return to physmem, every mapping
+// goes, every cached translation for the dead ranges is shot down (TLBs,
 // PWC, PCCs, the L0 register line and the persistent translation table via
-// its generation bump), policy ledgers are notified through ProcessReaper,
-// and NUMA placement ledgers forget the PID. Machine.Audit cross-checks
-// that no ledger survives a dead PID.
+// its generation bump), policy ledgers are notified through the reaper
+// hooks, and NUMA placement ledgers forget the PID. Machine.Audit
+// cross-checks that no ledger survives a dead PID.
 //
 // Everything runs at tick boundaries in canonical order (pressure tick,
 // then lifecycle tick, then the OS policy tick), so results stay
@@ -106,10 +105,10 @@ type ReapedTallies struct {
 }
 
 // ProcessReaper is implemented by OS policies that keep per-process ledgers
-// (sample timestamps, idle trackers, advice lists, core bindings). The
-// machine calls it on every process exit, after the address space is torn
-// down and before the process is unregistered, so no policy ledger entry
-// outlives its PID.
+// the address space does not key (core bindings). The machine calls it on
+// every process exit, after the process is unregistered, so no policy
+// ledger entry outlives its PID. Exit's teardown has already called
+// AddressSpaceReaper, so region-keyed ledgers need nothing more here.
 type ProcessReaper interface {
 	OnProcessExit(p *Process)
 }
@@ -220,12 +219,10 @@ func (m *Machine) populateChurn(p *Process) {
 		pages = uint64(len(v.state))
 	}
 	for i := uint64(0); i < pages; i++ {
-		a := v.r.Start + mem.VirtAddr(i<<12)
-		p.Table.Map(a, mem.Page4K)
-		v.state[i] = state4K
+		v.map4K(i)
 		v.touched[i] = true
 		if m.numa != nil {
-			m.numa.place(p, a)
+			m.numa.place(p, v.r.Start+mem.VirtAddr(i<<12))
 		}
 	}
 	m.phys.AllocBase(pages)
@@ -243,9 +240,9 @@ func (m *Machine) populateChurn(p *Process) {
 
 // ExitProcess tears down p's address space and unregisters it. It refuses
 // to exit a process with an unfinished job in an active run (the executors
-// hold the process pointer). The teardown order is: huge inventory freed,
-// remaining base pages unmapped, cached translations shot down on every
-// core, the VMA lookup cache dropped, NUMA ledgers erased, counters
+// hold the process pointer). The teardown order is: the address space
+// emptied and its huge blocks freed, cached translations shot down on every
+// core, NUMA ledgers erased, the policy's AddressSpaceReaper hook, counters
 // accumulated into the machine's reaped tallies, and finally the policy's
 // ProcessReaper hook.
 func (m *Machine) ExitProcess(p *Process) error {
@@ -287,61 +284,28 @@ func (m *Machine) ExecProcess(p *Process) error {
 	return nil
 }
 
-// teardownAddressSpace empties p's address space: huge pages unmapped and
-// their physical blocks freed, remaining 4KB pages unmapped, VMA state
-// arrays zeroed, every cached translation for the dead ranges shot down
-// (which also generation-bumps each core's persistent translation table, so
-// a reused PID or VA slot can never revalidate a dead slot), the process's
-// own VMA lookup cache dropped, and the NUMA placement ledgers erased.
+// teardownAddressSpace empties p's address space (Process.teardown), frees
+// the physical blocks of its huge pages, shoots down every cached
+// translation for the dead ranges (which also generation-bumps each core's
+// persistent translation table, so a reused PID or VA slot can never
+// revalidate a dead slot), and erases the NUMA placement ledgers.
 func (m *Machine) teardownAddressSpace(p *Process) {
-	now := m.accessCount
-	for _, base := range sortedBases(p.huge2M) {
-		p.Table.Unmap(base, mem.Page2M)
+	n2M, n1G := p.teardown()
+	for range n2M {
 		m.phys.FreeHuge()
 	}
-	for _, base := range sortedBases(p.huge1G) {
-		p.Table.Unmap(base, mem.Page1G)
+	for range n1G {
 		m.phys.FreeGiga()
 	}
-	p.huge2M = map[mem.VirtAddr]uint64{}
-	p.huge1G = map[mem.VirtAddr]uint64{}
 	for _, v := range p.vmas {
-		for i, st := range v.state {
-			if st == state4K {
-				p.Table.Unmap(v.r.Start+mem.VirtAddr(uint64(i)<<12), mem.Page4K)
-			}
-			v.state[i] = stateUnmapped
-			v.touched[i] = false
-		}
-		for i := range v.lastUse2M {
-			v.lastUse2M[i] = 0
-			v.node2M[i] = 0
-		}
+		m.shootdownAll(m.accessCount, v.r)
 	}
-	for _, v := range p.vmas {
-		m.shootdownAll(now, v.r)
-	}
-	// The stale-pointer bug this PR fixes: the lookup cache held the old
-	// vma object across teardown, and a reconstructed VMA at the same
-	// address would never be consulted.
-	p.lastVMA = nil
 	if m.numa != nil {
 		m.numa.forget(p.ID)
 	}
 	if r, ok := m.policy.(AddressSpaceReaper); ok {
 		r.OnAddressSpaceTeardown(p)
 	}
-}
-
-// sortedBases returns the map's keys in ascending order, so teardown
-// unmaps in a deterministic sequence regardless of map iteration order.
-func sortedBases(h map[mem.VirtAddr]uint64) []mem.VirtAddr {
-	out := make([]mem.VirtAddr, 0, len(h))
-	for base := range h {
-		out = append(out, base)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // jobActive reports whether p has an unfinished job in the run in

@@ -200,8 +200,8 @@ func TestExecProcessClearsMappingsKeepsCounters(t *testing.T) {
 	if p.lastVMA != nil {
 		t.Error("teardown must drop the VMA lookup cache (stale-pointer bug)")
 	}
-	if n4k, n2m, n1g := p.Table.Counts(); n4k != 0 || n2m != 0 || n1g != 0 {
-		t.Errorf("page table survives exec: %d/%d/%d leaves", n4k, n2m, n1g)
+	if n4k, n2m, n1g := mappedCounts(p); n4k != 0 || n2m != 0 || n1g != 0 {
+		t.Errorf("mappings survive exec: %d/%d/%d leaves", n4k, n2m, n1g)
 	}
 	if p.HugePages2M() != 0 || m.Phys().HugePagesInUse() != 0 {
 		t.Error("huge pages survive exec")

@@ -215,9 +215,7 @@ func (ex *executor) fault(c *Core, p *Process, addr mem.VirtAddr) {
 					}
 					c.Cycles += cost
 					c.StallCycles += cost
-					p.Table.Map(r.Base, mem.Page2M)
-					v.setRange(r.Base, r.End(), state2M)
-					p.huge2M[r.Base] = ex.now
+					p.map2M(v, r, ex.now)
 					p.HugeFaults++
 					m.events.Recordf(ex.now, "fault.huge", "proc=%s base=%#x", p.Name, uint64(r.Base))
 					if mapped4k > 0 {
@@ -236,11 +234,8 @@ func (ex *executor) fault(c *Core, p *Process, addr mem.VirtAddr) {
 	// Base page fault.
 	c.Cycles += metrics.FaultBase
 	c.StallCycles += metrics.FaultBase
-	base := mem.PageBase(addr, mem.Page4K)
-	p.Table.Map(base, mem.Page4K)
-	if v := p.vmaOf(addr); v != nil {
-		v.setRange(base, base+mem.VirtAddr(mem.Page4K), state4K)
-	}
+	v := p.vmaOf(addr)
+	v.map4K(uint64(addr-v.r.Start) >> 12)
 	m.phys.AllocBase(1)
 }
 
@@ -301,7 +296,7 @@ func (m *Machine) chargeAll(cycles float64) {
 
 // Promote2M promotes the 2MB region containing addr in process p: allocates
 // a physical block (compacting if needed), faults in any unmapped tail,
-// collapses the page table mapping, performs the shootdown and charges
+// maps the region as one 2MB leaf, performs the shootdown and charges
 // costs. Async (daemon-driven) promotion charges copy/compaction work to
 // the background with only asyncVisibleFrac leaking into cores.
 func (m *Machine) Promote2M(p *Process, addr mem.VirtAddr) error {
@@ -333,9 +328,7 @@ func (m *Machine) Promote2M(p *Process, addr mem.VirtAddr) error {
 	m.chargeAll(metrics.PromoteFixed + work*asyncVisibleFrac)
 
 	// Remap: the whole region becomes one 2MB mapping.
-	p.Table.Map(r.Base, mem.Page2M)
-	v.setRange(r.Base, r.End(), state2M)
-	p.huge2M[r.Base] = m.accessCount
+	p.map2M(v, r, m.accessCount)
 	p.Promotions2M++
 	m.promotionLog = append(m.promotionLog, PromotionEvent{
 		AtAccess: m.accessCount, ProcID: p.ID, Base: r.Base,
@@ -361,11 +354,7 @@ func (m *Machine) Demote2M(p *Process, addr mem.VirtAddr) error {
 		return promoteErr(PromoteVMABoundary, "outside VMAs")
 	}
 	r := mem.Region{Base: base, Size: mem.Page2M}
-	p.Table.Unmap(base, mem.Page2M)
-	p.Table.MapRegion4K(base)
-	v.setRange(base, r.End(), state4K)
-	delete(p.huge2M, base)
-	p.clearHugeLastUse(base)
+	p.demote2M(v, base)
 	p.Demotions++
 	m.phys.FreeHuge()
 	m.chargeAll(metrics.PromoteFixed)

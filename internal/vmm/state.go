@@ -14,10 +14,10 @@ import (
 )
 
 // Checkpoint/restore state surface. A MachineState captures everything a
-// machine mutates during a run — translation hardware, page tables, address
-// space state, the physical memory model, policy ledgers, RNG stream
-// positions, the event trace and the scheduler position — such that
-// restoring it into a freshly constructed machine (same Config, same
+// machine mutates during a run — translation hardware, address space state
+// (mappings and accessed bits), the physical memory model, policy ledgers,
+// RNG stream positions, the event trace and the scheduler position — such
+// that restoring it into a freshly constructed machine (same Config, same
 // AddProcess calls, same policy) and resuming produces output bit-identical
 // to the uninterrupted run.
 //
@@ -65,12 +65,14 @@ type CoreState struct {
 	StallCycles float64
 }
 
-// VMAState is the flat mapping/touch/liveness state of one VMA. Geometry
+// VMAState is the flat mapping/touch/liveness state of one VMA, with the
+// PTE accessed bit of each page (Accessed, indexed like State). Geometry
 // (the range itself) is construction input and only validated.
 type VMAState struct {
 	State     []uint8
 	Touched   []bool
 	LastUse2M []uint64
+	Accessed  []bool
 }
 
 // HugePageState is one promoted region: its base and promotion timestamp.
@@ -87,14 +89,16 @@ type HugePageState struct {
 // processes (Churn true) it is the construction input — restore rebuilds
 // the address space from it, since no builder re-registers churn
 // processes. VMAPolicies is the per-VMA NUMA memory policy, index-aligned
-// with VMAs. Restore refuses a process whose Ranges or VMAPolicies do not
-// cover each of its VMAs.
+// with VMAs. PMD and PUD are the accessed bits of the 2MB and 1GB regions
+// the VMAs reach, one per region in address order. Restore refuses a
+// process whose Ranges or VMAPolicies do not cover each of its VMAs.
 type ProcessState struct {
 	ID   int
 	Name string
 
-	Table ptw.TableState
-	VMAs  []VMAState
+	VMAs []VMAState
+	PMD  []bool
+	PUD  []bool
 
 	Churn       bool
 	Ranges      []mem.Range
@@ -280,7 +284,8 @@ func processState(p *Process) ProcessState {
 		Name:          p.Name,
 		Churn:         p.churn,
 		Ranges:        p.Ranges(),
-		Table:         p.Table.State(),
+		PMD:           append([]bool(nil), p.pmd...),
+		PUD:           append([]bool(nil), p.pud...),
 		BaseCPA:       p.BaseCPA,
 		HomeNode:      p.HomeNode,
 		MaxHugeBytes:  p.MaxHugeBytes,
@@ -299,6 +304,7 @@ func processState(p *Process) ProcessState {
 			State:     make([]uint8, len(v.state)),
 			Touched:   append([]bool(nil), v.touched...),
 			LastUse2M: append([]uint64(nil), v.lastUse2M...),
+			Accessed:  append([]bool(nil), v.accessed...),
 		}
 		for i, st := range v.state {
 			vs.State[i] = uint8(st)
@@ -536,10 +542,11 @@ func restoreProcess(m *Machine, p *Process, ps ProcessState) error {
 	}
 	for vi, vs := range ps.VMAs {
 		v := p.vmas[vi]
-		if len(vs.State) != len(v.state) || len(vs.Touched) != len(v.touched) || len(vs.LastUse2M) != len(v.lastUse2M) {
-			return fmt.Errorf("vmm: proc %s VMA %d: state geometry %d/%d/%d, machine %d/%d/%d",
-				p.Name, vi, len(vs.State), len(vs.Touched), len(vs.LastUse2M),
-				len(v.state), len(v.touched), len(v.lastUse2M))
+		if len(vs.State) != len(v.state) || len(vs.Touched) != len(v.touched) ||
+			len(vs.LastUse2M) != len(v.lastUse2M) || len(vs.Accessed) != len(v.accessed) {
+			return fmt.Errorf("vmm: proc %s VMA %d: state geometry %d/%d/%d/%d, machine %d/%d/%d/%d",
+				p.Name, vi, len(vs.State), len(vs.Touched), len(vs.LastUse2M), len(vs.Accessed),
+				len(v.state), len(v.touched), len(v.lastUse2M), len(v.accessed))
 		}
 		for j, st := range vs.State {
 			if st > uint8(state1G) {
@@ -547,9 +554,12 @@ func restoreProcess(m *Machine, p *Process, ps ProcessState) error {
 			}
 		}
 	}
-	if err := p.Table.SetState(ps.Table); err != nil {
-		return fmt.Errorf("vmm: proc %s: %w", p.Name, err)
+	if len(ps.PMD) != len(p.pmd) || len(ps.PUD) != len(p.pud) {
+		return fmt.Errorf("vmm: proc %s: state has %d/%d region accessed bits, machine %d/%d",
+			p.Name, len(ps.PMD), len(ps.PUD), len(p.pmd), len(p.pud))
 	}
+	copy(p.pmd, ps.PMD)
+	copy(p.pud, ps.PUD)
 	for vi, vs := range ps.VMAs {
 		v := p.vmas[vi]
 		for j, st := range vs.State {
@@ -557,6 +567,7 @@ func restoreProcess(m *Machine, p *Process, ps ProcessState) error {
 		}
 		copy(v.touched, vs.Touched)
 		copy(v.lastUse2M, vs.LastUse2M)
+		copy(v.accessed, vs.Accessed)
 		// The NUMA ledger is replaced wholesale after the processes, so
 		// drop any node memo this machine filled before the restore.
 		for i := range v.node2M {

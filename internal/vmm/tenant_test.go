@@ -22,14 +22,15 @@ func TestAddTenantValidation(t *testing.T) {
 			Ranges: []mem.Range{{Start: 1, End: 1 << 21}}}},
 		{"inverted range", testConfig, TenantConfig{Name: "t",
 			Ranges: []mem.Range{{Start: 1 << 21, End: 1 << 20}}}},
-		// The page table maps 2^48 bytes: a range above it would alias
-		// the one 2^48 below.
+		// The modelled 4-level page table reaches 2^48 bytes.
 		{"range above 2^48", testConfig, TenantConfig{Name: "t",
 			Ranges: []mem.Range{{Start: 1<<48 + 1<<21, End: 1<<48 + 1<<22}}}},
 		{"range crossing 2^48", testConfig, TenantConfig{Name: "t",
 			Ranges: []mem.Range{{Start: 1<<48 - 1<<21, End: 1<<48 + 1<<12}}}},
 		{"range at the top of the 64-bit space", testConfig, TenantConfig{Name: "t",
 			Ranges: []mem.Range{{Start: 0xffffffffffe00000, End: 0xfffffffffffff000}}}},
+		{"overlapping ranges", testConfig, TenantConfig{Name: "t",
+			Ranges: []mem.Range{{Start: 1<<30 + 2<<20, End: 1<<30 + 6<<20}, {Start: 1 << 30, End: 1<<30 + 4<<20}}}},
 		{"share above one", testConfig, TenantConfig{Name: "t", Ranges: ranges,
 			HugeShare: 1.5}},
 		{"negative share", testConfig, TenantConfig{Name: "t", Ranges: ranges,

@@ -9,6 +9,7 @@ import (
 
 	"pccsim/internal/mem"
 	"pccsim/internal/physmem"
+	"pccsim/internal/tlb"
 	"pccsim/internal/trace"
 )
 
@@ -24,6 +25,16 @@ func testConfig() Config {
 func testVMA(nRegions int) []mem.Range {
 	start := mem.VirtAddr(16 << 20)
 	return []mem.Range{{Start: start, End: start + mem.VirtAddr(nRegions)<<21}}
+}
+
+// tlbHolds reports whether some level of h caches the translation of the
+// page of the given size at a.
+func tlbHolds(h *tlb.Hierarchy, a mem.VirtAddr, size mem.PageSize) bool {
+	want, held := mem.PageNumber(a, size), false
+	h.VisitValid(func(_ string, vpn mem.PageNum, s mem.PageSize) {
+		held = held || vpn == want && s == size
+	})
+	return held
 }
 
 // seqStream touches every 4KB page of r once, n times over.
@@ -66,7 +77,7 @@ func TestFaultMapsBasePages(t *testing.T) {
 	if p.Faults != 512 {
 		t.Errorf("faults = %d, want 512", p.Faults)
 	}
-	p4, p2, _ := p.Table.Counts()
+	p4, p2, _ := mappedCounts(p)
 	if p4 != 512 || p2 != 0 {
 		t.Errorf("mapped = %d/%d", p4, p2)
 	}
@@ -107,9 +118,9 @@ func TestPromote2M(t *testing.T) {
 	if s, _ := p.StateOf(r.Start + 0x1000); s != mem.Page2M {
 		t.Errorf("page state = %v", s)
 	}
-	_, p2, _ := p.Table.Counts()
+	_, p2, _ := mappedCounts(p)
 	if p2 != 1 {
-		t.Errorf("page table 2M count = %d", p2)
+		t.Errorf("2M leaves = %d", p2)
 	}
 	if m.Phys().HugePagesInUse() != 1 {
 		t.Error("physical block must be consumed")
@@ -195,7 +206,7 @@ func TestDemote2M(t *testing.T) {
 	if p.IsHuge2M(r.Start) || p.HugeBytes() != 0 {
 		t.Error("demotion must undo huge accounting")
 	}
-	p4, p2, _ := p.Table.Counts()
+	p4, p2, _ := mappedCounts(p)
 	if p2 != 0 || p4 != 512 {
 		t.Errorf("post-demotion mapping = %d/%d", p4, p2)
 	}
@@ -229,7 +240,7 @@ func TestPromotionShootsDownTLBAndPCC(t *testing.T) {
 	if core.PCC2M.Len() != 0 {
 		t.Error("promotion shootdown must invalidate the PCC entry")
 	}
-	if core.TLB.Present(r.Start, mem.Page4K) {
+	if tlbHolds(core.TLB, r.Start, mem.Page4K) {
 		t.Error("4KB entries must be shot down")
 	}
 }
@@ -324,8 +335,8 @@ func TestMultiProcessIsolation(t *testing.T) {
 		&Job{Proc: pa, Stream: seqStream(pa.Ranges()[0], 1), Cores: []int{0}},
 		&Job{Proc: pb, Stream: seqStream(pb.Ranges()[0], 1), Cores: []int{1}},
 	)
-	a4, _, _ := pa.Table.Counts()
-	b4, _, _ := pb.Table.Counts()
+	a4, _, _ := mappedCounts(pa)
+	b4, _, _ := mappedCounts(pb)
 	if a4 != 512 || b4 != 512 {
 		t.Errorf("per-process mappings = %d/%d", a4, b4)
 	}
@@ -531,7 +542,7 @@ func TestFaultTimeHugeFallsBackUnderFragmentation(t *testing.T) {
 	if p.HugePages2M() != 0 {
 		t.Error("fully fragmented memory must force 4KB fallback")
 	}
-	p4, _, _ := p.Table.Counts()
+	p4, _, _ := mappedCounts(p)
 	if p4 != 512 {
 		t.Errorf("fallback mappings = %d", p4)
 	}
@@ -719,6 +730,11 @@ func TestAddProcessRefusesBadVMAs(t *testing.T) {
 		{"unaligned", []mem.Range{{Start: 1, End: 1 << 21}}},
 		{"inverted", []mem.Range{{Start: 1 << 22, End: 1 << 21}}},
 		{"empty", []mem.Range{{Start: 1 << 21, End: 1 << 21}}},
+		// Overlapping VMAs, in either order, or one inside another: a 4KB
+		// page can belong to only one VMA's arrays.
+		{"overlapping", []mem.Range{{Start: 1 << 30, End: 1<<30 + 4<<20}, {Start: 1<<30 + 2<<20, End: 1<<30 + 6<<20}}},
+		{"overlapping out of order", []mem.Range{{Start: 1<<30 + 2<<20, End: 1<<30 + 6<<20}, {Start: 1 << 30, End: 1<<30 + 4<<20}}},
+		{"nested", []mem.Range{{Start: 1 << 30, End: 1<<30 + 8<<20}, {Start: 1<<30 + 3<<12, End: 1<<30 + 5<<12}, {Start: 2 << 30, End: 2<<30 + 1<<12}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -740,5 +756,29 @@ func TestAddProcessRefusesBadVMAs(t *testing.T) {
 	top := mem.Range{Start: mem.VirtAddrLimit - 1<<21, End: mem.VirtAddrLimit}
 	if p := m.AddProcess("top", []mem.Range{top}, 10); p.Footprint() != 1<<21 {
 		t.Errorf("the last 2MB below the limit: footprint %d", p.Footprint())
+	}
+	touching := []mem.Range{{Start: 1<<30 + 2<<20, End: 1<<30 + 4<<20}, {Start: 1 << 30, End: 1<<30 + 2<<20}}
+	if p := m.AddProcess("touching", touching, 10); p.Footprint() != 4<<20 {
+		t.Errorf("VMAs that meet without overlapping: footprint %d", p.Footprint())
+	}
+}
+
+// TestRestoreRefusesOverlappingChurnVMAs: a snapshot's churn process is
+// rebuilt from its serialized geometry, so overlapping VMAs there are
+// refused with the same error AddProcess panics with.
+func TestRestoreRefusesOverlappingChurnVMAs(t *testing.T) {
+	src := NewMachine(testConfig(), nil)
+	p := src.AddProcess("t", testVMA(2), 10)
+	src.Run(&Job{Proc: p, Stream: seqStream(p.Ranges()[0], 1)})
+	s := src.State()
+	churn := s.Procs[0]
+	churn.ID, churn.Name, churn.Churn = s.NextPID, "churn-0", true
+	churn.Ranges = []mem.Range{{Start: 1<<40 + 2<<20, End: 1<<40 + 6<<20}, {Start: 1 << 40, End: 1<<40 + 4<<20}}
+	s.Procs = append(s.Procs, churn)
+	s.NextPID++
+	dst := NewMachine(testConfig(), nil)
+	dst.AddProcess("t", testVMA(2), 10)
+	if err := dst.RestoreState(s); err == nil || !strings.Contains(err.Error(), "overlap") {
+		t.Fatalf("restore of overlapping churn VMAs: %v, want the overlap refusal", err)
 	}
 }

@@ -43,7 +43,7 @@ func (w *fileWorkload) Stream() trace.Stream {
 // 2MB region is covered, and regions separated by at most 16MB of untouched
 // space merge into one range. It fails on an unreadable or malformed file,
 // on a trace with no accesses, and on an access at or above
-// mem.VirtAddrLimit, which the simulated page table cannot map.
+// mem.VirtAddrLimit, past the modelled 4-level page table's reach.
 func TraceFile(path string) (Workload, error) {
 	fs, err := trace.OpenFile(path)
 	if err != nil {
